@@ -48,7 +48,6 @@ from .errors import (
     SingularInformation,
 )
 from .estimation import (
-    ConstrainedFit,
     CriterionParts,
     FitOptions,
     FitResult,
@@ -132,7 +131,6 @@ __all__ = [
     "gqmle_fit",
     "FitOptions",
     "FitResult",
-    "ConstrainedFit",
     "CriterionParts",
     "KernelMoments",
     "kernel_moments",

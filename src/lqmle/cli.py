@@ -27,7 +27,7 @@ from .errors import DataFormatError, ExcessiveFailures, LqmleError
 from .estimation import FitOptions, evaluate, fit, fit_constrained
 from .inference import deviance, lm_test, t_test, wald_test
 from .models import MODEL_REGISTRY, make_model, simulate
-from .montecarlo import Scenario, run_scenario
+from .montecarlo import _CRITERION, Scenario, run_scenario
 from .reports import dump_json, make_manifest, render_document, sha256_file
 
 __all__ = ["main"]
@@ -37,8 +37,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 EXIT_NOCONV = 5
-
-_CRITERION = {"lqmle": "logistic", "gqmle": "gaussian"}
 
 
 class _UsageError(Exception):

@@ -118,11 +118,6 @@ class InnovationDist:
 
     # -- base-law facts used by the scale functional -------------------
 
-    @property
-    def has_density(self) -> bool:
-        """True when the base law has a closed-form density usable in quadrature."""
-        return self.family in ("logistic", "normal", "uniform", "student_t")
-
     def base_pdf(self, x: np.ndarray | float) -> np.ndarray | float:
         """Density of the unscaled base law."""
         x = np.asarray(x, dtype=float)

@@ -7,9 +7,16 @@ The logistic criterion for a conditional location-scale model is
 with f the standard logistic density.  Score and Hessian are assembled
 analytically from the filter's derivative blocks; the Gaussian
 criterion (classical QMLE) shares the same plumbing with its own
-per-observation weights.  Optimization is damped Newton ascent with a
-ridge fallback, Armijo backtracking, and projection onto the parameter
-box, so the criterion value never decreases along accepted steps.
+per-observation weights.
+
+Every fit maximizes the criterion over the plane {base + basis xi}
+intersected with the model's parameter box.  The unrestricted fit takes
+basis = I and base = 0; a fit under R theta = r takes an orthonormal
+basis of the null space of R and a feasible base point.  Both run one
+working-set Newton ascent: a ridged Newton direction tangent to the
+binding box faces, a ratio test that stops the step at the first face
+it meets, and Armijo backtracking, so the criterion value never
+decreases along accepted steps.
 """
 
 from __future__ import annotations
@@ -17,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, null_space
+from scipy.linalg import null_space
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     InfeasibleConstraint,
@@ -34,7 +42,6 @@ __all__ = [
     "CriterionParts",
     "FitOptions",
     "FitResult",
-    "ConstrainedFit",
     "KernelMoments",
     "evaluate",
     "fit",
@@ -87,17 +94,8 @@ def evaluate(
     theta,
     order: int = 0,
     criterion: str = "logistic",
-    scale_only: bool = False,
 ) -> CriterionParts:
-    """Evaluate the criterion at theta with derivatives up to ``order``.
-
-    ``scale_only=True`` uses the reduced score/Hessian valid when the
-    conditional mean is identically zero; it must agree with the
-    general assembly on such models and exists as an independently
-    coded path.
-    """
-    if scale_only and not model.scale_only:
-        raise NotScaleOnly(f"model {model.name!r} has a conditional mean part")
+    """Evaluate the criterion at theta with derivatives up to ``order``."""
     th = as_array(theta)
     yv = np.asarray(y, dtype=float).ravel()
     out = model.filter(yv, th, order=order)
@@ -125,10 +123,7 @@ def evaluate(
     else:
         a = x / sig
         b = (x * x - 1.0) / (2.0 * sig2)
-    if scale_only:
-        rows = ds2 * b[:, None]
-    else:
-        rows = dg * a[:, None] + ds2 * b[:, None]
+    rows = dg * a[:, None] + ds2 * b[:, None]
     parts.score_rows = rows
     parts.score = rows.sum(axis=0)
     if order == 1:
@@ -149,14 +144,13 @@ def evaluate(
         c_d2g = -x / sig
         c_gg = 1.0 / sig2
 
-    # accumulated per-observation negative Hessian, then negated once
-    neg_hess = np.einsum("t,tk,tl->kl", c_ss, ds2, ds2)
-    neg_hess += np.einsum("t,tkl->kl", c_d2s, d2s2)
-    if not scale_only:
-        cross = np.einsum("t,tk,tl->kl", c_sg, ds2, dg)
-        neg_hess += cross + cross.T
-        neg_hess += np.einsum("t,tkl->kl", c_d2g, d2g)
-        neg_hess += np.einsum("t,tk,tl->kl", c_gg, dg, dg)
+    # per-observation negative Hessian summed over t as matrix products,
+    # then negated once
+    d = dg.shape[1]
+    cross = (ds2 * c_sg[:, None]).T @ dg
+    neg_hess = (ds2 * c_ss[:, None]).T @ ds2 + (dg * c_gg[:, None]).T @ dg
+    neg_hess += cross + cross.T
+    neg_hess += (c_d2s @ d2s2.reshape(n, d * d) + c_d2g @ d2g.reshape(n, d * d)).reshape(d, d)
     parts.hess = -neg_hess
     return parts
 
@@ -180,7 +174,13 @@ class FitOptions:
 
 @dataclass
 class FitResult:
-    """Unconstrained fit: point estimate, information pieces, diagnostics."""
+    """Point estimate, information pieces and diagnostics of one fit.
+
+    A fit under R theta = r carries the Lagrange multiplier estimate in
+    ``multiplier`` and no covariance; an unrestricted fit carries the
+    sandwich covariance (None when the information is singular) and
+    ``multiplier`` None.
+    """
 
     theta: ParamVector
     loglik: float
@@ -198,101 +198,127 @@ class FitResult:
     trace: tuple[float, ...]
     criterion: str
     n_starts: int
-
-
-@dataclass
-class ConstrainedFit:
-    """Fit maximized over {R theta = r} within the box."""
-
-    theta: ParamVector
-    loglik: float
-    multiplier: np.ndarray
-    score: np.ndarray
-    info_hessian: np.ndarray
-    info_opg: np.ndarray
-    residuals: np.ndarray
-    nobs: int
-    converged: bool
-    iterations: int
-    trace: tuple[float, ...]
+    multiplier: np.ndarray | None = None
 
 
 def _solve_ascent(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """Newton direction for maximization, ridged until it is an ascent."""
+    """Newton direction for maximization, ridged until it is an ascent.
+
+    The ridge runs 0, 1e-10 s, 1e-9 s, ... with s the largest diagonal
+    entry.  Once the unridged matrix fails to factor, the ridges that
+    leave its most negative eigenvalue clearly negative cannot factor
+    either, and are passed over without a try.
+    """
     a = -0.5 * (hess + hess.T)
     d = a.shape[0]
     scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
-    ridge = 0.0
+    ridge = skip = 0.0
     eye = np.eye(d)
     for _ in range(40):
-        try:
-            factor = cho_factor(a + ridge * eye, lower=True)
-            delta = cho_solve(factor, score)
-            if score @ delta > 0.0:
-                return delta
-        except LinAlgError:
-            pass
+        if ridge >= skip:
+            # LAPACK directly: these small solves run once per Newton step
+            factor, info = dpotrf(a + ridge * eye, lower=1, clean=0)
+            if info == 0:
+                delta, _ = dpotrs(factor, score, lower=1)
+                if score @ delta > 0.0:
+                    return delta
+            elif ridge == 0.0 and np.all(np.isfinite(a)):
+                vals = np.linalg.eigvalsh(a)
+                if vals[0] < -1e-6 * np.max(np.abs(vals)):
+                    skip = -0.1 * vals[0]
         ridge = 1e-10 * scale if ridge == 0.0 else ridge * 10.0
     return score / scale
 
 
-def _projected_score(score, th, lo, hi, tol=1e-12):
-    s = score.copy()
-    s[(th <= lo + tol) & (s < 0.0)] = 0.0
-    s[(th >= hi - tol) & (s > 0.0)] = 0.0
-    return s
+def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
+    """Working-set Newton ascent over {base + basis xi} inside the box.
 
+    Returns (xi, parts, converged, iterations, trace), or None for a
+    dead start.  Box faces are not handled by clipping, because a
+    clipped trial would leave a restriction plane.  Binding faces
+    instead join a working set and steps move tangent to them, with a
+    ratio test so a blocking face is reached exactly rather than
+    approached in collapsing half-steps.
+    """
 
-def _newton_box(model, y, th0, lo, hi, opts: FitOptions):
-    """Damped Newton ascent inside a box; returns None for a dead start."""
-    th = np.clip(as_array(th0), lo, hi)
-    parts = evaluate(model, y, th, order=2, criterion=opts.criterion)
-    if not np.isfinite(parts.loglik):
+    lo_pin, hi_pin = lo + 1e-12, hi - 1e-12  # a point this close sits on the face
+    lo_out, hi_out = lo - 1e-12, hi + 1e-12  # a point beyond these is outside the box
+
+    def at(xi, order):
+        th = base + basis @ xi
+        if np.any(th < lo_out) or np.any(th > hi_out):
+            return None
+        return evaluate(model, y, th, order=order, criterion=opts.criterion)
+
+    # the same faces bind for many iterations: one SVD per working set
+    tangents = {}
+
+    def face_directions(mask):
+        """Orthonormal xi-directions tangent to the box faces flagged in mask."""
+        key = mask.tobytes()
+        if key not in tangents:
+            tangents[key] = null_space(basis[mask, :]) if mask.any() else np.eye(basis.shape[1])
+        return tangents[key]
+
+    xi = np.asarray(xi0, dtype=float)
+    parts = at(xi, 2)
+    if parts is None or not np.isfinite(parts.loglik):
         return None
     trace = [parts.loglik]
     last_step = np.inf
     converged = False
     iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
+    for iterations in range(1, opts.max_iter + 1):
+        th = base + basis @ xi
         level = opts.score_tol * (1.0 + abs(parts.loglik))
-        sp = _projected_score(parts.score, th, lo, hi)
-        if np.max(np.abs(sp)) <= level and last_step <= opts.step_tol:
+        working = ((th <= lo_pin) & (parts.score < 0.0)) | ((th >= hi_pin) & (parts.score > 0.0))
+        s_xi = basis.T @ parts.score
+        h_xi = basis.T @ parts.hess @ basis
+        dirs = face_directions(working)
+        sp = float(np.max(np.abs(dirs.T @ s_xi), initial=0.0))
+        if sp <= level and last_step <= opts.step_tol:
             converged = True
             break
-        # Newton restricted to coordinates not pinned at a bound: a full
-        # step clipped onto a box face can stop being an ascent direction,
-        # stalling short of the face optimum.
-        active = ((th <= lo + 1e-12) & (parts.score < 0.0)) | (
-            (th >= hi - 1e-12) & (parts.score > 0.0)
-        )
-        free = ~active
-        delta = np.zeros_like(th)
-        if free.any():
-            delta[free] = _solve_ascent(
-                parts.hess[np.ix_(free, free)], parts.score[free]
-            )
+        # grow the working set until the Newton direction clears every
+        # pinned face; each pass removes at least one free coordinate
+        delta = None
+        for _ in range(th.size + 1):
+            if dirs.shape[1] == 0:
+                delta = None
+                break
+            delta = dirs @ _solve_ascent(dirs.T @ h_xi @ dirs, dirs.T @ s_xi)
+            dth = basis @ delta
+            moving = ~working & (np.abs(dth) >= 1e-16)
+            room = np.full(th.size, np.inf)
+            room[moving] = (np.where(dth > 0.0, hi, lo) - th)[moving] / dth[moving]
+            blocker = int(np.argmin(room))
+            alpha_cap = min(1.0, room[blocker])
+            if alpha_cap > 1e-14:
+                break
+            working[blocker] = True
+            dirs = face_directions(working)
+        if delta is None or not np.any(delta):
+            converged = sp <= level
+            break
         accepted = False
-        alpha = 1.0
+        alpha = alpha_cap
         while alpha >= 1e-14:
-            trial = np.clip(th + alpha * delta, lo, hi)
-            step_vec = trial - th
-            if np.max(np.abs(step_vec)) == 0.0:
-                break
-            cand = evaluate(model, y, trial, order=0, criterion=opts.criterion)
-            gain = float(parts.score @ step_vec)
-            if np.isfinite(cand.loglik) and cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
-                accepted = True
-                break
+            trial = xi + alpha * delta
+            cand = at(trial, 0)
+            if cand is not None and np.isfinite(cand.loglik):
+                gain = float(s_xi @ (alpha * delta))
+                if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
+                    accepted = True
+                    break
             alpha *= 0.5
         if not accepted:
-            converged = bool(np.max(np.abs(sp)) <= level)
+            converged = sp <= level
             break
-        last_step = float(np.max(np.abs(trial - th)))
-        th = trial
-        parts = evaluate(model, y, th, order=2, criterion=opts.criterion)
+        last_step = float(np.max(np.abs(alpha * delta)))
+        xi = trial
+        parts = at(xi, 2)
         trace.append(parts.loglik)
-    return th, parts, converged, iterations, trace
+    return xi, parts, converged, iterations, trace
 
 
 def _build_starts(model: ModelSpec, y, lo, hi, opts: FitOptions) -> list[np.ndarray]:
@@ -309,9 +335,12 @@ def _build_starts(model: ModelSpec, y, lo, hi, opts: FitOptions) -> list[np.ndar
     return starts
 
 
-def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
-    """Maximize the criterion over the model's box; best of several starts."""
-    opts = options or FitOptions()
+def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> FitResult:
+    """Best Newton run over ``starts(series)`` on {base + basis xi}.
+
+    With a restriction matrix R the result carries the multiplier
+    estimate; without one, the sandwich covariance.
+    """
     yv = model._check_series(y)
     if not np.all(np.isfinite(yv)):
         raise NonFiniteObjective("series contains non-finite values")
@@ -322,23 +351,26 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
     lo, hi = model.default_bounds()
     best = None
     n_starts = 0
-    for th0 in _build_starts(model, yv, lo, hi, opts):
+    for th0 in starts(yv):
         n_starts += 1
-        res = _newton_box(model, yv, th0, lo, hi, opts)
-        if res is None:
-            continue
-        if best is None or res[1].loglik > best[1].loglik:
+        xi0 = basis.T @ (np.clip(th0, lo, hi) - base)
+        res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
+        if res is not None and (best is None or res[1].loglik > best[1].loglik):
             best = res
     if best is None:
         raise NonFiniteObjective("criterion was non-finite at every starting point")
-    th, parts, converged, iterations, trace = best
-    theta = model.wrap(th)
+    xi, parts, converged, iterations, trace = best
+    theta = model.wrap(np.clip(base + basis @ xi, lo, hi))
     a_hat, b_hat = parts.info_hessian, parts.info_opg
-    try:
-        cov = sandwich_cov(a_hat, b_hat, parts.nobs)
-        se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    except SingularInformation:
-        cov, se = None, None
+    cov = se = multiplier = None
+    if R is None:
+        try:
+            cov = sandwich_cov(a_hat, b_hat, parts.nobs)
+            se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        except SingularInformation:
+            pass
+    else:
+        multiplier = -np.linalg.solve(R @ R.T, R @ (parts.score / parts.nobs))
     return FitResult(
         theta=theta,
         loglik=parts.loglik,
@@ -356,7 +388,36 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
         trace=tuple(trace),
         criterion=opts.criterion,
         n_starts=n_starts,
+        multiplier=multiplier,
     )
+
+
+def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
+    """Maximize the criterion over the model's box; best of several starts."""
+    opts = options or FitOptions()
+    lo, hi = model.default_bounds()
+    return _fit(
+        model,
+        y,
+        opts,
+        lambda yv: _build_starts(model, yv, lo, hi, opts),
+        np.eye(model.dim),
+        np.zeros(model.dim),
+    )
+
+
+def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """R as a full-row-rank (q, dim) matrix and r as a length-q vector."""
+    R = np.atleast_2d(np.asarray(R, dtype=float))
+    r = np.atleast_1d(np.asarray(r, dtype=float))
+    q, d = R.shape
+    if d != dim or r.shape != (q,):
+        raise RankDeficientConstraint(
+            f"restriction shapes {R.shape}, {r.shape} do not match dim {dim}"
+        )
+    if np.linalg.matrix_rank(R) < q:
+        raise RankDeficientConstraint("restriction matrix is not full row rank")
+    return R, r
 
 
 def _feasible_point(th0, R, r, lo, hi):
@@ -376,192 +437,47 @@ def fit_constrained(
     R,
     r,
     options: FitOptions | None = None,
-) -> ConstrainedFit:
+) -> FitResult:
     """Maximize subject to R theta = r by Newton in null-space coordinates.
 
-    The Lagrange multiplier estimate is recovered from the stationarity
-    of L(theta)/n + lambda' (R theta - r) at the constrained optimum:
-    lambda = -(R R')^{-1} R score(theta) / n.
+    Starts from the box midpoint projected onto the restriction, then
+    from the model's start values.  The Lagrange multiplier estimate is
+    recovered from the stationarity of L(theta)/n + lambda' (R theta - r)
+    at the constrained optimum: lambda = -(R R')^{-1} R score(theta) / n.
     """
     opts = options or FitOptions()
-    yv = model._check_series(y)
-    if yv.size < 10 * model.dim:
-        raise ValueError(
-            f"need at least {10 * model.dim} observations for a {model.dim}-parameter fit"
-        )
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    q, d = R.shape
-    if d != model.dim or r.shape != (q,):
-        raise RankDeficientConstraint(
-            f"restriction shapes {R.shape}, {r.shape} do not match dim {model.dim}"
-        )
-    if np.linalg.matrix_rank(R) < q:
-        raise RankDeficientConstraint("restriction matrix is not full row rank")
+    R, r = _check_restriction(R, r, model.dim)
     lo, hi = model.default_bounds()
-
     base = _feasible_point(0.5 * (lo + hi), R, r, lo, hi)
-    basis = null_space(R)
-    if basis.shape[1] == 0:
-        parts = evaluate(model, yv, base, order=2, criterion=opts.criterion)
-        lam = -np.linalg.solve(R @ R.T, R @ (parts.score / parts.nobs))
-        return ConstrainedFit(
-            theta=model.wrap(base),
-            loglik=parts.loglik,
-            multiplier=lam,
-            score=parts.score,
-            info_hessian=parts.info_hessian,
-            info_opg=parts.info_opg,
-            residuals=parts.residuals,
-            nobs=parts.nobs,
-            converged=True,
-            iterations=0,
-            trace=(parts.loglik,),
-        )
-
-    def theta_of(xi):
-        return base + basis @ xi
-
-    def in_box(th):
-        return np.all(th >= lo - 1e-12) and np.all(th <= hi + 1e-12)
-
-    def eval_xi(xi, order):
-        th = theta_of(xi)
-        if not in_box(th):
-            return None
-        return evaluate(model, yv, th, order=order, criterion=opts.criterion)
-
-    xi_starts = [np.zeros(basis.shape[1])]
-    for th_s in model.start_values(yv):
-        xi_starts.append(basis.T @ (np.clip(th_s, lo, hi) - base))
-
-    best = None
-    for xi0 in xi_starts:
-        res = _newton_null(eval_xi, basis, base, lo, hi, xi0, opts)
-        if res is None:
-            continue
-        if best is None or res[1].loglik > best[1].loglik:
-            best = res
-    if best is None:
-        raise NonFiniteObjective("constrained criterion non-finite at every start")
-    xi, parts, converged, iterations, trace = best
-    th = theta_of(xi)
-    lam = -np.linalg.solve(R @ R.T, R @ (parts.score / parts.nobs))
-    return ConstrainedFit(
-        theta=model.wrap(np.clip(th, lo, hi)),
-        loglik=parts.loglik,
-        multiplier=lam,
-        score=parts.score,
-        info_hessian=parts.info_hessian,
-        info_opg=parts.info_opg,
-        residuals=parts.residuals,
-        nobs=parts.nobs,
-        converged=converged,
-        iterations=iterations,
-        trace=tuple(trace),
+    return _fit(
+        model,
+        y,
+        opts,
+        lambda yv: [base, *model.start_values(yv)],
+        null_space(R),
+        base,
+        R,
     )
-
-
-def _face_directions(basis, mask):
-    """Orthonormal xi-directions tangent to the box faces flagged in mask."""
-    if not mask.any():
-        return np.eye(basis.shape[1])
-    return null_space(basis[mask, :])
-
-
-def _newton_null(eval_xi, basis, base, lo, hi, xi0, opts: FitOptions):
-    """Working-set Newton over {theta = base + basis xi} inside the box.
-
-    Box faces cannot be handled by clipping here: a clipped trial leaves
-    the constraint plane.  Binding faces instead join a working set and
-    steps move tangent to them, with a ratio test so a blocking face is
-    reached exactly rather than approached in collapsing half-steps.
-    """
-    xi = np.asarray(xi0, dtype=float)
-    parts = eval_xi(xi, 2)
-    if parts is None or not np.isfinite(parts.loglik):
-        return None
-    trace = [parts.loglik]
-    last_step = np.inf
-    converged = False
-    iterations = 0
-    for it in range(1, opts.max_iter + 1):
-        iterations = it
-        th = base + basis @ xi
-        level = opts.score_tol * (1.0 + abs(parts.loglik))
-        pinned_lo = th <= lo + 1e-12
-        pinned_hi = th >= hi - 1e-12
-        active = (pinned_lo & (parts.score < 0.0)) | (pinned_hi & (parts.score > 0.0))
-        s_xi = basis.T @ parts.score
-        h_xi = basis.T @ parts.hess @ basis
-        dirs = _face_directions(basis, active)
-        sp = dirs.T @ s_xi if dirs.shape[1] else np.zeros(1)
-        if np.max(np.abs(sp)) <= level and last_step <= opts.step_tol:
-            converged = True
-            break
-        # grow the working set until the Newton direction clears every
-        # pinned face; each pass removes at least one free coordinate
-        working = active.copy()
-        delta = None
-        alpha_cap = 1.0
-        for _ in range(th.size + 1):
-            dirs = _face_directions(basis, working)
-            if dirs.shape[1] == 0:
-                delta = None
-                break
-            delta = dirs @ _solve_ascent(dirs.T @ h_xi @ dirs, dirs.T @ s_xi)
-            dth = basis @ delta
-            alpha_cap = 1.0
-            blocker = -1
-            for i in range(th.size):
-                if working[i] or abs(dth[i]) < 1e-16:
-                    continue
-                room = (hi[i] - th[i]) / dth[i] if dth[i] > 0 else (lo[i] - th[i]) / dth[i]
-                if room < alpha_cap:
-                    alpha_cap = room
-                    blocker = i
-            if alpha_cap > 1e-14:
-                break
-            if blocker < 0:
-                delta = None
-                break
-            working[blocker] = True
-        if delta is None or not np.any(delta):
-            converged = bool(np.max(np.abs(sp)) <= level)
-            break
-        accepted = False
-        alpha = min(1.0, alpha_cap)
-        while alpha >= 1e-14:
-            trial = xi + alpha * delta
-            cand = eval_xi(trial, 0)
-            if cand is not None and np.isfinite(cand.loglik):
-                gain = float(s_xi @ (alpha * delta))
-                if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
-                    accepted = True
-                    break
-            alpha *= 0.5
-        if not accepted:
-            converged = bool(np.max(np.abs(sp)) <= level)
-            break
-        last_step = float(np.max(np.abs(alpha * delta)))
-        xi = trial
-        parts = eval_xi(xi, 2)
-        trace.append(parts.loglik)
-    return xi, parts, converged, iterations, trace
 
 
 # -- covariance --------------------------------------------------------
 
 
+def _positive_definite(mat: np.ndarray, what: str) -> np.ndarray:
+    """The symmetric part of mat; SingularInformation unless it is positive definite."""
+    sym = 0.5 * (mat + mat.T)
+    vals = np.linalg.eigvalsh(sym)
+    if vals[0] <= abs(vals[-1]) * 1e-12:
+        kind = "not positive definite" if vals[0] < 0.0 else "numerically singular"
+        raise SingularInformation(
+            f"{what} is {kind} (eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e})"
+        )
+    return sym
+
+
 def sandwich_cov(info_hessian: np.ndarray, info_opg: np.ndarray, nobs: int) -> np.ndarray:
     """Asymptotic covariance A^{-1} B A^{-1} / n from the information pair."""
-    a = 0.5 * (info_hessian + info_hessian.T)
-    vals = np.linalg.eigvalsh(a)
-    if vals[0] <= abs(vals[-1]) * 1e-12:
-        raise SingularInformation(
-            f"information matrix is numerically singular "
-            f"(eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e})"
-        )
+    a = _positive_definite(info_hessian, "information matrix")
     ainv_b = np.linalg.solve(a, info_opg)
     cov = np.linalg.solve(a, ainv_b.T).T / nobs
     return 0.5 * (cov + cov.T)
@@ -634,10 +550,5 @@ def scale_only_cov(model: ModelSpec, y, theta, nobs: int | None = None) -> np.nd
     """
     omega, mom, nraw = _scale_only_pieces(model, y, theta)
     n = nobs or nraw
-    vals = np.linalg.eigvalsh(omega)
-    if vals[0] <= abs(vals[-1]) * 1e-12:
-        raise SingularInformation(
-            f"scale information is numerically singular "
-            f"(eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e})"
-        )
+    _positive_definite(omega, "scale information")
     return 4.0 * mom.variance_ratio * np.linalg.inv(omega) / n

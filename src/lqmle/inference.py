@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import chdtrc, ndtr
 
-from .errors import QuadratureFailure, RankDeficientConstraint, SingularInformation
-from .estimation import ConstrainedFit, FitResult, sandwich_cov
+from .errors import SingularInformation
+from .estimation import FitResult, _check_restriction, _positive_definite, sandwich_cov
 
 __all__ = [
     "TestResult",
@@ -54,49 +55,6 @@ class TestResult:
 
 
 # -- tail probabilities -------------------------------------------------
-#
-# The chi-squared survival function is the regularized upper incomplete
-# gamma Q(df/2, x/2), evaluated by its power series on one side of the
-# transition point and by a Lentz continued fraction on the other.
-
-_ITMAX = 600
-_EPS = 1e-15
-_TINY = 1e-300
-
-
-def _lower_series(a: float, x: float) -> float:
-    ap = a
-    total = 1.0 / a
-    delta = total
-    for _ in range(_ITMAX):
-        ap += 1.0
-        delta *= x / ap
-        total += delta
-        if abs(delta) < abs(total) * _EPS:
-            return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise QuadratureFailure("incomplete gamma series did not converge")
-
-
-def _upper_cf(a: float, x: float) -> float:
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _ITMAX + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < _EPS:
-            return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-    raise QuadratureFailure("incomplete gamma continued fraction did not converge")
 
 
 def chisq_sf(x: float, df: float) -> float:
@@ -107,41 +65,19 @@ def chisq_sf(x: float, df: float) -> float:
         return 0.0 if x > 0 else 1.0
     if x <= 0.0:
         return 1.0
-    a, half = 0.5 * df, 0.5 * x
-    if half < a + 1.0:
-        return min(max(1.0 - _lower_series(a, half), 0.0), 1.0)
-    return min(max(_upper_cf(a, half), 0.0), 1.0)
+    return float(chdtrc(df, x))
 
 
 def normal_sf(z: float) -> float:
     """Standard normal upper tail probability."""
-    return 0.5 * math.erfc(z / math.sqrt(2.0))
+    return float(ndtr(-z))
 
 
 # -- restriction handling ------------------------------------------------
 
 
-def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    q, d = R.shape
-    if d != dim or r.shape != (q,):
-        raise RankDeficientConstraint(
-            f"restriction shapes {R.shape}, {r.shape} do not match dim {dim}"
-        )
-    if np.linalg.matrix_rank(R) < q:
-        raise RankDeficientConstraint("restriction matrix is not full row rank")
-    return R, r
-
-
 def _solve_quadform(mat: np.ndarray, vec: np.ndarray, what: str) -> float:
-    mat = 0.5 * (mat + mat.T)
-    vals = np.linalg.eigvalsh(mat)
-    if vals[0] <= abs(vals[-1]) * 1e-12:
-        raise SingularInformation(
-            f"{what} is numerically singular (eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e})"
-        )
-    return float(vec @ np.linalg.solve(mat, vec))
+    return float(vec @ np.linalg.solve(_positive_definite(mat, what), vec))
 
 
 def _freeze_constraint(R: np.ndarray, r: np.ndarray):
@@ -163,7 +99,7 @@ def wald_test(fit: FitResult, R, r) -> TestResult:
     return TestResult("wald", stat, q, chisq_sf(stat, q), _freeze_constraint(R, r))
 
 
-def lm_test(cfit: ConstrainedFit, R, r=None) -> TestResult:
+def lm_test(cfit: FitResult, R, r=None) -> TestResult:
     """Score test from the constrained fit's multiplier estimate.
 
     With Lambda = (R A^-1 R')^-1 R A^-1 B A^-1 R' (R A^-1 R')^-1 the
@@ -174,13 +110,7 @@ def lm_test(cfit: ConstrainedFit, R, r=None) -> TestResult:
     """
     rvec = np.zeros(np.atleast_2d(R).shape[0]) if r is None else r
     R, rvec = _check_restriction(R, rvec, cfit.theta.dim)
-    a = 0.5 * (cfit.info_hessian + cfit.info_hessian.T)
-    vals = np.linalg.eigvalsh(a)
-    if vals[0] <= abs(vals[-1]) * 1e-12:
-        raise SingularInformation(
-            f"information matrix is numerically singular "
-            f"(eigenvalues {vals[0]:.3e} .. {vals[-1]:.3e})"
-        )
+    a = _positive_definite(cfit.info_hessian, "information matrix")
     ainv_rt = np.linalg.solve(a, R.T)
     gram = R @ ainv_rt
     mid = ainv_rt.T @ cfit.info_opg @ ainv_rt
@@ -210,7 +140,7 @@ def t_test(fit: FitResult, coef: int | str, null_value: float = 0.0) -> TestResu
     return TestResult("t", float(stat), None, 2.0 * normal_sf(abs(stat)))
 
 
-def deviance(fit: FitResult, cfit: ConstrainedFit) -> float:
+def deviance(fit: FitResult, cfit: FitResult) -> float:
     """Descriptive likelihood-ratio difference 2 (L_unconstrained - L_constrained).
 
     Reported without a p-value: under heavy-tailed innovations the

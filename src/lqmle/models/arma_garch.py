@@ -114,32 +114,29 @@ class ArmaGarch(ModelSpec):
         d2e_drives = -delag[:, :m].copy()
         d2e_drives[:, i_ma] *= 2.0
         block = lfilter([1.0], ma_den, d2e_drives, axis=0)
-        for k in range(m):
-            d2e[:, i_ma, k] = block[:, k]
-            if k != i_ma:
-                d2e[:, k, i_ma] = block[:, k]
+        d2e[:, i_ma, :m] = block
+        d2e[:, :m, i_ma] = block
 
+        # second-derivative drives of sigma2 on the upper triangle: the
+        # residuals depend on the mean block only, so alpha1 e_{t-1}^2
+        # feeds the mean block and the alpha1 column; beta1 feeds every
+        # lagged first derivative back through its column (the last)
         i_a1, i_b1 = m + 1, m + 2
-        pairs = [(k, l) for k in range(d) for l in range(k, d)]
-        w = np.zeros((n, len(pairs)))
-        d2elag = lagged(d2e, 1)
-        for idx, (k, l) in enumerate(pairs):
-            acc = 2.0 * alpha1 * (delag[:, k] * delag[:, l] + elag * d2elag[:, k, l])
-            if k == i_a1:
-                acc = acc + 2.0 * elag * delag[:, l]
-            if l == i_a1:
-                acc = acc + 2.0 * elag * delag[:, k]
-            if k == i_b1:
-                acc = acc + lagged(dsigma2[:, l], 1)
-            if l == i_b1:
-                acc = acc + lagged(dsigma2[:, k], 1)
-            w[:, idx] = acc
-        filtered = lfilter([1.0], gj_den, w, axis=0)
-        d2sigma2 = np.zeros((n, d, d))
-        for idx, (k, l) in enumerate(pairs):
-            d2sigma2[:, k, l] = filtered[:, idx]
-            if k != l:
-                d2sigma2[:, l, k] = filtered[:, idx]
+        dem = delag[:, :m]
+        w = np.zeros((n, d, d))
+        w[:, :m, :m] = 2.0 * alpha1 * (
+            dem[:, :, None] * dem[:, None, :] + elag[:, None, None] * lagged(d2e[:, :m, :m], 1)
+        )
+        w[:, :m, i_a1] = 2.0 * elag[:, None] * dem
+        ds2lag = lagged(dsigma2, 1)
+        w[:, :, i_b1] += ds2lag
+        w[:, i_b1, i_b1] += ds2lag[:, i_b1]
+        # filter the upper triangle once and mirror it
+        k, l = zip(*[(k, l) for k in range(d) for l in range(k, d)])
+        filtered = lfilter([1.0], gj_den, w[:, k, l], axis=0)
+        d2sigma2 = np.empty((n, d, d))
+        d2sigma2[:, k, l] = filtered
+        d2sigma2[:, l, k] = filtered
 
         out.d2mean = -d2e
         out.d2sigma2 = d2sigma2

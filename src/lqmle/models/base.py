@@ -87,16 +87,6 @@ class ModelSpec(abc.ABC):
     @abc.abstractmethod
     def _template_values(self) -> np.ndarray: ...
 
-    def param_template(self) -> ParamVector:
-        """A neutral in-box starting point carrying names and bounds."""
-        lo, hi = self.default_bounds()
-        return ParamVector(
-            tuple(float(v) for v in self._template_values()),
-            self.param_names,
-            tuple(float(v) for v in lo),
-            tuple(float(v) for v in hi),
-        )
-
     def wrap(self, values) -> ParamVector:
         """Attach names and default bounds to a raw value array."""
         lo, hi = self.default_bounds()

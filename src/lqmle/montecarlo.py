@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,6 +62,11 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.estimator not in _CRITERION:
             raise ValueError(f"estimator must be one of {sorted(_CRITERION)}")
+        if len(self.theta0) != self.model.dim:
+            raise ValueError(
+                f"theta0 has {len(self.theta0)} values; "
+                f"{self.model.name} has {self.model.dim} parameters"
+            )
         if self.reps < 1 or self.nobs < 1:
             raise ValueError("reps and nobs must be positive")
         if self.nobs < 10 * len(self.theta0):
@@ -318,15 +323,4 @@ def population_information(
 
 def gqmle_fit(model: ModelSpec, y, options: FitOptions | None = None):
     """Gaussian-criterion fit with the same optimizer and diagnostics."""
-    base = options or FitOptions()
-    opts = FitOptions(
-        criterion="gaussian",
-        max_iter=base.max_iter,
-        step_tol=base.step_tol,
-        score_tol=base.score_tol,
-        multistart=base.multistart,
-        n_random_starts=base.n_random_starts,
-        seed=base.seed,
-        start=base.start,
-    )
-    return fit(model, y, opts)
+    return fit(model, y, replace(options or FitOptions(), criterion="gaussian"))

@@ -46,14 +46,6 @@ class ParamVector:
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def with_values(self, values) -> "ParamVector":
-        vals = tuple(float(v) for v in np.asarray(values, dtype=float).ravel())
-        return ParamVector(vals, self.names, self.lower, self.upper)
-
-    def clipped(self) -> "ParamVector":
-        v = np.clip(self.array, np.asarray(self.lower), np.asarray(self.upper))
-        return self.with_values(v)
-
     def boundary_active(self, tol: float = 1e-8) -> tuple[bool, ...]:
         """Which components sit on (or numerically at) a box face."""
         v, lo, hi = self.array, np.asarray(self.lower), np.asarray(self.upper)

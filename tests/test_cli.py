@@ -291,6 +291,23 @@ def test_mc_rejects_malformed_config(tmp_path):
     assert rc == 3
 
 
+def test_mc_rejects_theta0_of_wrong_length(tmp_path, capsys):
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(
+        "scenarios:\n"
+        "  - label: short\n"
+        "    model: {name: dar, order: [1, 1]}\n"
+        "    theta0: [1.0, 0.5, 0.3]\n"
+        "    dist: {family: logistic}\n"
+        "    nobs: 120\n"
+        "    reps: 2\n"
+        "    seed: 5\n"
+    )
+    rc = main(["mc", str(cfg), "--out", str(tmp_path / "mc.json")])
+    assert rc == 3
+    assert "scenario 0" in capsys.readouterr().err
+
+
 def test_render_every_schema(dar_csv, tmp_path, capsys):
     fit_out = tmp_path / "fit.json"
     assert main([

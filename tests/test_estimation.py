@@ -8,11 +8,18 @@ case where the two coincide.
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from lqmle.distributions import logistic, student_t
-from lqmle.errors import InfeasibleConstraint, NotScaleOnly
+from lqmle.errors import (
+    InfeasibleConstraint,
+    NonFiniteObjective,
+    NotScaleOnly,
+    SingularInformation,
+)
 from lqmle.estimation import (
     FitOptions,
+    _solve_ascent,
     evaluate,
     fit,
     fit_constrained,
@@ -156,10 +163,44 @@ def test_boundary_pin_converges_with_active_set():
     assert res.theta.array[2] == 0.0
 
 
+def _ridge_ladder(hess, score):
+    # every rung tried in turn: the direction the Newton step must match
+    a = -0.5 * (hess + hess.T)
+    scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
+    ridge = 0.0
+    for _ in range(40):
+        try:
+            factor = cho_factor(a + ridge * np.eye(a.shape[0]), lower=True)
+            delta = cho_solve(factor, score)
+            if score @ delta > 0.0:
+                return delta
+        except LinAlgError:
+            pass
+        ridge = 1e-10 * scale if ridge == 0.0 else ridge * 10.0
+    return score / scale
+
+
+def test_newton_direction_skips_only_ridges_that_cannot_factor():
+    rng = np.random.default_rng(11)
+    for i in range(300):
+        d = int(rng.integers(1, 7))
+        m = rng.standard_normal((d, d)) * 10.0 ** rng.uniform(-3, 4)
+        # negative definite, indefinite and near-singular Hessians
+        hess = [-m @ m.T, m + m.T, -m @ m.T + 1e-9 * np.eye(d)][i % 3]
+        score = rng.standard_normal(d)
+        np.testing.assert_array_equal(_solve_ascent(hess, score), _ridge_ladder(hess, score))
+
+
 def test_sandwich_identity_when_pieces_equal():
     a = np.array([[2.0, 0.3], [0.3, 1.5]])
     cov = sandwich_cov(a, a, 100)
     np.testing.assert_allclose(cov, np.linalg.inv(a) / 100, atol=1e-12)
+
+
+def test_sandwich_rejects_indefinite_information():
+    a = np.array([[1.0, 0.0], [0.0, -0.5]])
+    with pytest.raises(SingularInformation, match="not positive definite"):
+        sandwich_cov(a, np.eye(2), 100)
 
 
 def test_sandwich_shape_and_symmetry():
@@ -237,6 +278,15 @@ def test_constrained_fit_at_the_optimum_is_free_fit():
     np.testing.assert_allclose(cfit.theta.array, free.theta.array, atol=1e-10)
     assert np.max(np.abs(cfit.multiplier)) < 1e-4
     assert cfit.loglik == pytest.approx(free.loglik, abs=1e-10)
+
+
+def test_constrained_fit_rejects_non_finite_series(capfd):
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 200, logistic(), seed=23)
+    y[57] = np.nan
+    with pytest.raises(NonFiniteObjective):
+        fit_constrained(model, y, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3]))
+    assert capfd.readouterr().err == ""
 
 
 def test_constrained_fit_rejects_infeasible_target():
