@@ -10,6 +10,7 @@ from .distributions import empirical
 from .errors import DegenerateTail
 from .kernel import scale_kernel
 from .models import lyapunov_exponent
+from .reports import fields_dict
 
 __all__ = [
     "hill_estimator",
@@ -96,14 +97,7 @@ class ResidualSummary:
     hist_edges: tuple[float, ...]
 
     def as_dict(self) -> dict:
-        return {
-            "nobs": self.nobs,
-            "kernel_mean": self.kernel_mean,
-            "kernel_mean_se": self.kernel_mean_se,
-            "quartiles": list(self.quartiles),
-            "hist_counts": list(self.hist_counts),
-            "hist_edges": list(self.hist_edges),
-        }
+        return fields_dict(self)
 
 
 def summarize_residuals(residuals, bins: int = 30) -> ResidualSummary:
@@ -142,15 +136,7 @@ class DiagnosticsReport:
     residual_summary: ResidualSummary
 
     def as_dict(self) -> dict:
-        return {
-            "loglik": self.loglik,
-            "aic": self.aic,
-            "hill": self.hill,
-            "hill_k": self.hill_k,
-            "lyapunov": self.lyapunov,
-            "lyapunov_se": self.lyapunov_se,
-            "residual_summary": self.residual_summary.as_dict(),
-        }
+        return fields_dict(self)
 
 
 def residual_diagnostics(

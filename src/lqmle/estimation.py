@@ -21,7 +21,9 @@ decreases along accepted steps.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
@@ -30,12 +32,13 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from .errors import (
     InfeasibleConstraint,
     NonFiniteObjective,
+    NonstationaryRegionWarning,
     NotScaleOnly,
     RankDeficientConstraint,
     SingularInformation,
 )
 from .kernel import logistic_logpdf
-from .models.base import ModelSpec
+from .models.base import _STRAYS, ModelSpec
 from .params import ParamVector, as_array
 
 __all__ = [
@@ -350,13 +353,20 @@ def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> 
         )
     lo, hi = model.default_bounds()
     best = None
-    n_starts = 0
-    for th0 in starts(yv):
-        n_starts += 1
-        xi0 = basis.T @ (np.clip(th0, lo, hi) - base)
-        res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
-        if res is not None and (best is None or res[1].loglik > best[1].loglik):
-            best = res
+    # trial points that stray where the recursion diverges warn once per fit
+    strays = []
+    token = _STRAYS.set(strays)
+    try:
+        for n_starts, th0 in enumerate(starts(yv), 1):
+            xi0 = basis.T @ (np.clip(th0, lo, hi) - base)
+            res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
+            if res is not None and (best is None or res[1].loglik > best[1].loglik):
+                best = res
+    finally:
+        _STRAYS.reset(token)
+    if strays:
+        msg = f"{len(strays)} trial points of this fit were nonstationary: {strays[0]}"
+        warnings.warn(msg, NonstationaryRegionWarning, stacklevel=3)
     if best is None:
         raise NonFiniteObjective("criterion was non-finite at every starting point")
     xi, parts, converged, iterations, trace = best
@@ -420,13 +430,22 @@ def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return R, r
 
 
-def _feasible_point(th0, R, r, lo, hi):
-    th = np.clip(th0, lo, hi)
+# a Monte Carlo study refits under one restriction thousands of times
+@lru_cache(maxsize=256)
+def _feasible_point(*blobs: bytes) -> np.ndarray:
+    """Read-only box point on R theta = r from the bytes of (R, r, lo, hi); cached."""
+    R, r, lo, hi = (np.frombuffer(b) for b in blobs)
+    return _project_into_box(R.reshape(r.size, lo.size), r, lo, hi)
+
+
+def _project_into_box(R, r, lo, hi) -> np.ndarray:
+    th = np.clip(0.5 * (lo + hi), lo, hi)
     gram = R @ R.T
     for _ in range(500):
         th = th - R.T @ np.linalg.solve(gram, R @ th - r)
         th = np.clip(th, lo, hi)
         if np.max(np.abs(R @ th - r)) <= 1e-11 * (1.0 + np.max(np.abs(r))):
+            th.setflags(write=False)
             return th
     raise InfeasibleConstraint("no box point satisfies the linear restriction")
 
@@ -448,7 +467,7 @@ def fit_constrained(
     opts = options or FitOptions()
     R, r = _check_restriction(R, r, model.dim)
     lo, hi = model.default_bounds()
-    base = _feasible_point(0.5 * (lo + hi), R, r, lo, hi)
+    base = _feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
     return _fit(
         model,
         y,
@@ -504,9 +523,7 @@ class KernelMoments:
 
 def kernel_moments(eta) -> KernelMoments:
     x = np.asarray(eta, dtype=float).ravel()
-    t = np.tanh(0.5 * x)
-    fx = 0.25 * (1.0 - t * t)
-    u = x * t
+    t, fx, u = _logistic_weights(x)
     return KernelMoments(
         m2=float(np.mean((u - 1.0) ** 2)),
         mf=float(np.mean(x * x * fx)),

@@ -18,6 +18,7 @@ from scipy.special import chdtrc, ndtr
 
 from .errors import SingularInformation
 from .estimation import FitResult, _check_restriction, _positive_definite, sandwich_cov
+from .reports import fields_dict
 
 __all__ = [
     "TestResult",
@@ -40,12 +41,7 @@ class TestResult:
     constraint: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] | None = None
 
     def as_dict(self) -> dict:
-        out = {
-            "method": self.method,
-            "statistic": self.statistic,
-            "df": self.df,
-            "p_value": self.p_value,
-        }
+        out = fields_dict(self, skip=("constraint",))
         if self.constraint is not None:
             out["constraint"] = {
                 "R": [list(row) for row in self.constraint[0]],

@@ -4,14 +4,17 @@ The estimator standardizes innovations so that E[eta * (2 F(eta) - 1)] = 1,
 where F is the standard logistic distribution function.  This module
 provides the logistic density pieces in overflow-safe form, the even
 kernel x (2 F(x) - 1) whose unit expectation pins down the scale, the
-expectation functional itself, and root finders that locate the scale
-multiplier (or stable tail index) at which the expectation equals one.
+expectation functional itself, and the brentq root finder that locates
+the scale multiplier (or stable tail index) at which it equals one.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .distributions import InnovationDist, sample_symmetric_stable
 from .errors import BracketFailure, NonIntegrableError, QuadratureFailure
@@ -107,22 +110,18 @@ def stable_kernel_expectation(
     Returns (estimate, standard error).  The default seed is a package
     constant so repeated calls reproduce; reusing one seed across
     indices gives common random numbers, which keeps the expectation
-    monotone in the index along a bisection path.
+    smooth and monotone in the index along a root finder's path.
     """
     if not 1.0 < index <= 2.0:
         raise NonIntegrableError(
             "stable index must lie in (1, 2] so that E|X| is finite"
         )
     rng = np.random.Generator(np.random.Philox(seed))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    while done < draws:
-        k = min(_CHUNK, draws - done)
-        vals = scale_kernel(scale * sample_symmetric_stable(rng, index, k))
+    total = total_sq = 0.0
+    for done in range(0, draws, _CHUNK):
+        vals = scale_kernel(scale * sample_symmetric_stable(rng, index, min(_CHUNK, draws - done)))
         total += float(vals.sum())
         total_sq += float((vals * vals).sum())
-        done += k
     mean = total / draws
     var = max(total_sq / draws - mean * mean, 0.0)
     return mean, float(np.sqrt(var / draws))
@@ -144,35 +143,25 @@ def kernel_expectation(dist: InnovationDist, tol: float = 1e-10) -> float:
     return _expectation_by_quadrature(dist, tol)
 
 
-def _bisect_scale(objective, lo: float, hi: float, tol: float) -> float:
+def _find_root(objective, lo: float, hi: float, xtol: float, grow: bool = False) -> float:
+    """brentq root of an increasing objective on [lo, hi], reusing both end values.
+
+    With ``grow``, an end of the wrong sign moves out fourfold, at most 31 times.
+    """
     f_lo, f_hi = objective(lo), objective(hi)
-    grow = 0
-    while f_lo > 0.0 and lo > 1e-8:
-        lo /= 4.0
-        f_lo = objective(lo)
-        grow += 1
-        if grow > 30:
-            break
-    grow = 0
-    while f_hi < 0.0 and hi < 1e8:
-        hi *= 4.0
-        f_hi = objective(hi)
-        grow += 1
-        if grow > 30:
-            break
-    if not (f_lo <= 0.0 <= f_hi):
+    for _ in range(31 if grow else 0):
+        if f_lo > 0.0 and lo > 1e-8:
+            lo /= 4.0
+            f_lo = objective(lo)
+        elif f_hi < 0.0 and hi < 1e8:
+            hi *= 4.0
+            f_hi = objective(hi)
+    if not f_lo <= 0.0 <= f_hi:
         raise BracketFailure(
             f"could not bracket the unit expectation: f({lo})={f_lo:.3g}, f({hi})={f_hi:.3g}"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if objective(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    known = {lo: f_lo, hi: f_hi}
+    return brentq(lambda x: known[x] if x in known else objective(x), lo, hi, xtol=xtol)
 
 
 def calibrate_scale(
@@ -183,7 +172,7 @@ def calibrate_scale(
     """Scale multiplier c at which E[k(c X)] = 1 for the given base family.
 
     The expectation is strictly increasing in c (the kernel increases in
-    |x|), so bisection over an expanding bracket converges; ``tol`` is
+    |x|), so brentq over an expanding bracket converges; ``tol`` is
     the absolute tolerance on the returned multiplier.
 
     Reference points: logistic -> 1 exactly; normal -> about 1.75;
@@ -195,7 +184,7 @@ def calibrate_scale(
     def objective(c: float) -> float:
         return kernel_expectation(InnovationDist(family, scale=c, shape=shape)) - 1.0
 
-    return _bisect_scale(objective, 0.25, 4.0, tol)
+    return _find_root(objective, 0.25, 4.0, tol / 2.0, grow=True)
 
 
 def calibrate_stable_index(
@@ -207,22 +196,13 @@ def calibrate_stable_index(
 
     The expectation decreases in the index: heavier tails (smaller
     index) inflate E|X|, and at index 2 the law is N(0, 2) whose
-    expectation sits below one.  Common random numbers across bisection
-    iterates keep the sampled objective monotone.  ``tol`` is the
-    absolute tolerance on the returned index; the reference value is
-    about 1.69.
+    expectation sits below one.  Common random numbers keep the sampled
+    log E[k(X)] smooth and monotone, and brentq finds its root on
+    [1.05, 2].  ``tol`` is the absolute tolerance on the returned index;
+    the reference value is about 1.69.
     """
-    lo, hi = 1.05, 2.0
-    f_lo = stable_kernel_expectation(lo, 1.0, draws, seed)[0] - 1.0
-    f_hi = stable_kernel_expectation(hi, 1.0, draws, seed)[0] - 1.0
-    if not (f_lo > 0.0 > f_hi):
-        raise BracketFailure(
-            f"unit expectation not bracketed on [{lo}, {hi}]: {f_lo:.3g}, {f_hi:.3g}"
-        )
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if stable_kernel_expectation(mid, 1.0, draws, seed)[0] - 1.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+
+    def objective(index: float) -> float:
+        return -math.log(stable_kernel_expectation(index, 1.0, draws, seed)[0])
+
+    return _find_root(objective, 1.05, 2.0, tol / 2.0)

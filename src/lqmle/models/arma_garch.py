@@ -8,7 +8,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..errors import InvertibilityError
-from .base import FilterOutput, ModelSpec, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
 
 __all__ = ["ArmaGarch"]
 
@@ -144,19 +144,7 @@ class ArmaGarch(ModelSpec):
 
     def path(self, theta, innovations) -> np.ndarray:
         th = self._check_theta(theta)
-        eta = np.asarray(innovations, dtype=float).ravel()
-        const, ar1, ma1, alpha0, alpha1, beta1 = self._unpack(th)
-        n = eta.size
-        y = np.zeros(n)
-        e_prev = 0.0
-        s2_prev = 0.0
-        y_prev = 0.0
-        for t in range(n):
-            s2 = alpha0 + alpha1 * e_prev * e_prev + beta1 * s2_prev
-            e = np.sqrt(s2) * eta[t]
-            y[t] = const + ar1 * y_prev + e + ma1 * e_prev
-            y_prev, e_prev, s2_prev = y[t], e, s2
-        return y
+        return _float_path(_arma_garch_loop, np.asarray(self._unpack(th)), innovations)
 
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
@@ -171,3 +159,13 @@ class ArmaGarch(ModelSpec):
             lo, hi = self.default_bounds()
             starts.append(np.clip(np.r_[coef, 0.0, 0.6 * s, 0.1, 0.3], lo, hi))
         return starts
+
+
+def _arma_garch_loop(eta, y, sqrt, th):
+    const, ar1, ma1, alpha0, alpha1, beta1 = th
+    y_prev = e_prev = s2 = 0.0
+    for t, x in enumerate(eta):
+        s2 = alpha0 + alpha1 * e_prev * e_prev + beta1 * s2
+        e = sqrt(s2) * x
+        y[t] = y_prev = const + ar1 * y_prev + e + ma1 * e_prev
+        e_prev = e

@@ -12,6 +12,8 @@ Hessians.
 from __future__ import annotations
 
 import abc
+import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,6 +63,26 @@ def _floor_sigma2(sigma2_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     clamped = int(np.count_nonzero(sigma2_raw < floor))
     sigma2 = np.maximum(sigma2_raw, floor)
     return sigma2, np.sqrt(sigma2), clamped
+
+
+# a running fit's nonstationary-region messages, collected instead of warned; None outside a fit
+_STRAYS: ContextVar[list[str] | None] = ContextVar("nonstationary_strays", default=None)
+
+
+def _float_path(loop, theta: np.ndarray, innovations, *orders) -> np.ndarray:
+    """Path y from ``loop(eta, y, sqrt, theta, *orders)`` over memoryviews of floats.
+
+    Python floats round as numpy scalars do, but a float ``** 2`` overflow
+    or a math.sqrt of a negative raises where numpy gives inf or nan; the
+    loop then reruns on numpy scalars, so the path matches them bit for bit.
+    """
+    eta = np.asarray(innovations, dtype=float).ravel()
+    y = np.empty(eta.size)
+    try:
+        loop(memoryview(eta), memoryview(y), math.sqrt, theta.tolist(), *orders)
+    except (OverflowError, ValueError):
+        loop(memoryview(eta), memoryview(y), np.sqrt, list(theta), *orders)
+    return y
 
 
 class ModelSpec(abc.ABC):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .base import FilterOutput, ModelSpec, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Dar"]
 
@@ -49,14 +51,11 @@ class Dar(ModelSpec):
     def _template_values(self) -> np.ndarray:
         return np.r_[0.0, np.zeros(self.p), 1.0, np.full(self.q, 0.1)]
 
-    def _split(self, th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return th[: self.p + 1], th[self.p + 1 :]
-
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)
         y = self._check_series(y)
         n, d = y.size, self.dim
-        mean_part, scale_part = self._split(th)
+        mean_part, scale_part = th[: self.p + 1], th[self.p + 1 :]
 
         ylags = np.column_stack([lagged(y, i) for i in range(1, self.p + 1)]) if self.p else np.zeros((n, 0))
         y2lags = np.column_stack([lagged(y * y, j) for j in range(1, self.q + 1)]) if self.q else np.zeros((n, 0))
@@ -86,23 +85,7 @@ class Dar(ModelSpec):
         return out
 
     def path(self, theta, innovations) -> np.ndarray:
-        th = self._check_theta(theta)
-        eta = np.asarray(innovations, dtype=float).ravel()
-        mean_part, scale_part = self._split(th)
-        p, q = self.p, self.q
-        n = eta.size
-        y = np.zeros(n)
-        for t in range(n):
-            g = mean_part[0]
-            for i in range(1, p + 1):
-                if t - i >= 0:
-                    g += mean_part[i] * y[t - i]
-            s2 = scale_part[0]
-            for j in range(1, q + 1):
-                if t - j >= 0:
-                    s2 += scale_part[j] * y[t - j] ** 2
-            y[t] = g + np.sqrt(s2) * eta[t]
-        return y
+        return _float_path(_dar_loop, self._check_theta(theta), innovations, self.p, self.q)
 
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
@@ -119,3 +102,26 @@ class Dar(ModelSpec):
             lo, hi = self.default_bounds()
             starts.append(np.clip(np.r_[coef, acoef], lo, hi))
         return starts
+
+
+def _dar_loop(eta, y, sqrt, th, p, q):
+    c, ar, w, arch = th[0], th[1 : p + 1], th[p + 1], th[p + 2 :]
+    steps = enumerate(eta)
+    first_order = p == q == 1
+    # newest lag first; zip stops at the lags that exist so far.  DAR(1,1)
+    # leaves after the first step and keeps its lag in a local
+    lags, squares = deque(maxlen=p), deque(maxlen=q)
+    for t, e in islice(steps, 1) if first_order else steps:
+        g = c
+        for a, v in zip(ar, lags):
+            g += a * v
+        s2 = w
+        for b, v2 in zip(arch, squares):
+            s2 += b * v2
+        y[t] = v = g + sqrt(s2) * e
+        lags.appendleft(v)
+        squares.appendleft(v ** 2)
+    if first_order and lags:
+        (a,), (b,), (y1,) = ar, arch, lags
+        for t, e in steps:
+            y[t] = y1 = c + a * y1 + sqrt(w + b * y1 ** 2) * e

@@ -3,13 +3,15 @@
 from __future__ import annotations
 
 import warnings
+from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 from scipy.signal import lfilter
 
 from ..errors import NonstationaryRegionWarning
-from .base import FilterOutput, ModelSpec, _floor_sigma2, lagged
+from .base import _STRAYS, FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Garch"]
 
@@ -52,23 +54,21 @@ class Garch(ModelSpec):
     def _template_values(self) -> np.ndarray:
         return np.r_[1.0, np.full(self.p, 0.1 / self.p), np.full(self.q, 0.3 / max(self.q, 1))]
 
-    def _split(self, th: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-        return th[0], th[1 : self.p + 1], th[self.p + 1 :]
-
     def _denominator(self, beta: np.ndarray) -> np.ndarray:
         if np.sum(beta) >= 1.0:
-            warnings.warn(
-                "beta coefficients sum to one or more; variance recursion diverges",
-                NonstationaryRegionWarning,
-                stacklevel=3,
-            )
+            message = "beta coefficients sum to one or more; variance recursion diverges"
+            strays = _STRAYS.get()
+            if strays is None:
+                warnings.warn(message, NonstationaryRegionWarning, stacklevel=3)
+            else:
+                strays.append(message)
         return np.r_[1.0, -beta]
 
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)
         y = self._check_series(y)
         n, d = y.size, self.dim
-        alpha0, alpha, beta = self._split(th)
+        alpha0, alpha, beta = th[0], th[1 : self.p + 1], th[self.p + 1 :]
         den = self._denominator(beta)
 
         y2lags = np.column_stack([lagged(y * y, i) for i in range(1, self.p + 1)])
@@ -104,24 +104,7 @@ class Garch(ModelSpec):
         return out
 
     def path(self, theta, innovations) -> np.ndarray:
-        th = self._check_theta(theta)
-        eta = np.asarray(innovations, dtype=float).ravel()
-        alpha0, alpha, beta = self._split(th)
-        p, q = self.p, self.q
-        n = eta.size
-        y = np.zeros(n)
-        s2 = np.zeros(n)
-        for t in range(n):
-            v = alpha0
-            for i in range(1, p + 1):
-                if t - i >= 0:
-                    v += alpha[i - 1] * y[t - i] ** 2
-            for j in range(1, q + 1):
-                if t - j >= 0:
-                    v += beta[j - 1] * s2[t - j]
-            s2[t] = v
-            y[t] = np.sqrt(v) * eta[t]
-        return y
+        return _float_path(_garch_loop, self._check_theta(theta), innovations, self.p, self.q)
 
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
@@ -132,3 +115,26 @@ class Garch(ModelSpec):
                 np.r_[0.6 * scale, np.full(self.p, 0.1 / self.p), np.full(self.q, 0.3 / max(self.q, 1))]
             )
         return starts
+
+
+def _garch_loop(eta, y, sqrt, th, p, q):
+    w, alpha, beta = th[0], th[1 : p + 1], th[p + 1 :]
+    steps = enumerate(eta)
+    first_order = p == q == 1
+    # newest lag first; zip stops at the lags that exist so far.
+    # GARCH(1,1) leaves after the first step and keeps its lags in locals
+    squares, variances = deque(maxlen=p), deque(maxlen=q)
+    for t, e in islice(steps, 1) if first_order else steps:
+        s2 = w
+        for a, v2 in zip(alpha, squares):
+            s2 += a * v2
+        for b, v in zip(beta, variances):
+            s2 += b * v
+        y[t] = v = sqrt(s2) * e
+        squares.appendleft(v ** 2)
+        variances.appendleft(s2)
+    if first_order and variances:
+        (a,), (b,), y1 = alpha, beta, v
+        for t, e in steps:
+            s2 = w + a * y1 ** 2 + b * s2
+            y[t] = y1 = sqrt(s2) * e

@@ -21,6 +21,7 @@ from .errors import ExcessiveFailures, LqmleError
 from .estimation import FitOptions, fit, fit_constrained, kernel_moments, sandwich_cov
 from .inference import lm_test, wald_test
 from .models.base import ModelSpec, simulate
+from .reports import fields_dict
 
 __all__ = [
     "Scenario",
@@ -166,27 +167,7 @@ class McSummary:
 
     def as_dict(self) -> dict:
         """Deterministic serializable view; excludes per-rep records and timing."""
-        return {
-            "label": self.label,
-            "model": self.model,
-            "estimator": self.estimator,
-            "dist": self.dist,
-            "nobs": self.nobs,
-            "reps": self.reps,
-            "reps_used": self.reps_used,
-            "failures": self.failures,
-            "seed": self.seed,
-            "param_names": list(self.param_names),
-            "theta0": list(self.theta0),
-            "alternative_scale": self.alternative_scale,
-            "dgp_theta": list(self.dgp_theta),
-            "mean_estimate": list(self.mean_estimate),
-            "bias": list(self.bias),
-            "sd": list(self.sd),
-            "level": self.level,
-            "wald_reject_rate": self.wald_reject_rate,
-            "lm_reject_rate": self.lm_reject_rate,
-        }
+        return fields_dict(self, skip=("runtime_seconds", "records"))
 
 
 def _dist_tag(dist: InnovationDist) -> str:
@@ -309,12 +290,10 @@ def population_information(
     y = model.path(np.asarray(theta0, dtype=float), eta)
     out = model.filter(y, theta0, order=1)
     sl = slice(burn, None)
-    n_eff = nobs
-    s2 = out.sigma2[sl]
-    w = out.dsigma2[sl] / s2[:, None]
-    ms = w.T @ w / (4.0 * n_eff)
+    w = out.dsigma2[sl] / out.sigma2[sl][:, None]
+    ms = w.T @ w / (4.0 * nobs)
     dg = out.dmean[sl] / out.sigma[sl][:, None]
-    mg = dg.T @ dg / n_eff
+    mg = dg.T @ dg / nobs
     mom = kernel_moments(eta[sl])
     a0 = (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg
     b0 = mom.m2 * ms + mom.t2 * mg

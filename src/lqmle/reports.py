@@ -12,9 +12,11 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 __all__ = [
+    "fields_dict",
     "sha256_file",
     "make_manifest",
     "dump_json",
@@ -48,6 +50,17 @@ def make_manifest(command: str, options: dict, input_path=None, seed=None) -> di
         "input_sha256": sha256_file(input_path) if input_path else None,
         "seed": seed,
     }
+
+
+def fields_dict(obj, skip=()) -> dict:
+    """A dataclass's fields in order: tuples become lists, nested dataclasses dicts."""
+    out = {}
+    for f in fields(obj):
+        if f.name not in skip:
+            value = getattr(obj, f.name)
+            value = fields_dict(value) if is_dataclass(value) else value
+            out[f.name] = list(value) if isinstance(value, tuple) else value
+    return out
 
 
 def dump_json(doc: dict, path=None) -> str:

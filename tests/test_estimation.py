@@ -6,14 +6,19 @@ itself against closed-form least squares in the Gaussian constant-scale
 case where the two coincide.
 """
 
+import warnings
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
+from lqmle import estimation
 from lqmle.distributions import logistic, student_t
 from lqmle.errors import (
     InfeasibleConstraint,
     NonFiniteObjective,
+    NonstationaryRegionWarning,
     NotScaleOnly,
     SingularInformation,
 )
@@ -314,3 +319,69 @@ def test_fit_result_covariance_is_consistent():
         res.cov, sandwich_cov(res.info_hessian, res.info_opg, res.nobs), atol=1e-12
     )
     np.testing.assert_allclose(res.se, np.sqrt(np.diag(res.cov)), atol=1e-12)
+
+
+def test_feasible_point_is_projected_once_per_restriction(monkeypatch):
+    # the base point depends only on (R, r) and the box, so refits under
+    # one restriction reuse it; the cached point is read-only and holds
+    # the same bits as a fresh projection
+    project = estimation._project_into_box
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return project(*args)
+
+    monkeypatch.setattr(estimation, "_project_into_box", counting)
+    monkeypatch.setattr(
+        estimation, "_feasible_point", lru_cache(maxsize=256)(estimation._feasible_point.__wrapped__)
+    )
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=23)
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    first = fit_constrained(model, y, R, r)
+    again = fit_constrained(model, y, R, r)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(first.theta.array, again.theta.array)
+    assert (first.loglik, first.iterations) == (again.loglik, again.iterations)
+    fit_constrained(model, y, R, np.array([2.0]))
+    assert len(calls) == 2
+    lo, hi = model.default_bounds()
+    point = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    assert len(calls) == 2
+    assert not point.flags.writeable
+    np.testing.assert_array_equal(point, project(R, r, lo, hi))
+
+
+def test_fit_reports_nonstationary_trials_once():
+    # optimizer trials of this GARCH(1,2) fit cross beta1 + beta2 >= 1
+    # eight times; the fit warns once, with the count, at the caller
+    model = make_model("garch", p=1, q=2)
+    y = simulate(model, np.array([1.0, 0.15, 0.2, 0.2]), 400, logistic(), seed=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = fit(model, y)
+    assert res.converged
+    assert [w.category for w in caught] == [NonstationaryRegionWarning]
+    assert str(caught[0].message).startswith("8 trial points of this fit were nonstationary")
+    assert caught[0].filename == __file__
+
+
+def test_fit_passes_other_warnings_through(monkeypatch):
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=23)
+    real = estimation.evaluate
+    calls = []
+
+    def noisy(*args, **kwargs):
+        calls.append(1)
+        warnings.warn("probe", RuntimeWarning)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "evaluate", noisy)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit(model, y)
+    assert calls
+    assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "probe")] * len(calls)
+    assert {w.filename for w in caught} == {__file__}

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from lqmle import (
     calibrate_scale,
+    kernel,
     kernel_expectation,
     logistic_cdf,
     logistic_logpdf,
@@ -171,3 +172,40 @@ def test_empirical_distribution_expectation():
     got = kernel_expectation(empirical(vals))
     want = np.mean(vals * np.tanh(vals / 2))
     assert got == pytest.approx(want, abs=1e-12)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(kernel, name)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "family,shape", sorted(CALIBRATED, key=str) + [("student_t", 1.05)]
+)
+def test_calibration_needs_few_quadratures(monkeypatch, family, shape):
+    # brentq reuses the two bracket values and converges superlinearly;
+    # t(1.05) has its root below the first bracket, which must grow
+    tight = calibrate_scale(family, shape=shape, tol=1e-12)
+    calls = _count_calls(monkeypatch, "kernel_expectation")
+    got = calibrate_scale(family, shape=shape)
+    assert len(calls) <= 10
+    assert abs(got - tight) <= 0.5e-6
+
+
+def test_stable_calibration_needs_few_passes(monkeypatch):
+    # each pass runs the whole Monte Carlo sum; the bracket ends come first
+    # and every later pass lies inside them
+    tight = calibrate_stable_index(tol=1e-9, draws=10**6)
+    calls = _count_calls(monkeypatch, "stable_kernel_expectation")
+    got = calibrate_stable_index(tol=2e-3, draws=10**6)
+    assert len(calls) <= 8
+    assert [c[0] for c in calls[:2]] == [1.05, 2.0]
+    assert all(1.05 < c[0] < 2.0 for c in calls[2:])
+    assert abs(got - tight) <= 1e-3

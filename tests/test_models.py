@@ -259,3 +259,106 @@ def test_path_matches_simulate_with_same_innovations():
     a = m.path(th, eta)
     b = simulate(m, th, 40, innovations=eta)
     np.testing.assert_array_equal(a, b)
+
+
+# -- path loops against numpy-scalar oracles ----------------------------------
+# The oracles are the element-by-element recursions on numpy scalars that
+# the paths are defined by; the paths must reproduce them bit for bit.
+
+
+def _dar_oracle(m, th, eta):
+    mean_part, scale_part = th[: m.p + 1], th[m.p + 1 :]
+    y = np.zeros(eta.size)
+    for t in range(eta.size):
+        g = mean_part[0]
+        for i in range(1, m.p + 1):
+            if t - i >= 0:
+                g += mean_part[i] * y[t - i]
+        s2 = scale_part[0]
+        for j in range(1, m.q + 1):
+            if t - j >= 0:
+                s2 += scale_part[j] * y[t - j] ** 2
+        y[t] = g + np.sqrt(s2) * eta[t]
+    return y
+
+
+def _garch_oracle(m, th, eta):
+    alpha0, alpha, beta = th[0], th[1 : m.p + 1], th[m.p + 1 :]
+    y = np.zeros(eta.size)
+    s2 = np.zeros(eta.size)
+    for t in range(eta.size):
+        v = alpha0
+        for i in range(1, m.p + 1):
+            if t - i >= 0:
+                v += alpha[i - 1] * y[t - i] ** 2
+        for j in range(1, m.q + 1):
+            if t - j >= 0:
+                v += beta[j - 1] * s2[t - j]
+        s2[t] = v
+        y[t] = np.sqrt(v) * eta[t]
+    return y
+
+
+def _arma_garch_oracle(m, th, eta):
+    const, ar1, ma1, alpha0, alpha1, beta1 = m._unpack(th)
+    y = np.zeros(eta.size)
+    e_prev = s2_prev = y_prev = 0.0
+    for t in range(eta.size):
+        s2 = alpha0 + alpha1 * e_prev * e_prev + beta1 * s2_prev
+        e = np.sqrt(s2) * eta[t]
+        y[t] = const + ar1 * y_prev + e + ma1 * e_prev
+        y_prev, e_prev, s2_prev = y[t], e, s2
+    return y
+
+
+PATH_ORACLES = {"dar": _dar_oracle, "garch": _garch_oracle, "arma_garch": _arma_garch_oracle}
+PATH_CASES = [
+    ("dar", dict(p=1, q=1), [1.0, 0.5, 0.3, 0.5]),
+    ("dar", dict(p=2, q=2), [0.1, 0.3, -0.2, 0.3, 0.2, 0.1]),
+    ("garch", dict(p=1, q=1), [1.0, 0.15, 0.4]),
+    ("garch", dict(p=1, q=2), [1.0, 0.15, 0.2, 0.2]),
+    ("arma_garch", dict(), [0.1, 0.3, 0.2, 0.2, 0.1, 0.3]),
+    ("arma_garch", dict(include_intercept=False), [0.3, 0.2, 0.2, 0.1, 0.3]),
+]
+PATH_IDS = [f"{name}{''.join(str(v) for v in kw.values())}" for name, kw, _ in PATH_CASES]
+
+
+@pytest.mark.parametrize("family", ["logistic", "t2"])
+@pytest.mark.parametrize("name,kw,theta", PATH_CASES, ids=PATH_IDS)
+def test_path_matches_numpy_scalar_oracle_bit_for_bit(name, kw, theta, family):
+    m = make_model(name, **kw)
+    rng = np.random.default_rng(2024)
+    eta = rng.logistic(size=3000) if family == "logistic" else rng.standard_t(2.0, size=3000)
+    th = np.asarray(theta)
+    assert np.array_equal(m.path(th, eta), PATH_ORACLES[name](m, th, eta))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "name,kw,theta",
+    [
+        ("dar", dict(p=1, q=1), [0.1, 3.0, 0.3, 40.0]),  # float ** 2 overflows
+        ("garch", dict(p=1, q=2), [1.0, 5.0, 0.5, 0.4]),  # float ** 2 overflows
+        ("garch", dict(p=1, q=1), [-1.0, 0.1, 0.5]),  # sqrt of a negative variance
+        ("arma_garch", dict(), [0.1, 0.5, 0.3, -0.2, 0.1, 0.8]),  # sqrt of a negative variance
+    ],
+    ids=["dar-overflow", "garch-overflow", "garch-negative", "arma_garch-negative"],
+)
+def test_path_matches_oracle_where_floats_raise(name, kw, theta):
+    # Python floats raise here where numpy scalars give inf or nan; the
+    # path must still hold the oracle's inf and nan values
+    m = make_model(name, **kw)
+    eta = np.random.default_rng(5).logistic(size=2000)
+    th = np.asarray(theta)
+    got, want = m.path(th, eta), PATH_ORACLES[name](m, th, eta)
+    assert not np.all(np.isfinite(want))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+@pytest.mark.parametrize("name,kw,theta", PATH_CASES, ids=PATH_IDS)
+def test_path_of_a_few_steps_matches_oracle(name, kw, theta, n):
+    m = make_model(name, **kw)
+    eta = np.linspace(-1.0, 1.5, n)
+    th = np.asarray(theta)
+    assert np.array_equal(m.path(th, eta), PATH_ORACLES[name](m, th, eta))
