@@ -15,18 +15,20 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import yaml
 
-from . import distributions, kernel
+from . import kernel
 from .dataio import read_series, write_series
 from .diagnostics import hill_sweep, residual_diagnostics
-from .errors import DataFormatError, ExcessiveFailures, LqmleError
+from .distributions import InnovationDist, empirical
+from .errors import DataFormatError, ExcessiveFailures, LqmleError, ShapeMismatch
 from .estimation import FitOptions, evaluate, fit, fit_constrained
 from .inference import deviance, lm_test, t_test, wald_test
-from .models import MODEL_REGISTRY, make_model, simulate
+from .models import MODEL_REGISTRY, ModelSpec, make_model, simulate
 from .montecarlo import _CRITERION, Scenario, run_scenario
 from .reports import dump_json, make_manifest, render_document, sha256_file
 
@@ -76,34 +78,100 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None)
 
 
-def _parse_order(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError:
-        raise _UsageError(f"--order must be comma-separated integers, got {text!r}") from None
+# Entries of a model's order, as constructor keywords; arma_garch is fixed at 1,1.
+_ORDER_KEYS = {"dar": ("p", "q"), "garch": ("p", "q"), "expar": ("p",), "arma_garch": None}
 
 
-def _build_model(args):
-    kwargs = {}
-    order = _parse_order(args.order) if args.order is not None else None
-    if args.model in ("dar", "garch"):
-        if order is not None:
-            if len(order) != 2:
-                raise _UsageError(f"{args.model} takes --order P,Q")
-            kwargs["p"], kwargs["q"] = order
-    elif args.model == "expar":
-        if order is not None:
-            if len(order) != 1:
-                raise _UsageError("expar takes a single --order P")
-            kwargs["p"] = order[0]
-    elif args.model == "arma_garch":
-        if order is not None and order != (1, 1):
-            raise _UsageError("arma_garch supports only --order 1,1")
-        kwargs["include_intercept"] = not args.no_intercept
+def _build_model(spec) -> ModelSpec:
+    """Model from a registry name or a mapping {name, order, intercept, ...}.
+
+    ``order`` (a list of integers, one integer or "P,Q" text) fills P,Q
+    of dar and garch or P of expar; ``intercept`` (arma_garch only) keeps
+    or drops the mean intercept; any other key goes to the constructor.
+    Raises ValueError naming the bad key.
+    """
+    if isinstance(spec, str):
+        spec = {"name": spec}
+    if not isinstance(spec, dict):
+        raise ValueError(f"model must be a name or a mapping, got {spec!r}")
+    kwargs = dict(spec)
+    name = kwargs.pop("name", None)
+    if name not in MODEL_REGISTRY:
+        raise ValueError(f"model name {name!r} is not one of {sorted(MODEL_REGISTRY)}")
+    order = kwargs.pop("order", None)
+    if order is not None:
+        entries = order if isinstance(order, (list, tuple)) else str(order).split(",")
+        try:
+            order = [int(v) for v in entries]
+        except (TypeError, ValueError):
+            raise ValueError(f"order must be comma-separated integers, got {order!r}") from None
+        keys = _ORDER_KEYS[name]
+        if keys is None:
+            if order != [1, 1]:
+                raise ValueError(f"{name} supports only order 1,1")
+        elif len(order) != len(keys):
+            raise ValueError(f"{name} takes order {','.join(keys).upper()}, got {order}")
+        else:
+            kwargs.update(zip(keys, order))
+    if "intercept" in kwargs:
+        if name != "arma_garch":
+            raise ValueError(f"intercept applies to arma_garch only, not {name}")
+        kwargs["include_intercept"] = bool(kwargs.pop("intercept"))
+    return make_model(name, **kwargs)
+
+
+# Family names of the CLI and the config -> (InnovationDist family, the key
+# holding its shape or sample values, what that key means).
+_FAMILIES = {
+    "logistic": ("logistic", None, None),
+    "normal": ("normal", None, None),
+    "uniform": ("uniform", None, None),
+    "t": ("student_t", "nu", "degrees of freedom"),
+    "stable": ("stable", "alpha", "tail index"),
+    "empirical": ("empirical", "data", "draw values"),
+}
+
+
+def _build_dist(spec) -> InnovationDist:
+    """Innovation law from a family name or a mapping {family, scale, nu, alpha, data}.
+
+    Raises ValueError naming an unknown family or the key it lacks.
+    """
+    if isinstance(spec, str):
+        spec = {"family": spec}
+    if not isinstance(spec, dict):
+        raise ValueError(f"dist must be a family name or a mapping, got {spec!r}")
+    fam = spec.get("family")
+    if fam not in _FAMILIES:
+        raise ValueError(f"dist family {fam!r} is not one of {list(_FAMILIES)}")
+    family, key, meaning = _FAMILIES[fam]
+    scale = float(spec.get("scale", 1.0))
+    if key is None:
+        return InnovationDist(family, scale=scale)
+    if spec.get(key) is None:
+        raise ValueError(f"family {fam} needs {key} ({meaning})")
+    if key == "data":
+        return empirical(np.asarray(spec[key], dtype=float), scale)
+    return InnovationDist(family, scale=scale, shape=float(spec[key]))
+
+
+def _from_flags(build, spec):
+    """Run a spec parser on a mapping built from flags; a bad spec is a usage error."""
     try:
-        return make_model(args.model, **kwargs)
+        return build(spec)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+
+
+def _flag_model(args) -> ModelSpec:
+    intercept = {"intercept": False} if args.no_intercept else {}
+    return _from_flags(_build_model, {"name": args.model, "order": args.order, **intercept})
+
+
+def _flag_dist(args) -> InnovationDist:
+    data = read_series(args.dist_data) if args.dist_data is not None else None
+    spec = {"family": args.dist, "scale": args.dist_scale, "nu": args.nu, "alpha": args.alpha}
+    return _from_flags(_build_dist, {**spec, "data": data})
 
 
 def _model_block(model) -> dict:
@@ -174,38 +242,11 @@ def _finite_or_none(value) -> float | None:
     return value if np.isfinite(value) else None
 
 
-def _build_dist(args):
-    fam = args.dist
-    try:
-        if fam == "logistic":
-            return distributions.InnovationDist("logistic", scale=args.dist_scale)
-        if fam == "normal":
-            return distributions.normal(args.dist_scale)
-        if fam == "uniform":
-            return distributions.uniform(args.dist_scale)
-        if fam == "t":
-            if args.nu is None:
-                raise _UsageError("--dist t needs --nu (degrees of freedom)")
-            return distributions.student_t(args.nu, args.dist_scale)
-        if fam == "stable":
-            if args.alpha is None:
-                raise _UsageError("--dist stable needs --alpha (tail index)")
-            return distributions.stable(args.alpha, args.dist_scale)
-        if fam == "empirical":
-            if args.dist_data is None:
-                raise _UsageError("--dist empirical needs --dist-data FILE")
-            values = read_series(args.dist_data)
-            return distributions.empirical(values, args.dist_scale)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    raise _UsageError(f"unknown innovation family {fam!r}")
-
-
 def _add_dist_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--dist",
         default="logistic",
-        choices=["logistic", "normal", "uniform", "t", "stable", "empirical"],
+        choices=list(_FAMILIES),
     )
     p.add_argument("--dist-scale", type=float, default=1.0)
     p.add_argument("--nu", type=float, default=None, help="degrees of freedom for --dist t")
@@ -236,7 +277,7 @@ def _estimate_rows(result) -> list[dict]:
 
 
 def _cmd_fit(args) -> int:
-    model = _build_model(args)
+    model = _flag_model(args)
     y = _read_data(args)
     seed = _resolve_seed(args.seed)
     opts = _fit_options(args, seed)
@@ -285,16 +326,19 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    model = _build_model(args)
+    model = _flag_model(args)
     theta = _parse_floats(args.theta, "--theta")
     if len(theta) != model.dim:
         raise _UsageError(
             f"--theta has {len(theta)} values; {model.name} needs {model.dim} "
             f"({', '.join(model.param_names)})"
         )
-    dist = _build_dist(args)
+    dist = _flag_dist(args)
     seed = _resolve_seed(args.seed)
-    y = simulate(model, np.asarray(theta), args.n, dist, seed=seed, burn=args.burn)
+    try:
+        y = simulate(model, np.asarray(theta), args.n, dist, seed=seed, burn=args.burn)
+    except ShapeMismatch as exc:
+        raise _UsageError(str(exc)) from None
     write_series(args.out, y)
     options = {
         **_model_options(args),
@@ -309,7 +353,7 @@ def _cmd_simulate(args) -> int:
     }
     doc = {
         "schema": "lqmle.simulate/1",
-        "manifest": make_manifest("simulate", options, input_path=None, seed=seed),
+        "manifest": make_manifest("simulate", options, input_path=args.dist_data, seed=seed),
         "nobs": int(args.n),
         "output": str(args.out),
         "output_sha256": sha256_file(args.out),
@@ -323,56 +367,21 @@ def _cmd_simulate(args) -> int:
 # -- mc ---------------------------------------------------------------------
 
 
-def _scenario_dist(spec: dict):
-    fam = spec.get("family")
-    scale = float(spec.get("scale", 1.0))
-    if fam == "logistic":
-        return distributions.InnovationDist("logistic", scale=scale)
-    if fam == "normal":
-        return distributions.normal(scale)
-    if fam == "uniform":
-        return distributions.uniform(scale)
-    if fam == "t":
-        return distributions.student_t(float(spec["nu"]), scale)
-    if fam == "stable":
-        return distributions.stable(float(spec["alpha"]), scale)
-    if fam == "empirical":
-        return distributions.empirical(np.asarray(spec["data"], dtype=float), scale)
-    raise DataFormatError(f"unknown innovation family {fam!r} in config")
+def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
+    """Scenarios from the ``scenarios`` list of a loaded config.
 
-
-def _scenario_model(spec):
-    if isinstance(spec, str):
-        return make_model(spec)
-    spec = dict(spec)
-    name = spec.pop("name")
-    order = spec.pop("order", None)
-    if order is not None:
-        order = [int(v) for v in (order if isinstance(order, (list, tuple)) else [order])]
-        if name == "expar":
-            if len(order) != 1:
-                raise ValueError("expar order takes one entry")
-            spec["p"] = order[0]
-        elif name == "arma_garch":
-            if order != [1, 1]:
-                raise ValueError("arma_garch supports only order [1, 1]")
-        else:
-            if len(order) != 2:
-                raise ValueError(f"{name} order needs two entries [P, Q]")
-            spec["p"], spec["q"] = order
-    if name == "arma_garch" and "intercept" in spec:
-        spec["include_intercept"] = bool(spec.pop("intercept"))
-    return make_model(name, **spec)
-
-
-def _load_scenarios(path, master_seed: int) -> list[Scenario]:
-    with open(path) as fh:
-        config = yaml.safe_load(fh)
-    if not isinstance(config, dict) or "scenarios" not in config:
-        raise DataFormatError(f"{path}: expected a mapping with a 'scenarios' list")
+    Each entry is a mapping with the keys model (a _build_model spec),
+    dist (a _build_dist spec), theta0, nobs and reps, and optionally
+    estimator (lqmle or gqmle, default lqmle), burn (default 0),
+    constraint ({R, r}: test R theta = r), alternative_scale (data drawn
+    at this multiple of theta0, default 1), level (test level, default
+    0.05), label and seed (default: derived from the master seed).
+    """
     scenarios = []
     for i, raw in enumerate(config["scenarios"]):
         try:
+            if not isinstance(raw, dict):
+                raise ValueError(f"expected a mapping, got {raw!r}")
             seed = raw.get("seed")
             if seed is None:
                 child = np.random.SeedSequence(master_seed, spawn_key=(1000 + i,))
@@ -385,9 +394,9 @@ def _load_scenarios(path, master_seed: int) -> list[Scenario]:
                 constraint = (rows, rhs)
             scenarios.append(
                 Scenario(
-                    model=_scenario_model(raw["model"]),
+                    model=_build_model(raw["model"]),
                     theta0=tuple(float(v) for v in raw["theta0"]),
-                    dist=_scenario_dist(raw["dist"]),
+                    dist=_build_dist(raw["dist"]),
                     nobs=int(raw["nobs"]),
                     reps=int(raw["reps"]),
                     seed=int(seed),
@@ -409,11 +418,11 @@ def _load_scenarios(path, master_seed: int) -> list[Scenario]:
 def _cmd_mc(args) -> int:
     with open(args.config) as fh:
         config = yaml.safe_load(fh)
-    if not isinstance(config, dict):
-        raise DataFormatError(f"{args.config}: expected a mapping")
+    if not isinstance(config, dict) or not isinstance(config.get("scenarios"), list):
+        raise DataFormatError(f"{args.config}: expected a mapping with a 'scenarios' list")
     seed = args.seed if args.seed is not None else config.get("seed")
     seed = _resolve_seed(seed)
-    scenarios = _load_scenarios(args.config, seed)
+    scenarios = _load_scenarios(config, args.config, seed)
     workers = args.workers if args.workers is not None else int(config.get("workers", 1))
     max_fail = float(config.get("max_failure_fraction", 0.2))
     summaries, failed = [], []
@@ -465,7 +474,7 @@ def _parse_restrictions(texts, dim: int):
 
 
 def _cmd_test(args) -> int:
-    model = _build_model(args)
+    model = _flag_model(args)
     y = _read_data(args)
     seed = _resolve_seed(args.seed)
     opts = _fit_options(args, seed)
@@ -503,37 +512,22 @@ def _cmd_test(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     options = {"family": args.family, "nu": args.nu, "tol": args.tol}
-    manifest = make_manifest("calibrate", options, input_path=None, seed=None)
+    doc = {
+        "schema": "lqmle.calibrate/1",
+        "manifest": make_manifest("calibrate", options, input_path=None, seed=None),
+        "family": args.family,
+    }
     if args.family == "stable":
         tol = args.tol if args.tol is not None else 2e-3
-        index = kernel.calibrate_stable_index(tol=tol)
-        value, se = kernel.stable_kernel_expectation(index)
-        doc = {
-            "schema": "lqmle.calibrate/1",
-            "manifest": manifest,
-            "family": "stable",
-            "index": index,
-            "expectation": value,
-            "psi_error": abs(value - 1.0),
-            "mc_se": se,
-        }
+        doc["index"] = kernel.calibrate_stable_index(tol=tol)
+        value, doc["mc_se"] = kernel.stable_kernel_expectation(doc["index"])
     else:
-        if args.family == "t" and args.nu is None:
-            raise _UsageError("family t needs --nu (degrees of freedom)")
+        base = _from_flags(_build_dist, {"family": args.family, "nu": args.nu})
         tol = args.tol if args.tol is not None else 1e-6
-        family = "student_t" if args.family == "t" else args.family
-        scale = kernel.calibrate_scale(family, shape=args.nu, tol=tol)
-        dist = distributions.InnovationDist(family, scale=scale, shape=args.nu)
-        value = kernel.kernel_expectation(dist)
-        doc = {
-            "schema": "lqmle.calibrate/1",
-            "manifest": manifest,
-            "family": args.family,
-            "nu": args.nu,
-            "scale": scale,
-            "expectation": value,
-            "psi_error": abs(value - 1.0),
-        }
+        doc["scale"] = kernel.calibrate_scale(base.family, shape=base.shape, tol=tol)
+        value = kernel.kernel_expectation(replace(base, scale=doc["scale"]))
+        doc["nu"] = args.nu
+    doc.update(expectation=value, psi_error=abs(value - 1.0))
     dump_json(doc, args.out)
     return EXIT_OK
 
@@ -542,7 +536,7 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
-    model = _build_model(args)
+    model = _flag_model(args)
     y = _read_data(args)
     theta = _parse_floats(args.theta, "--theta")
     if len(theta) != model.dim:
@@ -640,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="scale (or stable index) with unit kernel expectation")
     p.add_argument(
-        "--family", required=True, choices=["logistic", "normal", "uniform", "t", "stable"]
+        "--family", required=True, choices=[f for f in _FAMILIES if f != "empirical"]
     )
     p.add_argument("--nu", type=float, default=None, help="degrees of freedom for family t")
     p.add_argument("--tol", type=float, default=None)

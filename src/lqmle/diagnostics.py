@@ -24,6 +24,12 @@ __all__ = [
 ]
 
 
+_HILL_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)  # hill_sweep's multiples of the default k
+# draws and seed of the Lyapunov exponent under the residual law
+_LYAPUNOV_DRAWS = 100_000
+_LYAPUNOV_SEED = 0
+
+
 def default_tail_fraction(n: int) -> int:
     """Default number of upper order statistics: floor(n^0.6)."""
     return max(2, int(np.floor(n**0.6)))
@@ -59,14 +65,13 @@ def hill_estimator(data, k: int | None = None) -> float:
     return 1.0 / mean_log
 
 
-def hill_sweep(data, ks=None) -> list[dict]:
+def hill_sweep(data) -> list[dict]:
     """Hill estimates over a grid of k values, skipping degenerate ones."""
     x = np.asarray(data, dtype=float).ravel()
     n = x.size
-    if ks is None:
-        base = default_tail_fraction(n)
-        grid = sorted({max(2, int(round(base * f))) for f in (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)})
-        ks = [k for k in grid if k < n]
+    base = default_tail_fraction(n)
+    grid = sorted({max(2, int(round(base * f))) for f in _HILL_GRID})
+    ks = [k for k in grid if k < n]
     out = []
     for k in ks:
         try:
@@ -139,14 +144,7 @@ class DiagnosticsReport:
         return fields_dict(self)
 
 
-def residual_diagnostics(
-    model,
-    fit,
-    hill_k: int | None = None,
-    bins: int = 30,
-    lyapunov_draws: int = 100_000,
-    lyapunov_seed: int = 0,
-) -> DiagnosticsReport:
+def residual_diagnostics(model, fit, hill_k: int | None = None) -> DiagnosticsReport:
     """Assemble the diagnostics for a converged fit.
 
     The Hill estimator runs on the standardized residuals; a tail too
@@ -156,7 +154,7 @@ def residual_diagnostics(
     None).
     """
     resid = np.asarray(fit.residuals, dtype=float).ravel()
-    summary = summarize_residuals(resid, bins=bins)
+    summary = summarize_residuals(resid)
     k = int(hill_k) if hill_k is not None else default_tail_fraction(resid.size)
     try:
         hill = hill_estimator(resid, k)
@@ -164,7 +162,7 @@ def residual_diagnostics(
         hill = None
     try:
         lyap, lyap_se = lyapunov_exponent(
-            model, fit.theta, empirical(resid), draws=lyapunov_draws, seed=lyapunov_seed
+            model, fit.theta, empirical(resid), draws=_LYAPUNOV_DRAWS, seed=_LYAPUNOV_SEED
         )
     except ValueError:
         lyap, lyap_se = None, None

@@ -161,16 +161,18 @@ def evaluate(
 # -- Newton ascent -----------------------------------------------------
 
 
+_STEP_TOL = 1e-8  # Newton stops once every entry of the last step is this small
+_SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
+_RANDOM_STARTS = 3  # uniform draws from the box that a multistart fit adds
+
+
 @dataclass(frozen=True)
 class FitOptions:
     """Optimizer controls; defaults suit series of a few hundred points."""
 
     criterion: str = "logistic"
     max_iter: int = 500
-    step_tol: float = 1e-8
-    score_tol: float = 1e-6
     multistart: bool = True
-    n_random_starts: int = 3
     seed: int = 0
     start: tuple[float, ...] | None = None
 
@@ -273,13 +275,13 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         th = base + basis @ xi
-        level = opts.score_tol * (1.0 + abs(parts.loglik))
+        level = _SCORE_TOL * (1.0 + abs(parts.loglik))
         working = ((th <= lo_pin) & (parts.score < 0.0)) | ((th >= hi_pin) & (parts.score > 0.0))
         s_xi = basis.T @ parts.score
         h_xi = basis.T @ parts.hess @ basis
         dirs = face_directions(working)
         sp = float(np.max(np.abs(dirs.T @ s_xi), initial=0.0))
-        if sp <= level and last_step <= opts.step_tol:
+        if sp <= level and last_step <= _STEP_TOL:
             converged = True
             break
         # grow the working set until the Newton direction clears every
@@ -333,7 +335,7 @@ def _build_starts(model: ModelSpec, y, lo, hi, opts: FitOptions) -> list[np.ndar
         rng = np.random.Generator(
             np.random.Philox(np.random.SeedSequence(opts.seed, spawn_key=(101,)))
         )
-        for _ in range(opts.n_random_starts):
+        for _ in range(_RANDOM_STARTS):
             starts.append(rng.uniform(lo, hi))
     return starts
 

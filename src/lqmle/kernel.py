@@ -36,6 +36,7 @@ __all__ = [
 STABLE_MC_DRAWS = 10_000_000
 STABLE_MC_SEED = 20240817
 _CHUNK = 1_000_000
+_QUAD_TOL = 1e-10  # absolute accuracy asked of the kernel-expectation quadrature
 
 
 def logistic_cdf(x):
@@ -80,13 +81,13 @@ def scale_kernel(x):
     return out if out.ndim else float(out)
 
 
-def _expectation_by_quadrature(dist: InnovationDist, tol: float) -> float:
+def _expectation_by_quadrature(dist: InnovationDist) -> float:
     # E[k(cX)] = c E|X| - 4c * int_0^U x F(-cx) p(x) dx, using
     # k(y) = |y| - 2|y| (1 - F(|y|)) and symmetry of p.  The correction
     # integrand decays like exp(-cx) so a finite upper limit suffices.
     c = dist.scale
     upper = min(dist.base_support_end(), 800.0 / c)
-    eps = max(tol / 10.0, 1e-13)
+    eps = _QUAD_TOL / 10.0
 
     def integrand(x):
         return x * logistic_cdf(-c * x) * dist.base_pdf(x)
@@ -127,7 +128,7 @@ def stable_kernel_expectation(
     return mean, float(np.sqrt(var / draws))
 
 
-def kernel_expectation(dist: InnovationDist, tol: float = 1e-10) -> float:
+def kernel_expectation(dist: InnovationDist) -> float:
     """E[k(X)] for the scaled law, k the even kernel x (2 F(x) - 1).
 
     Closed-form-density families go through adaptive quadrature with a
@@ -140,7 +141,7 @@ def kernel_expectation(dist: InnovationDist, tol: float = 1e-10) -> float:
     if dist.family == "stable":
         value, _ = stable_kernel_expectation(dist.shape, dist.scale)
         return value
-    return _expectation_by_quadrature(dist, tol)
+    return _expectation_by_quadrature(dist)
 
 
 def _find_root(objective, lo: float, hi: float, xtol: float, grow: bool = False) -> float:

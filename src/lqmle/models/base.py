@@ -166,6 +166,8 @@ def simulate(
     generator built from ``seed``).  The first ``burn`` observations
     are discarded.
     """
+    if nobs < 1 or burn < 0:
+        raise ShapeMismatch(f"need nobs >= 1 and burn >= 0, got nobs={nobs}, burn={burn}")
     if innovations is None:
         if dist is None:
             raise ValueError("either innovations or dist must be supplied")

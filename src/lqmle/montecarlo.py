@@ -68,8 +68,8 @@ class Scenario:
                 f"theta0 has {len(self.theta0)} values; "
                 f"{self.model.name} has {self.model.dim} parameters"
             )
-        if self.reps < 1 or self.nobs < 1:
-            raise ValueError("reps and nobs must be positive")
+        if self.reps < 1 or self.nobs < 1 or self.burn < 0:
+            raise ValueError("reps and nobs must be positive and burn nonnegative")
         if self.nobs < 10 * len(self.theta0):
             raise ValueError(
                 f"nobs={self.nobs} too small for {len(self.theta0)} parameters"
@@ -290,9 +290,11 @@ def population_information(
     y = model.path(np.asarray(theta0, dtype=float), eta)
     out = model.filter(y, theta0, order=1)
     sl = slice(burn, None)
-    w = out.dsigma2[sl] / out.sigma2[sl][:, None]
+    # divide the filter's own derivative blocks in place: no n x d quotients
+    w, dg = out.dsigma2[sl], out.dmean[sl]
+    w /= out.sigma2[sl][:, None]
+    dg /= out.sigma[sl][:, None]
     ms = w.T @ w / (4.0 * nobs)
-    dg = out.dmean[sl] / out.sigma[sl][:, None]
     mg = dg.T @ dg / nobs
     mom = kernel_moments(eta[sl])
     a0 = (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg

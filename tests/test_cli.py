@@ -332,3 +332,215 @@ def test_render_unknown_schema(tmp_path):
 
 def test_render_missing_file(tmp_path):
     assert main(["render", str(tmp_path / "none.json")]) == 3
+
+
+# -- one spec parser for flags and config ------------------------------------
+
+SCENARIO = (
+    "scenarios:\n"
+    "  - model: {name: dar, order: [1, 1]}\n"
+    "    theta0: [1.0, 0.5, 0.3, 0.5]\n"
+    "    nobs: 120\n"
+    "    reps: 2\n"
+    "    seed: 5\n"
+)
+
+
+@pytest.mark.parametrize(
+    "config,rc,message",
+    [
+        (SCENARIO + "    dist: logistic\n", 0, ""),
+        ("scenarios:\n  - 3\n", 3, "scenario 0: expected a mapping, got 3"),
+        ("scenarios:\n", 3, "expected a mapping with a 'scenarios' list"),
+        (SCENARIO + "    dist: {family: t}\n", 3, "family t needs nu"),
+        (SCENARIO + "    dist: {family: cauchy}\n", 3, "dist family 'cauchy'"),
+        (SCENARIO + "    dist: {family: empirical}\n", 3, "family empirical needs data"),
+        (SCENARIO + "    dist: logistic\n    burn: -5\n", 3, "burn nonnegative"),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "{name: dar, intercept: false}")
+            + "    dist: logistic\n",
+            3,
+            "intercept applies to arma_garch only",
+        ),
+    ],
+    ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
+         "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar"],
+)
+def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(config)
+    out = tmp_path / "mc.json"
+    assert main(["mc", str(cfg), "--out", str(out)]) == rc
+    assert out.exists() == (rc == 0)
+    assert message in capsys.readouterr().err
+
+
+DAR_SIM = ["simulate", "--model", "dar", "--theta", "1.0,0.5,0.3,0.5", "--seed", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--model", "dar", "--no-intercept", "--theta", "1.0,0.5,0.3,0.5", "--n", "30"],
+         "intercept applies to arma_garch only, not dar"),
+        (["--model", "garch", "--no-intercept", "--theta", "1.0,0.1,0.3", "--n", "30"],
+         "not garch"),
+        (["--model", "expar", "--no-intercept", "--theta", "0.3,0.4,1.0", "--n", "30"],
+         "not expar"),
+        (DAR_SIM[1:] + ["--n", "30", "--burn", "-1"], "burn >= 0"),
+        (DAR_SIM[1:] + ["--n", "0"], "nobs >= 1"),
+        (DAR_SIM[1:] + ["--n", "-5"], "nobs >= 1"),
+        (DAR_SIM[1:] + ["--n", "30", "--dist", "t"], "family t needs nu"),
+        (DAR_SIM[1:] + ["--n", "30", "--dist", "stable"], "family stable needs alpha"),
+        (DAR_SIM[1:] + ["--n", "30", "--dist", "empirical"], "family empirical needs data"),
+        (DAR_SIM[1:] + ["--n", "30", "--order", "1,2,3"], "dar takes order P,Q"),
+    ],
+    ids=["no-intercept-dar", "no-intercept-garch", "no-intercept-expar", "negative-burn",
+         "zero-n", "negative-n", "t-without-nu", "stable-without-alpha",
+         "empirical-without-data", "dar-order-3"],
+)
+def test_simulate_flags_fail_cleanly(tmp_path, capsys, argv, message):
+    out = tmp_path / "y.csv"
+    assert main(["simulate", *argv, "--out", str(out)]) == 2
+    assert not out.exists()
+    assert not out.with_name("y.csv.manifest.json").exists()
+    assert message in capsys.readouterr().err
+
+
+def test_simulate_manifest_digests_empirical_draws(tmp_path):
+    digests = []
+    for name, values in (("a", "-1.0\n0.5\n1.0\n"), ("b", "-2.0\n0.5\n1.0\n")):
+        draws = tmp_path / f"{name}-draws.csv"
+        draws.write_text(values)
+        out = tmp_path / f"{name}.csv"
+        argv = DAR_SIM + ["--n", "30", "--dist", "empirical", "--dist-data", str(draws)]
+        assert main(argv + ["--out", str(out)]) == 0
+        doc = json.loads(out.with_name(f"{name}.csv.manifest.json").read_text())
+        assert doc["manifest"]["input_sha256"] == hashlib.sha256(draws.read_bytes()).hexdigest()
+        digests.append(doc["manifest"]["input_sha256"])
+    assert digests[0] != digests[1]
+    out = tmp_path / "logistic.csv"
+    assert main(DAR_SIM + ["--n", "30", "--out", str(out)]) == 0
+    doc = json.loads(out.with_name("logistic.csv.manifest.json").read_text())
+    assert doc["manifest"]["input_sha256"] is None
+
+
+DRAWS = (-1.5, -0.4, 0.1, 0.3, 0.9, 2.2, -0.7)
+
+# model form -> (flags, config model entry, theta)
+FORMS = {
+    "dar-1,1": (["--model", "dar", "--order", "1,1"], {"name": "dar", "order": [1, 1]},
+                "1.0,0.5,0.3,0.5"),
+    "dar-2,1": (["--model", "dar", "--order", "2,1"], {"name": "dar", "order": [2, 1]},
+                "0.5,0.3,0.1,0.4,0.3"),
+    "garch-1,1": (["--model", "garch", "--order", "1,1"], {"name": "garch", "order": [1, 1]},
+                  "1.0,0.15,0.4"),
+    "garch-1,2": (["--model", "garch", "--order", "1,2"], {"name": "garch", "order": [1, 2]},
+                  "1.0,0.15,0.2,0.2"),
+    "expar-1": (["--model", "expar", "--order", "1"], {"name": "expar", "order": 1},
+                "0.3,0.4,1.0"),
+    "arma_garch": (["--model", "arma_garch"], "arma_garch", "0.1,0.5,0.2,0.5,0.2,0.5"),
+    "arma_garch-no-intercept": (
+        ["--model", "arma_garch", "--no-intercept"],
+        {"name": "arma_garch", "intercept": False},
+        "0.5,0.2,0.5,0.2,0.5",
+    ),
+}
+
+# family -> (flags, config dist entry); the empirical flags name a draw file
+FAMILIES = {
+    "logistic": ([], "logistic"),
+    "normal": (["--dist-scale", "1.75"], {"family": "normal", "scale": 1.75}),
+    "uniform": (["--dist-scale", "2.85"], {"family": "uniform", "scale": 2.85}),
+    "t": (["--nu", "3", "--dist-scale", "1.25"], {"family": "t", "nu": 3, "scale": 1.25}),
+    "stable": (["--alpha", "1.7"], {"family": "stable", "alpha": 1.7}),
+    "empirical": (["--dist-data", "DRAWS"], {"family": "empirical", "data": list(DRAWS)}),
+}
+
+
+def _simulate_argv(form, family, draws):
+    flags, _, theta = FORMS[form]
+    dist_flags = [str(draws) if v == "DRAWS" else v for v in FAMILIES[family][0]]
+    return ["simulate", *flags, "--dist", family, *dist_flags, "--theta", theta,
+            "--n", "60", "--burn", "20", "--seed", "3"]
+
+
+@pytest.fixture()
+def draws_csv(tmp_path):
+    path = tmp_path / "draws.csv"
+    path.write_text("".join(f"{v}\n" for v in DRAWS))
+    return path
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("form", FORMS)
+def test_flags_and_config_build_equal_specs(draws_csv, form, family):
+    from lqmle.cli import _flag_dist, _flag_model, _load_scenarios, build_parser
+
+    args = build_parser().parse_args(_simulate_argv(form, family, draws_csv) + ["--out", "y"])
+    _, model_entry, theta = FORMS[form]
+    raw = {
+        "model": model_entry,
+        "dist": FAMILIES[family][1],
+        "theta0": [float(v) for v in theta.split(",")],
+        "nobs": 100,
+        "reps": 1,
+    }
+    (scenario,) = _load_scenarios({"scenarios": [raw]}, "config", 0)
+    assert _flag_model(args) == scenario.model
+    assert _flag_dist(args) == scenario.dist
+
+
+# sha256 of each simulated series: how a spec is parsed must not move a draw
+SIMULATE_SHA256 = {
+    ("dar-1,1", "logistic"): "8d959df463abf0b469df625c594a62783bd90afc252d910b78d648cbbe31351b",
+    ("dar-1,1", "normal"): "1e814d69f4a4b5e6d746d59b86c9984b3943f5eb4a5d330ff0de91837e6ab36f",
+    ("dar-1,1", "uniform"): "044b4d2f5ce5dee4a9b3d9ba3f880509737213e810b135f1912ba0059009edf5",
+    ("dar-1,1", "t"): "c8c35ff088b9306820dfa99ad9d9f3358b641761af338377b662641508806059",
+    ("dar-1,1", "stable"): "54e22a3d914faa82385b2d19d8f2edc79cbd912cabe205d3a90a8dbaa68f65bf",
+    ("dar-1,1", "empirical"): "46fd866893a44a09f6496ebe2f439280eca41154c416055f85e3d4a744d0002c",
+    ("dar-2,1", "logistic"): "6f0208f5501cb97041b8b7c9d7f7745a8b9cf13735820b900a4029b1292298a7",
+    ("dar-2,1", "normal"): "d5c61d21d20c36ad7e49e6545fecb58c3cd60ea5504fd6f7cb303ff58111e369",
+    ("dar-2,1", "uniform"): "d6c44c118ba417e0e8cff1ce39325ab9050fcdc951ec4134219f7c2b90e28fe6",
+    ("dar-2,1", "t"): "49df6a195a153ea64a37b4f1c91ed7d5bbc6e0628fe236b15fe9ea54aad03856",
+    ("dar-2,1", "stable"): "805b2980ccd2fc935ba362f110ba38b0fc162b545f2cb7931c76015b24e8123a",
+    ("dar-2,1", "empirical"): "277c4f618cbe87d463f83806513c63b9495691a95498d7795f46d5cc955885a1",
+    ("garch-1,1", "logistic"): "aae99eb5f246cf5d6faa3ef413a3d34ce9008ebe93ff2a173180a1cf37c3ccca",
+    ("garch-1,1", "normal"): "5c809b5799db6ce07938676d8b0b5e05ced9a0625609fc15ff9293897d3bcb99",
+    ("garch-1,1", "uniform"): "374bcc306a2406cb6d94eca033f85773c5fb22b8a344d63c80d7f4163c80b294",
+    ("garch-1,1", "t"): "03c39e3f1e984b93eaee363c8525cf94066b94af258d8d873f1f25dcd5480dd4",
+    ("garch-1,1", "stable"): "de9c91aad686fb7ae62c3318d0f6464bfa70dc3215b01b4437256055ad4dc8f6",
+    ("garch-1,1", "empirical"): "4fa3b8ada85258cd52bc36eabaa0905d841ea1915fed9b4324b490431dd58613",
+    ("garch-1,2", "logistic"): "67c2139719dcbb8e306165d33ff17c0e5115983f6041a8f631a7e2a847b73774",
+    ("garch-1,2", "normal"): "7777bdb6219e4c5c3e6de916ee98e1242cc15e56f37bee1ae356fd360f9726ad",
+    ("garch-1,2", "uniform"): "c87bba4a0caab5d895304fec1bdbf1227d1ec7d113fe010691e37c38416c901f",
+    ("garch-1,2", "t"): "d4d8e13c90b4809c681d79040e2fe066ed17e56e95a30c95a6598c74038eccd1",
+    ("garch-1,2", "stable"): "733c6e9da3dc26fc0cc6715796a66f2c03fbe720db5ad13c14357fec50be3fae",
+    ("garch-1,2", "empirical"): "809c605e038cdc10a2245368260723ec564f84edc037c2f60e83861db1d85ed2",
+    ("expar-1", "logistic"): "8cfca699d43da87ec40bfeb5feaac934a973784a1ecbc1e29f116ee7645ba272",
+    ("expar-1", "normal"): "03d84764c77e4078a270f029934960748ebaf29aacbcea261c234d2929aec198",
+    ("expar-1", "uniform"): "887ed1b15c9ad6ca155004538180c1807583ec29951c4d819abcffc0d2e19a9e",
+    ("expar-1", "t"): "70d1732cfff6e9c96893bcc876dc0f6f927a2c67d38c4b4774f82aa54ec46d0f",
+    ("expar-1", "stable"): "ddf1ef3d0d2e40bd20dcdad4b37516cd97a90d1111d7e5f41243f11cc00207f8",
+    ("expar-1", "empirical"): "f6d298ef5f4da115e79c3e66506853261860094157bae8d9fd0ba88b5aa92f7c",
+    ("arma_garch", "logistic"): "805babc77dc3b500d99da1e9c255d63b538b0cdbaf828802694309659028f808",
+    ("arma_garch", "normal"): "f4135c36ca2851bf4d3692c71938d7456210bfe526ae7b078970707a125a734a",
+    ("arma_garch", "uniform"): "04073d05d569d4bd36f249d1839f5f427d801ef110aadc7675dc038e9506c76e",
+    ("arma_garch", "t"): "cb3b72219e34bbd80715696ae320f137628f58a6499d40f84061e8378ba8800d",
+    ("arma_garch", "stable"): "62ef4762d95c77575cb1841aa6855b1d2856585c4bece42ed490fcf5891c6efc",
+    ("arma_garch", "empirical"): "2e87de4a08fd1db85607d99f6c48b31b78802141af2f47737eaed32ea2ca81ac",
+    ("arma_garch-no-intercept", "logistic"): "62993ba4de4a8f9b9f6be10a8a8e78d41c60ab1e424d64e3653bbdbbb080e0b5",
+    ("arma_garch-no-intercept", "normal"): "609570ec1d9dceddfdcd270f2bda6c51336efe69470a737a529a7ae05fc198b7",
+    ("arma_garch-no-intercept", "uniform"): "2b09dc6a835418598a0e97d0e8fd6229759e24e842381f6338d6d464c8ab468e",
+    ("arma_garch-no-intercept", "t"): "81dc2278f578c52b5864015fc701679e019f16d3b77ab1103f5fad94d2f87e30",
+    ("arma_garch-no-intercept", "stable"): "bbdf95c0a8c822d8b859e571e0010ad1eb61dfefd643d261112dc7e6b6abdb56",
+    ("arma_garch-no-intercept", "empirical"): "a48cc2097454bdd44f205548cd9b6f9e62593e3cf88839d332d9e816d2d906ba",
+}
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("form", FORMS)
+def test_simulate_series_match_golden_digests(tmp_path, draws_csv, form, family):
+    out = tmp_path / "y.csv"
+    assert main(_simulate_argv(form, family, draws_csv) + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[form, family]

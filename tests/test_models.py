@@ -195,6 +195,14 @@ def test_simulate_burn_drops_transient():
     np.testing.assert_array_equal(full[10:], burned)
 
 
+@pytest.mark.parametrize("nobs,burn", [(30, -1), (0, 0), (-5, 0)])
+def test_simulate_rejects_negative_burn_and_empty_series(nobs, burn):
+    # burn=-1 used to return one observation, nobs=0 an empty series
+    m = make_model("dar", p=1, q=1)
+    with pytest.raises(ShapeMismatch, match="nobs >= 1 and burn >= 0"):
+        simulate(m, np.array([1.0, 0.5, 0.3, 0.5]), nobs, logistic(), seed=1, burn=burn)
+
+
 def test_lyapunov_contractive_dar():
     m = make_model("dar", p=1, q=1)
     val, se = lyapunov_exponent(m, np.array([0.0, 0.5, 1.0, 0.5]), logistic(), draws=200_000, seed=1)

@@ -12,6 +12,7 @@ import pytest
 
 from lqmle.distributions import logistic, student_t
 from lqmle.errors import ExcessiveFailures
+from lqmle.estimation import kernel_moments
 from lqmle.models import make_model
 from lqmle.montecarlo import (
     Scenario,
@@ -95,6 +96,11 @@ def test_alternative_scale_must_be_positive():
 def test_nobs_guard():
     with pytest.raises(ValueError, match="nobs"):
         _dar_scenario(nobs=30)
+
+
+def test_burn_guard():
+    with pytest.raises(ValueError, match="burn"):
+        _dar_scenario(burn=-5)
 
 
 def test_records_carry_replication_outcomes():
@@ -204,6 +210,39 @@ def test_information_equality_at_logistic_truth():
     )
     gap = np.linalg.norm(a0 - b0, 2) / np.linalg.norm(a0, 2)
     assert gap < 0.02
+
+
+def _population_information_with_copies(model, theta0, dist, nobs, seed=0, burn=1_000):
+    # the quotients as fresh n x d arrays, the way they were first written
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    eta = dist.sample(rng, nobs + burn)
+    y = model.path(np.asarray(theta0, dtype=float), eta)
+    out = model.filter(y, theta0, order=1)
+    sl = slice(burn, None)
+    w = out.dsigma2[sl] / out.sigma2[sl][:, None]
+    ms = w.T @ w / (4.0 * nobs)
+    dg = out.dmean[sl] / out.sigma[sl][:, None]
+    mg = dg.T @ dg / nobs
+    mom = kernel_moments(eta[sl])
+    return (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg, mom.m2 * ms + mom.t2 * mg
+
+
+@pytest.mark.parametrize(
+    "name,kw,theta",
+    [
+        ("dar", {"p": 1, "q": 1}, (1.0, 0.5, 0.3, 0.5)),
+        ("garch", {"p": 1, "q": 1}, (1.0, 0.15, 0.4)),
+        ("arma_garch", {"include_intercept": False}, (0.5, 0.2, 0.5, 0.2, 0.5)),
+        ("expar", {"p": 1}, (0.3, 0.4, 1.0)),
+    ],
+)
+def test_population_information_divides_in_place_with_same_bits(name, kw, theta):
+    model = make_model(name, **kw)
+    got = population_information(model, np.array(theta), student_t(3.0), nobs=20_000, seed=4)
+    want = _population_information_with_copies(
+        model, np.array(theta), student_t(3.0), nobs=20_000, seed=4
+    )
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 def test_normality_sample_shape_and_scaling():
