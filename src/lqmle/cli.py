@@ -415,16 +415,34 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
     return scenarios
 
 
+# top-level mc config keys: default, what a value must be, and the test of it
+_TOP_LEVEL = {
+    "seed": (None, "a nonnegative integer", lambda v: v is None or isinstance(v, int) and v >= 0),
+    "workers": (1, "a positive integer", lambda v: isinstance(v, int) and v >= 1),
+    "max_failure_fraction": (
+        0.2, "a number in [0, 1]", lambda v: isinstance(v, (int, float)) and 0.0 <= v <= 1.0
+    ),
+}
+
+
+def _top_level(config: dict, path, key: str):
+    """config[key] or its default; DataFormatError naming the key unless it is valid."""
+    default, expected, valid = _TOP_LEVEL[key]
+    value = config.get(key, default)
+    if isinstance(value, bool) or not valid(value):
+        raise DataFormatError(f"{path}: {key} must be {expected}, got {value!r}")
+    return value
+
+
 def _cmd_mc(args) -> int:
     with open(args.config) as fh:
         config = yaml.safe_load(fh)
     if not isinstance(config, dict) or not isinstance(config.get("scenarios"), list):
         raise DataFormatError(f"{args.config}: expected a mapping with a 'scenarios' list")
-    seed = args.seed if args.seed is not None else config.get("seed")
-    seed = _resolve_seed(seed)
+    seed, workers, max_fail = (_top_level(config, args.config, key) for key in _TOP_LEVEL)
+    seed = _resolve_seed(args.seed if args.seed is not None else seed)
     scenarios = _load_scenarios(config, args.config, seed)
-    workers = args.workers if args.workers is not None else int(config.get("workers", 1))
-    max_fail = float(config.get("max_failure_fraction", 0.2))
+    workers = args.workers if args.workers is not None else workers
     summaries, failed = [], []
     for i, sc in enumerate(scenarios):
         t0 = time.perf_counter()

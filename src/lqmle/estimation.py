@@ -161,7 +161,7 @@ def evaluate(
 # -- Newton ascent -----------------------------------------------------
 
 
-_STEP_TOL = 1e-8  # Newton stops once every entry of the last step is this small
+_STEP_TOL = 1e-8  # Newton stops once every entry of the last or next step is this small
 _SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
 _RANDOM_STARTS = 3  # uniform draws from the box that a multistart fit adds
 
@@ -304,6 +304,10 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
             dirs = face_directions(working)
         if delta is None or not np.any(delta):
             converged = sp <= level
+            break
+        if sp <= level and float(np.max(np.abs(alpha_cap * delta))) <= _STEP_TOL:
+            # a step this small cannot raise the criterion past rounding
+            converged = True
             break
         accepted = False
         alpha = alpha_cap
@@ -523,15 +527,15 @@ class KernelMoments:
         return self.m2 / (1.0 + 2.0 * self.mf) ** 2
 
 
+def _kernel_sums(x: np.ndarray) -> np.ndarray:
+    """The sums over x whose means are the KernelMoments (m2, mf, ef, t2)."""
+    t, fx, u = _logistic_weights(x)
+    return np.array([np.sum((u - 1.0) ** 2), np.sum(x * x * fx), np.sum(fx), np.sum(t * t)])
+
+
 def kernel_moments(eta) -> KernelMoments:
     x = np.asarray(eta, dtype=float).ravel()
-    t, fx, u = _logistic_weights(x)
-    return KernelMoments(
-        m2=float(np.mean((u - 1.0) ** 2)),
-        mf=float(np.mean(x * x * fx)),
-        ef=float(np.mean(fx)),
-        t2=float(np.mean(t * t)),
-    )
+    return KernelMoments(*(float(s) / x.size for s in _kernel_sums(x)))
 
 
 def _scale_only_pieces(model: ModelSpec, y, theta):

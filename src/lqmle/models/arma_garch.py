@@ -117,28 +117,31 @@ class ArmaGarch(ModelSpec):
         d2e[:, i_ma, :m] = block
         d2e[:, :m, i_ma] = block
 
-        # second-derivative drives of sigma2 on the upper triangle: the
-        # residuals depend on the mean block only, so alpha1 e_{t-1}^2
-        # feeds the mean block and the alpha1 column; beta1 feeds every
-        # lagged first derivative back through its column (the last)
+        # second-derivative drives of sigma2, built straight onto the upper
+        # triangle (row-major pairs k <= l): the residuals depend on the
+        # mean block only, so alpha1 e_{t-1}^2 feeds the mean block and the
+        # alpha1 column; beta1 feeds every lagged first derivative back
+        # through its column (the last)
         i_a1, i_b1 = m + 1, m + 2
+        k, l = np.triu_indices(d)
+        in_mean, in_a1, in_b1 = l < m, (l == i_a1) & (k < m), l == i_b1
+        km, lm = k[in_mean], l[in_mean]
         dem = delag[:, :m]
-        w = np.zeros((n, d, d))
-        w[:, :m, :m] = 2.0 * alpha1 * (
-            dem[:, :, None] * dem[:, None, :] + elag[:, None, None] * lagged(d2e[:, :m, :m], 1)
+        tri = np.zeros((n, k.size))
+        tri[:, in_mean] = 2.0 * alpha1 * (
+            dem[:, km] * dem[:, lm] + elag[:, None] * lagged(d2e[:, km, lm], 1)
         )
-        w[:, :m, i_a1] = 2.0 * elag[:, None] * dem
+        tri[:, in_a1] = 2.0 * elag[:, None] * dem
         ds2lag = lagged(dsigma2, 1)
-        w[:, :, i_b1] += ds2lag
-        w[:, i_b1, i_b1] += ds2lag[:, i_b1]
+        tri[:, in_b1] += ds2lag
+        tri[:, -1] += ds2lag[:, i_b1]  # (beta1, beta1) takes its lag twice
         # filter the upper triangle once and mirror it
-        k, l = zip(*[(k, l) for k in range(d) for l in range(k, d)])
-        filtered = lfilter([1.0], gj_den, w[:, k, l], axis=0)
+        filtered = lfilter([1.0], gj_den, tri, axis=0)
         d2sigma2 = np.empty((n, d, d))
         d2sigma2[:, k, l] = filtered
         d2sigma2[:, l, k] = filtered
 
-        out.d2mean = -d2e
+        out.d2mean = np.negative(d2e, out=d2e)
         out.d2sigma2 = d2sigma2
         return out
 

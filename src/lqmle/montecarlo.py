@@ -17,8 +17,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .distributions import InnovationDist
-from .errors import ExcessiveFailures, LqmleError
-from .estimation import FitOptions, fit, fit_constrained, kernel_moments, sandwich_cov
+from .errors import ExcessiveFailures, LqmleError, NonFiniteObjective
+from .estimation import FitOptions, KernelMoments, _kernel_sums, fit, fit_constrained, sandwich_cov
 from .inference import lm_test, wald_test
 from .models.base import ModelSpec, simulate
 from .reports import fields_dict
@@ -34,6 +34,8 @@ __all__ = [
 ]
 
 _CRITERION = {"lqmle": "logistic", "gqmle": "gaussian"}
+# kept rows per filter call in population_information; sets its peak memory
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -202,7 +204,7 @@ def run_scenario(
 
     good = [rec for rec in records if rec.ok]
     failures = scenario.reps - len(good)
-    if failures > max_failure_fraction * scenario.reps:
+    if failures > max_failure_fraction * scenario.reps or not good:
         examples = "; ".join(rec.error for rec in records if not rec.ok)
         raise ExcessiveFailures(
             f"{failures}/{scenario.reps} replications failed: {examples[:500]}"
@@ -253,8 +255,14 @@ def normality_sample(
     rows from usable replications together with the square roots of the
     diagonal of the limiting sandwich covariance, estimated from one
     long path of ``info_nobs`` observations.  Dividing column j by
-    asd[j] should produce draws close to standard normal.
+    asd[j] should produce draws close to standard normal.  The limit is
+    that of the logistic criterion, so a gqmle scenario is refused.
     """
+    if scenario.estimator != "lqmle":
+        raise ValueError(
+            f"normality_sample needs an lqmle scenario, got {scenario.estimator!r}: "
+            "population_information gives the logistic (A, B) only"
+        )
     summary = run_scenario(scenario, workers=workers, keep_records=True)
     truth = scenario.dgp_theta
     rows = [
@@ -284,22 +292,50 @@ def population_information(
     E[dsigma2 dsigma2' / (4 sigma^4)] and E[dmean dmean' / sigma^2]
     with the innovation moments of the logistic weights.  The same
     innovations that drive the path supply the moment estimates.
+
+    The kept observations are filtered in blocks of ``_BLOCK`` rows, so
+    memory is set by the block and not by nobs.  Each block is filtered
+    from a zero start ``burn`` observations before its first row, which
+    it then drops: the same forgetting the burn-in relies on.  With
+    nobs <= _BLOCK there is one block, the whole path.  A path or a
+    filter that is not finite (theta0 explosive under this law) raises
+    NonFiniteObjective.
     """
+    th = np.asarray(theta0, dtype=float)
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     eta = dist.sample(rng, nobs + burn)
-    y = model.path(np.asarray(theta0, dtype=float), eta)
-    out = model.filter(y, theta0, order=1)
-    sl = slice(burn, None)
-    # divide the filter's own derivative blocks in place: no n x d quotients
-    w, dg = out.dsigma2[sl], out.dmean[sl]
-    w /= out.sigma2[sl][:, None]
-    dg /= out.sigma[sl][:, None]
-    ms = w.T @ w / (4.0 * nobs)
-    mg = dg.T @ dg / nobs
-    mom = kernel_moments(eta[sl])
+    ms = mg = sums = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = model.path(th, eta)
+        _require_finite(~np.isfinite(y), 0, "path")
+        for start in range(burn, nobs + burn, _BLOCK):
+            stop = min(start + _BLOCK, nobs + burn)
+            out = model.filter(y[start - burn : stop], th, order=1)
+            # divide the filter's own derivative blocks in place: no n x d quotients
+            w, dg = out.dsigma2[burn:], out.dmean[burn:]
+            w /= out.sigma2[burn:][:, None]
+            dg /= out.sigma[burn:][:, None]
+            ms = ms + w.T @ w
+            mg = mg + dg.T @ dg
+            if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(mg))):
+                rows = np.column_stack([w * w, dg * dg])
+                _require_finite(~np.isfinite(rows).all(axis=1), start, "filter")
+            sums = sums + _kernel_sums(eta[start:stop])
+    ms = ms / (4.0 * nobs)
+    mg = mg / nobs
+    mom = KernelMoments(*(float(s) / nobs for s in sums))
     a0 = (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg
     b0 = mom.m2 * ms + mom.t2 * mg
     return a0, b0
+
+
+def _require_finite(bad: np.ndarray, offset: int, what: str) -> None:
+    """NonFiniteObjective naming the first flagged row, counted from offset."""
+    if bad.any():
+        t = offset + int(np.argmax(bad))
+        raise NonFiniteObjective(
+            f"population {what} at theta0 is not finite from observation {t} on"
+        )
 
 
 def gqmle_fit(model: ModelSpec, y, options: FitOptions | None = None):

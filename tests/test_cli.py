@@ -544,3 +544,35 @@ def test_simulate_series_match_golden_digests(tmp_path, draws_csv, form, family)
     out = tmp_path / "y.csv"
     assert main(_simulate_argv(form, family, draws_csv) + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SIMULATE_SHA256[form, family]
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [
+        ("workers: two", "workers must be a positive integer, got 'two'"),
+        ("workers: 0", "workers must be a positive integer, got 0"),
+        ("workers: -3", "workers must be a positive integer, got -3"),
+        ("workers: 1.5", "workers must be a positive integer, got 1.5"),
+        ("workers: true", "workers must be a positive integer, got True"),
+        ("max_failure_fraction: lots", "max_failure_fraction must be a number in [0, 1], got 'lots'"),
+        ("max_failure_fraction: -1", "max_failure_fraction must be a number in [0, 1], got -1"),
+        ("max_failure_fraction: 1.5", "max_failure_fraction must be a number in [0, 1], got 1.5"),
+        ("seed: abc", "seed must be a nonnegative integer, got 'abc'"),
+        ("seed: -1", "seed must be a nonnegative integer, got -1"),
+    ],
+)
+def test_mc_top_level_keys_exit_3(tmp_path, capsys, line, message):
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(f"{line}\n{SCENARIO}    dist: logistic\n")
+    out = tmp_path / "mc.json"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_mc_top_level_keys_in_range_run(tmp_path):
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(f"seed: 3\nworkers: 1\nmax_failure_fraction: 1\n{SCENARIO}    dist: logistic\n")
+    out = tmp_path / "mc.json"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["manifest"]["seed"] == 3

@@ -4,12 +4,16 @@ The frozen triples were recomputed by hand from the zero-initialized
 recursions before being pinned here.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.signal import lfilter
 
 from lqmle.distributions import logistic, normal
 from lqmle.errors import ShapeMismatch
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
+from lqmle.models.base import FilterOutput, _floor_sigma2
 from lqmle.models.stationarity import lyapunov_exponent
 
 Y3 = np.array([1.0, 2.0, 3.0])
@@ -370,3 +374,71 @@ def test_path_of_a_few_steps_matches_oracle(name, kw, theta, n):
     eta = np.linspace(-1.0, 1.5, n)
     th = np.asarray(theta)
     assert np.array_equal(m.path(th, eta), PATH_ORACLES[name](m, th, eta))
+
+
+def _arma_garch_order2_oracle(m, y, th):
+    # the order-2 ARMA-GARCH filter as first vectorized: the sigma2 drives
+    # filled into an (n, d, d) array, then copied out on the upper triangle
+    n, d, mm = y.size, m.dim, m._nmean
+    const, ar1, ma1, alpha0, alpha1, beta1 = m._unpack(th)
+    ma_den, gj_den = np.array([1.0, ma1]), np.array([1.0, -beta1])
+    ylag = lagged(y, 1)
+    e = lfilter([1.0], ma_den, y - const - ar1 * ylag)
+    elag = lagged(e, 1)
+    sigma2_raw = lfilter([1.0], gj_den, alpha0 + alpha1 * elag * elag)
+    sigma2, sigma, clamped = _floor_sigma2(sigma2_raw)
+    de = np.zeros((n, d))
+    de_drives = np.empty((n, mm))
+    col = 0
+    if m.include_intercept:
+        de_drives[:, col] = -1.0
+        col += 1
+    de_drives[:, col] = -ylag
+    de_drives[:, col + 1] = -elag
+    de[:, :mm] = lfilter([1.0], ma_den, de_drives, axis=0)
+    delag = lagged(de, 1)
+    ds_drives = np.zeros((n, d))
+    ds_drives[:, :mm] = 2.0 * alpha1 * elag[:, None] * delag[:, :mm]
+    ds_drives[:, mm] = 1.0
+    ds_drives[:, mm + 1] = elag * elag
+    ds_drives[:, mm + 2] = lagged(sigma2_raw, 1)
+    dsigma2 = lfilter([1.0], gj_den, ds_drives, axis=0)
+    i_ma = mm - 1
+    d2e = np.zeros((n, d, d))
+    d2e_drives = -delag[:, :mm].copy()
+    d2e_drives[:, i_ma] *= 2.0
+    block = lfilter([1.0], ma_den, d2e_drives, axis=0)
+    d2e[:, i_ma, :mm] = block
+    d2e[:, :mm, i_ma] = block
+    i_a1, i_b1 = mm + 1, mm + 2
+    dem = delag[:, :mm]
+    w = np.zeros((n, d, d))
+    w[:, :mm, :mm] = 2.0 * alpha1 * (
+        dem[:, :, None] * dem[:, None, :] + elag[:, None, None] * lagged(d2e[:, :mm, :mm], 1)
+    )
+    w[:, :mm, i_a1] = 2.0 * elag[:, None] * dem
+    ds2lag = lagged(dsigma2, 1)
+    w[:, :, i_b1] += ds2lag
+    w[:, i_b1, i_b1] += ds2lag[:, i_b1]
+    k, l = zip(*[(k, l) for k in range(d) for l in range(k, d)])
+    filtered = lfilter([1.0], gj_den, w[:, k, l], axis=0)
+    d2sigma2 = np.empty((n, d, d))
+    d2sigma2[:, k, l] = filtered
+    d2sigma2[:, l, k] = filtered
+    return FilterOutput(
+        mean=y - e, sigma2=sigma2, sigma=sigma, dmean=-de, dsigma2=dsigma2,
+        d2mean=-d2e, d2sigma2=d2sigma2, clamped=clamped,
+    )
+
+
+@pytest.mark.parametrize("intercept", [True, False], ids=["intercept", "no-intercept"])
+def test_arma_garch_order2_filter_matches_oracle_bit_for_bit(intercept):
+    m = make_model("arma_garch", include_intercept=intercept)
+    lo, hi = m.default_bounds()
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        y = rng.uniform(0.1, 5.0) * rng.standard_t(3.0, size=int(rng.integers(5, 601)))
+        th = rng.uniform(lo, np.minimum(hi, 5.0))
+        got, want = m.filter(y, th, order=2), _arma_garch_order2_oracle(m, y, th)
+        for f in dataclasses.fields(FilterOutput):
+            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name

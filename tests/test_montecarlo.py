@@ -6,15 +6,18 @@ the worker count must never leak into the numbers.
 """
 
 import json
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from lqmle.distributions import logistic, student_t
-from lqmle.errors import ExcessiveFailures
+from lqmle.errors import ExcessiveFailures, NonFiniteObjective
 from lqmle.estimation import kernel_moments
 from lqmle.models import make_model
 from lqmle.montecarlo import (
+    _BLOCK,
     Scenario,
     normality_sample,
     population_information,
@@ -148,6 +151,24 @@ def test_failure_tolerance_is_configurable():
         run_scenario(sc, max_failure_fraction=0.99)
 
 
+def test_no_usable_replication_fails_at_any_tolerance():
+    # with every failure tolerated there is still nothing to summarize
+    sc = Scenario(
+        model=make_model("garch", p=1, q=1),
+        theta0=(1.0, 0.1, 0.3),
+        dist=logistic(),
+        nobs=120,
+        reps=4,
+        seed=5,
+        constraint=(((1.0, 0.0, 0.0),), (-5.0,)),
+        label="infeasible",
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ExcessiveFailures, match="4/4"):
+            run_scenario(sc, max_failure_fraction=1.0)
+
+
 def test_boundary_estimates_count_as_failures():
     # heavy tails at short samples pin some replications at the box face;
     # those must be excluded from moments, not averaged in
@@ -243,6 +264,73 @@ def test_population_information_divides_in_place_with_same_bits(name, kw, theta)
         model, np.array(theta), student_t(3.0), nobs=20_000, seed=4
     )
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "name,kw,theta",
+    [
+        ("dar", {"p": 1, "q": 1}, (1.0, 0.5, 0.3, 0.5)),
+        ("dar", {"p": 2, "q": 2}, (0.5, 0.3, -0.2, 1.0, 0.2, 0.1)),
+        ("garch", {"p": 1, "q": 1}, (1.0, 0.15, 0.4)),
+        ("garch", {"p": 1, "q": 1}, (0.02, 0.01, 0.97)),
+        ("arma_garch", {}, (0.1, 0.5, 0.2, 0.5, 0.2, 0.5)),
+        ("arma_garch", {"include_intercept": False}, (0.5, 0.2, 0.5, 0.2, 0.5)),
+        ("expar", {"p": 1}, (0.3, 0.4, 1.0)),
+    ],
+    ids=["dar11", "dar22", "garch", "garch-persistent", "arma_garch",
+         "arma_garch-no-intercept", "expar"],
+)
+def test_population_information_in_blocks_matches_one_pass(name, kw, theta):
+    # several blocks, each filtered from a zero start burn rows early,
+    # against one filter pass over the whole path
+    nobs = 200_000
+    assert nobs > 3 * _BLOCK
+    model = make_model(name, **kw)
+    got = population_information(model, np.array(theta), logistic(), nobs=nobs, seed=2)
+    want = _population_information_with_copies(
+        model, np.array(theta), logistic(), nobs=nobs, seed=2
+    )
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_population_information_memory_is_set_by_the_block():
+    # one pass over a 1M path held about 283 MB of arrays for ARMA-GARCH
+    model = make_model("arma_garch", include_intercept=False)
+    tracemalloc.start()
+    try:
+        population_information(model, np.array([0.5, 0.2, 0.5, 0.2, 0.5]), logistic())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
+
+
+@pytest.mark.parametrize(
+    "nobs,burn,message",
+    [
+        (100_000, 1_000, "path at theta0 is not finite from observation 17211"),
+        # the path stays finite, but its squares overflow in the filter
+        (17_210, 0, "filter at theta0 is not finite from observation 17137"),
+    ],
+)
+def test_population_information_fails_early_when_explosive(nobs, burn, message):
+    # alpha1 E eta^2 + beta1 = 0.05 * 3 + 0.94 = 1.09 under t3
+    model = make_model("garch", p=1, q=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteObjective, match=message):
+            population_information(
+                model, np.array([0.05, 0.05, 0.94]), student_t(3.0), nobs=nobs, burn=burn
+            )
+
+
+def test_normality_sample_refuses_gaussian_criterion():
+    # population_information gives the logistic (A, B): a gqmle scenario
+    # would be scaled by the wrong limiting standard deviations
+    sc = _dar_scenario(nobs=200, reps=5, constraint=None, estimator="gqmle")
+    with pytest.raises(ValueError, match="gqmle"):
+        normality_sample(sc, info_nobs=50_000)
 
 
 def test_normality_sample_shape_and_scaling():
