@@ -70,12 +70,25 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     )
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than ``low``, else a usage error naming the flag."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", default="lqmle", choices=sorted(_CRITERION))
     p.add_argument("--start", default=None, help="comma-separated starting values")
     p.add_argument("--no-multistart", action="store_true")
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=500)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
 
 
 # Entries of a model's order, as constructor keywords; arma_garch is fixed at 1,1.
@@ -214,6 +227,17 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
         raise _UsageError(f"{what} must be comma-separated numbers, got {text!r}") from None
 
 
+def _parse_point(text: str, flag: str, model: ModelSpec) -> tuple[float, ...]:
+    """One value per model parameter from a comma-separated flag."""
+    point = _parse_floats(text, flag)
+    if len(point) != model.dim:
+        raise _UsageError(
+            f"{flag} has {len(point)} values; {model.name} needs {model.dim} "
+            f"({', '.join(model.param_names)})"
+        )
+    return point
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -222,10 +246,10 @@ def _resolve_seed(seed: int | None) -> int:
     return fresh
 
 
-def _fit_options(args, seed: int) -> FitOptions:
+def _fit_options(args, seed: int, model: ModelSpec) -> FitOptions:
     start = None
     if args.start is not None:
-        start = _parse_floats(args.start, "--start")
+        start = _parse_point(args.start, "--start", model)
     return FitOptions(
         criterion=_CRITERION[args.criterion],
         max_iter=args.max_iter,
@@ -280,7 +304,7 @@ def _cmd_fit(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
     seed = _resolve_seed(args.seed)
-    opts = _fit_options(args, seed)
+    opts = _fit_options(args, seed, model)
     result = fit(model, y, opts)
     report = residual_diagnostics(model, result, hill_k=args.hill_k)
     residuals_path = None
@@ -327,12 +351,7 @@ def _cmd_fit(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = _flag_model(args)
-    theta = _parse_floats(args.theta, "--theta")
-    if len(theta) != model.dim:
-        raise _UsageError(
-            f"--theta has {len(theta)} values; {model.name} needs {model.dim} "
-            f"({', '.join(model.param_names)})"
-        )
+    theta = _parse_point(args.theta, "--theta", model)
     dist = _flag_dist(args)
     seed = _resolve_seed(args.seed)
     try:
@@ -495,7 +514,7 @@ def _cmd_test(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
     seed = _resolve_seed(args.seed)
-    opts = _fit_options(args, seed)
+    opts = _fit_options(args, seed, model)
     R, r = _parse_restrictions(args.restrict, model.dim)
     result = fit(model, y, opts)
     wald = wald_test(result, R, r)
@@ -556,9 +575,7 @@ def _cmd_calibrate(args) -> int:
 def _cmd_diagnose(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
-    theta = _parse_floats(args.theta, "--theta")
-    if len(theta) != model.dim:
-        raise _UsageError(f"--theta has {len(theta)} values; {model.name} needs {model.dim}")
+    theta = _parse_point(args.theta, "--theta", model)
     parts = evaluate(model, y, np.asarray(theta), order=0)
     # quacks enough like a fit for the diagnostics assembler
     shim = SimpleNamespace(
@@ -615,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_model_args(p)
     _add_fit_args(p)
-    p.add_argument("--hill-k", type=int, default=None, help="order statistics for the Hill index")
+    p.add_argument("--hill-k", type=_int_at_least(2), help="order statistics for the Hill index")
     p.add_argument("--residuals", default=None, help="also write standardized residuals here")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=_cmd_fit)
@@ -626,14 +643,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, help="comma-separated parameter values")
     p.add_argument("--n", type=int, required=True, help="series length")
     p.add_argument("--burn", type=int, default=0)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=_int_at_least(0), default=None)
     p.add_argument("--out", required=True, help="series file to write")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("mc", help="run simulation scenarios from a config file")
     p.add_argument("config", help="YAML (or JSON) scenario file")
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None, help="master seed for derived scenario seeds")
+    p.add_argument("--workers", type=_int_at_least(1), default=None)
+    p.add_argument("--seed", type=_int_at_least(0), help="master seed for derived scenario seeds")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=_cmd_mc)
 
@@ -663,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_model_args(p)
     p.add_argument("--theta", required=True, help="comma-separated parameter values")
-    p.add_argument("--hill-k", type=int, default=None, help="order statistics for the Hill index")
+    p.add_argument("--hill-k", type=_int_at_least(2), help="order statistics for the Hill index")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=_cmd_diagnose)
 

@@ -35,6 +35,7 @@ from .errors import (
     NonstationaryRegionWarning,
     NotScaleOnly,
     RankDeficientConstraint,
+    ShapeMismatch,
     SingularInformation,
 )
 from .kernel import logistic_logpdf
@@ -98,7 +99,14 @@ def evaluate(
     order: int = 0,
     criterion: str = "logistic",
 ) -> CriterionParts:
-    """Evaluate the criterion at theta with derivatives up to ``order``."""
+    """Evaluate the criterion at theta with derivatives up to ``order``.
+
+    Order 1 adds the score and its per-observation rows, order 2 the
+    Hessian of the summed criterion.  The Hessian's second-derivative
+    term comes from one call of the filter's ``curvature`` with the
+    criterion's weights on d2 g_t and d2 sigma2_t, so no (n, d, d)
+    array is built.
+    """
     th = as_array(theta)
     yv = np.asarray(y, dtype=float).ravel()
     out = model.filter(yv, th, order=order)
@@ -132,7 +140,6 @@ def evaluate(
     if order == 1:
         return parts
 
-    d2g, d2s2 = out.d2mean, out.d2sigma2
     s4 = sig2 * sig2
     if criterion == "logistic":
         c_ss = (u - 1.0) / (2.0 * s4) + (u + 2.0 * x * x * fx) / (4.0 * s4)
@@ -148,12 +155,12 @@ def evaluate(
         c_gg = 1.0 / sig2
 
     # per-observation negative Hessian summed over t as matrix products,
-    # then negated once
-    d = dg.shape[1]
+    # then negated once; the filter contracts its own second derivatives
     cross = (ds2 * c_sg[:, None]).T @ dg
     neg_hess = (ds2 * c_ss[:, None]).T @ ds2 + (dg * c_gg[:, None]).T @ dg
     neg_hess += cross + cross.T
-    neg_hess += (c_d2s @ d2s2.reshape(n, d * d) + c_d2g @ d2g.reshape(n, d * d)).reshape(d, d)
+    if out.curvature is not None:
+        neg_hess += out.curvature(c_d2g, c_d2s)
     parts.hess = -neg_hess
     return parts
 
@@ -309,11 +316,13 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
             # a step this small cannot raise the criterion past rounding
             converged = True
             break
+        # the full step is usually taken, so it is evaluated with the
+        # derivatives the next iteration needs; backtracks only compare values
         accepted = False
         alpha = alpha_cap
         while alpha >= 1e-14:
             trial = xi + alpha * delta
-            cand = at(trial, 0)
+            cand = at(trial, 2 if alpha == alpha_cap else 0)
             if cand is not None and np.isfinite(cand.loglik):
                 gain = float(s_xi @ (alpha * delta))
                 if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
@@ -325,7 +334,7 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
             break
         last_step = float(np.max(np.abs(alpha * delta)))
         xi = trial
-        parts = at(xi, 2)
+        parts = cand if cand.hess is not None else at(xi, 2)
         trace.append(parts.loglik)
     return xi, parts, converged, iterations, trace
 
@@ -350,6 +359,10 @@ def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> 
     With a restriction matrix R the result carries the multiplier
     estimate; without one, the sandwich covariance.
     """
+    if opts.start is not None and len(opts.start) != model.dim:
+        raise ShapeMismatch(
+            f"start has {len(opts.start)} values; {model.name} needs {model.dim}"
+        )
     yv = model._check_series(y)
     if not np.all(np.isfinite(yv)):
         raise NonFiniteObjective("series contains non-finite values")

@@ -8,7 +8,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..errors import InvertibilityError
-from .base import FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _adjoint, _float_path, _floor_sigma2, lagged
 
 __all__ = ["ArmaGarch"]
 
@@ -108,41 +108,40 @@ class ArmaGarch(ModelSpec):
         if order == 1:
             return out
 
-        # second derivatives of e: only pairs involving ma1 survive
-        i_ma = m - 1
-        d2e = np.zeros((n, d, d))
-        d2e_drives = -delag[:, :m].copy()
+        # second derivatives of e: only pairs involving ma1 survive, so
+        # block holds the ma1 row of the mean block, (ma1, ma1) included
+        i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
+        dem = delag[:, :m]
+        d2e_drives = -dem
         d2e_drives[:, i_ma] *= 2.0
         block = lfilter([1.0], ma_den, d2e_drives, axis=0)
-        d2e[:, i_ma, :m] = block
-        d2e[:, :m, i_ma] = block
 
-        # second-derivative drives of sigma2, built straight onto the upper
-        # triangle (row-major pairs k <= l): the residuals depend on the
-        # mean block only, so alpha1 e_{t-1}^2 feeds the mean block and the
-        # alpha1 column; beta1 feeds every lagged first derivative back
-        # through its column (the last)
-        i_a1, i_b1 = m + 1, m + 2
-        k, l = np.triu_indices(d)
-        in_mean, in_a1, in_b1 = l < m, (l == i_a1) & (k < m), l == i_b1
-        km, lm = k[in_mean], l[in_mean]
-        dem = delag[:, :m]
-        tri = np.zeros((n, k.size))
-        tri[:, in_mean] = 2.0 * alpha1 * (
-            dem[:, km] * dem[:, lm] + elag[:, None] * lagged(d2e[:, km, lm], 1)
-        )
-        tri[:, in_a1] = 2.0 * elag[:, None] * dem
-        ds2lag = lagged(dsigma2, 1)
-        tri[:, in_b1] += ds2lag
-        tri[:, -1] += ds2lag[:, i_b1]  # (beta1, beta1) takes its lag twice
-        # filter the upper triangle once and mirror it
-        filtered = lfilter([1.0], gj_den, tri, axis=0)
-        d2sigma2 = np.empty((n, d, d))
-        d2sigma2[:, k, l] = filtered
-        d2sigma2[:, l, k] = filtered
+        def curvature(wg, ws):
+            # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'
+            # + e d2e) at t-1 on the mean block, 2 e_{t-1} de_{t-1} on the
+            # (mean, alpha1) pairs and the lagged dsigma2 on the beta1 row
+            # and column.  One backward pass u = L^-T ws weighs them all.
+            u = _adjoint(gj_den, ws)
+            ue = u * elag
+            h = np.zeros((d, d))
+            q = dem.T @ (u[:, None] * dem)
+            h[:m, :m] = alpha1 * (q + q.T)  # symmetric to the last bit
+            # d2 g = -d2e, and d2e feeds sigma2 one step later
+            we = -wg
+            we[:-1] += 2.0 * alpha1 * ue[1:]
+            c = we @ block
+            c[i_ma] *= 0.5  # (ma1, ma1) lies on both the row and the column
+            h[i_ma, :m] += c
+            h[:m, i_ma] += c
+            a = 2.0 * (ue @ dem)
+            h[:m, i_a1] += a
+            h[i_a1, :m] += a
+            g = u[1:] @ dsigma2[:-1]
+            h[i_b1] += g
+            h[:, i_b1] += g
+            return h
 
-        out.d2mean = np.negative(d2e, out=d2e)
-        out.d2sigma2 = d2sigma2
+        out.curvature = curvature
         return out
 
     def path(self, theta, innovations) -> np.ndarray:

@@ -4,19 +4,24 @@ Every model maps an observed series y and a parameter point theta to a
 conditional mean g_t and conditional scale sigma_t computed from the
 finite past with zero initial conditions (pre-sample observations,
 residuals and variances are all taken to be zero).  Filters optionally
-return first and second derivatives of g_t and sigma_t^2 with respect
-to theta, which downstream code assembles into analytic scores and
-Hessians.
+return the first derivatives of g_t and sigma_t^2 with respect to theta
+and, at order 2, their second derivatives already contracted with
+per-observation weights: the Hessian of a criterion summed over t needs
+only sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t), a (d, d) matrix, never
+the (n, d, d) blocks themselves.  Downstream code assembles these into
+analytic scores and Hessians.
 """
 
 from __future__ import annotations
 
 import abc
 import math
+from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import lfilter
 
 from ..distributions import InnovationDist
 from ..errors import ShapeMismatch
@@ -37,15 +42,28 @@ def lagged(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _adjoint(den: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """L^-T w for L^-1 the all-pole filter ``lfilter([1], den, .)``.
+
+    The filter is lower-triangular Toeplitz, so its transpose runs the
+    same recursion backward in time; sum_t w_t (L^-1 x)_t then equals
+    _adjoint(den, w) @ x for any drive x, one pass for every drive.
+    """
+    return lfilter([1.0], den, w[::-1])[::-1]
+
+
 @dataclass
 class FilterOutput:
     """Filtered conditional moments and their parameter derivatives.
 
-    ``mean`` and ``sigma2`` have shape (n,); derivative blocks are
-    (n, d) and (n, d, d) or None when not requested.  ``sigma2`` is
-    already floored at SCALE_FLOOR**2 and ``clamped`` counts how many
-    entries the floor touched.  Derivatives refer to the unfloored
-    recursion.
+    ``mean`` and ``sigma2`` have shape (n,); the derivative blocks
+    ``dmean`` and ``dsigma2`` are (n, d), or None below order 1.
+    ``curvature(w_g, w_s)`` takes two (n,) weight vectors and returns
+    the (d, d) matrix sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t); it is
+    None below order 2 and for models whose second derivatives vanish
+    identically.  ``sigma2`` is already floored at SCALE_FLOOR**2 and
+    ``clamped`` counts how many entries the floor touched.  Derivatives
+    refer to the unfloored recursion.
     """
 
     mean: np.ndarray
@@ -53,8 +71,7 @@ class FilterOutput:
     sigma: np.ndarray
     dmean: np.ndarray | None = None
     dsigma2: np.ndarray | None = None
-    d2mean: np.ndarray | None = None
-    d2sigma2: np.ndarray | None = None
+    curvature: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     clamped: int = 0
 
 

@@ -21,8 +21,9 @@ class Dar(ModelSpec):
         sigma2_t = alpha0 + sum_j alpha_j y_{t-j}^2
 
     with zero pre-sample values.  Both derivative blocks are linear in
-    the data, so second derivatives vanish identically.  q = 0 (constant
-    scale) and p = 0 (constant mean) are allowed as degenerate orders.
+    the data, so second derivatives vanish identically and the order-2
+    filter leaves ``curvature`` None.  q = 0 (constant scale) and p = 0
+    (constant mean) are allowed as degenerate orders.
     """
 
     p: int = 1
@@ -79,9 +80,6 @@ class Dar(ModelSpec):
             if self.q:
                 dsigma2[:, self.p + 2 :] = y2lags
             out.dmean, out.dsigma2 = dmean, dsigma2
-        if order >= 2:
-            out.d2mean = np.zeros((n, d, d))
-            out.d2sigma2 = np.zeros((n, d, d))
         return out
 
     def path(self, theta, innovations) -> np.ndarray:

@@ -70,13 +70,17 @@ class Expar(ModelSpec):
             out.dmean = dmean
             out.dsigma2 = np.zeros((n, d))
         if order >= 2:
-            d2mean = np.zeros((n, d, d))
-            cross = -y1sq[:, None] * env[:, None] * ylags
-            d2mean[:, p : 2 * p, 2 * p] = cross
-            d2mean[:, 2 * p, p : 2 * p] = cross
-            d2mean[:, 2 * p, 2 * p] = y1sq * y1sq * env * nl_sum
-            out.d2mean = d2mean
-            out.d2sigma2 = np.zeros((n, d, d))
+
+            def curvature(wg, ws):
+                # the nonzero second derivatives of g are d/d decay of the
+                # nl and decay columns of dmean: -y_{t-1}^2 times that column
+                h = np.zeros((d, d))
+                c = (wg * -y1sq) @ dmean[:, p:]
+                h[p:, 2 * p] = c
+                h[2 * p, p:] = c
+                return h
+
+            out.curvature = curvature
         return out
 
     def path(self, theta, innovations) -> np.ndarray:

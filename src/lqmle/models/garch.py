@@ -11,7 +11,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..errors import NonstationaryRegionWarning
-from .base import _STRAYS, FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
+from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Garch"]
 
@@ -87,20 +87,20 @@ class Garch(ModelSpec):
             out.dmean = np.zeros((n, d))
             out.dsigma2 = dsigma2
         if order >= 2:
-            d2sigma2 = np.zeros((n, d, d))
-            # Only pairs touching a beta lag feed the recursion.
-            for j in range(1, self.q + 1):
-                kj = self.p + j
-                for l in range(d):
-                    w = lagged(dsigma2[:, l], j)
-                    if l == kj:
-                        d2sigma2[:, kj, kj] += lfilter([1.0], den, 2.0 * w)
-                    else:
-                        block = lfilter([1.0], den, w)
-                        d2sigma2[:, kj, l] += block
-                        d2sigma2[:, l, kj] += block
-            out.d2mean = np.zeros((n, d, d))
-            out.d2sigma2 = d2sigma2
+
+            def curvature(wg, ws):
+                # only pairs touching a beta lag feed the recursion: the
+                # drive of d2 sigma2 lags dsigma2 into each beta row and
+                # column, so one backward pass weighs every drive at once
+                u = _adjoint(den, ws)
+                h = np.zeros((d, d))
+                for j in range(1, self.q + 1):
+                    g = u[j:] @ dsigma2[:-j]
+                    h[self.p + j] += g
+                    h[:, self.p + j] += g
+                return h
+
+            out.curvature = curvature
         return out
 
     def path(self, theta, innovations) -> np.ndarray:

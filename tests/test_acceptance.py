@@ -20,7 +20,9 @@ large margin at these seeds.
 
 Run with ``pytest tests/test_acceptance.py -v``; the verdict lines print
 unconditionally, bypassing capture.  Total runtime is around ten minutes
-on one CPU, dominated by the size/power criterion.
+on one CPU, dominated by the size/power criterion.  Every test here carries
+the ``acceptance`` marker, so ``pytest -m "not acceptance"`` runs the unit
+tests alone.
 """
 
 import hashlib
@@ -45,6 +47,8 @@ from lqmle.estimation import (
 from lqmle.kernel import kernel_expectation, logistic_logpdf, logistic_pdf
 from lqmle.models import make_model, simulate
 from lqmle.montecarlo import Scenario, normality_sample, population_information, run_scenario
+
+pytestmark = pytest.mark.acceptance
 
 # Frozen study design shared by several criteria.
 DAR_THETA = (1.0, 0.5, 0.3, 0.5)

@@ -125,6 +125,39 @@ def test_unknown_flag_raises_argparse_exit():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fit", "test"])
+def test_wrong_length_start_is_usage_error(dar_csv, tmp_path, capsys, command):
+    out = tmp_path / "x.json"
+    extra = ["--restrict", "0,1,0,0=0.5"] if command == "test" else []
+    rc = main([
+        command, "--data", str(dar_csv), "--model", "dar", "--start", "1,2",
+        "--seed", "1", *extra, "--out", str(out),
+    ])
+    assert rc == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "--start has 2 values; dar needs 4 (const, ar1, alpha0, alpha1)" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--max-iter", "0", "must be at least 1, got 0"),
+        ("--hill-k", "1", "must be at least 2, got 1"),
+    ],
+)
+def test_fit_flags_below_range_exit_before_the_fit(
+    dar_csv, tmp_path, capsys, monkeypatch, flag, value, message
+):
+    monkeypatch.setattr("lqmle.cli.fit", lambda *a, **k: pytest.fail("the fit ran"))
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(dar_csv), "--model", "dar", flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
+
+
 def test_missing_data_file(tmp_path):
     out = tmp_path / "r.json"
     rc = main([
@@ -568,6 +601,26 @@ def test_mc_top_level_keys_exit_3(tmp_path, capsys, line, message):
     assert main(["mc", str(cfg), "--out", str(out)]) == 3
     assert not out.exists()
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value,message",
+    [
+        ("--workers", "0", "must be at least 1, got 0"),
+        ("--workers", "-3", "must be at least 1, got -3"),
+        ("--seed", "-1", "must be at least 0, got -1"),
+    ],
+)
+def test_mc_flags_out_of_range_exit_2(tmp_path, capsys, monkeypatch, flag, value, message):
+    monkeypatch.setattr("lqmle.cli.run_scenario", lambda *a, **k: pytest.fail("a scenario ran"))
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(f"{SCENARIO}    dist: logistic\n")
+    out = tmp_path / "mc.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", str(cfg), flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
 def test_mc_top_level_keys_in_range_run(tmp_path):

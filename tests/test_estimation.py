@@ -6,6 +6,7 @@ itself against closed-form least squares in the Gaussian constant-scale
 case where the two coincide.
 """
 
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -20,6 +21,7 @@ from lqmle.errors import (
     NonFiniteObjective,
     NonstationaryRegionWarning,
     NotScaleOnly,
+    ShapeMismatch,
     SingularInformation,
 )
 from lqmle.estimation import (
@@ -66,6 +68,23 @@ def test_analytic_score_matches_finite_differences(name, kw, theta0):
             tm[j] -= h
             fd = (evaluate(model, y, tp).loglik - evaluate(model, y, tm).loglik) / (2 * h)
             assert abs(parts.score[j] - fd) < 1e-5 * max(1.0, abs(fd))
+
+
+@pytest.mark.parametrize("name,kw,theta0", CASES, ids=[c[0] for c in CASES])
+def test_order2_evaluate_peaks_near_order1(name, kw, theta0):
+    # the filters contract their second derivatives instead of building
+    # (n, d, d) blocks, so the Hessian costs a few n-vectors over the score
+    model = make_model(name, **kw)
+    y = simulate(model, theta0, 100_000, logistic(), seed=57)
+    peaks = []
+    for order in (1, 2):
+        tracemalloc.start()
+        try:
+            evaluate(model, y, theta0, order=order)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks
 
 
 @pytest.mark.parametrize("name,kw,theta0", CASES, ids=[c[0] for c in CASES])
@@ -355,7 +374,7 @@ def test_feasible_point_is_projected_once_per_restriction(monkeypatch):
 
 def test_fit_reports_nonstationary_trials_once():
     # optimizer trials of this GARCH(1,2) fit cross beta1 + beta2 >= 1
-    # eight times; the fit warns once, with the count, at the caller
+    # five times; the fit warns once, with the count, at the caller
     model = make_model("garch", p=1, q=2)
     y = simulate(model, np.array([1.0, 0.15, 0.2, 0.2]), 400, logistic(), seed=3)
     with warnings.catch_warnings(record=True) as caught:
@@ -363,8 +382,19 @@ def test_fit_reports_nonstationary_trials_once():
         res = fit(model, y)
     assert res.converged
     assert [w.category for w in caught] == [NonstationaryRegionWarning]
-    assert str(caught[0].message).startswith("8 trial points of this fit were nonstationary")
+    assert str(caught[0].message).startswith("5 trial points of this fit were nonstationary")
     assert caught[0].filename == __file__
+
+
+def test_wrong_length_start_fails_before_any_evaluation(monkeypatch):
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=23)
+    monkeypatch.setattr(estimation, "evaluate", lambda *a, **k: pytest.fail("evaluated"))
+    opts = FitOptions(start=(1.0, 2.0))
+    with pytest.raises(ShapeMismatch, match="start has 2 values; dar needs 4"):
+        fit(model, y, opts)
+    with pytest.raises(ShapeMismatch, match="start has 2 values; dar needs 4"):
+        fit_constrained(model, y, np.array([[0.0, 1.0, 0.0, 0.0]]), np.array([0.5]), opts)
 
 
 def test_fit_passes_other_warnings_through(monkeypatch):

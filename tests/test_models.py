@@ -142,22 +142,39 @@ def test_filter_derivatives_match_finite_differences():
 
 
 def test_filter_second_derivatives_match_finite_differences():
-    m = make_model("arma_garch")
+    # curvature(wg, ws) = sum_t (wg_t d2 g_t + ws_t d2 sigma2_t); its column j
+    # is the central difference in theta_j of the weighted order-1 blocks
     rng = np.random.default_rng(3)
-    y = rng.standard_normal(20)
-    theta = np.array([0.2, 0.3, 0.25, 0.7, 0.1, 0.35])
-    out = m.filter(y, theta, order=2)
+    cases = [
+        ("dar", dict(p=1, q=1), [0.3, 0.4, 0.8, 0.3]),
+        ("dar", dict(p=2, q=2), [0.3, 0.4, -0.2, 0.8, 0.3, 0.2]),
+        ("garch", dict(p=1, q=1), [0.6, 0.15, 0.45]),
+        ("garch", dict(p=1, q=2), [0.6, 0.15, 0.3, 0.2]),
+        ("garch", dict(p=2, q=1), [0.6, 0.1, 0.1, 0.45]),
+        ("expar", dict(p=1), [0.3, 0.6, 1.2]),
+        ("expar", dict(p=2), [0.3, -0.2, 0.6, 0.4, 1.2]),
+        ("arma_garch", dict(), [0.2, 0.3, 0.25, 0.7, 0.1, 0.35]),
+        ("arma_garch", dict(include_intercept=False), [0.3, 0.25, 0.7, 0.1, 0.35]),
+    ]
     h = 1e-5
-    for j in range(6):
-        tp, tm = theta.copy(), theta.copy()
-        tp[j] += h
-        tm[j] -= h
-        d2m = (m.filter(y, tp, order=1).dmean - m.filter(y, tm, order=1).dmean) / (2 * h)
-        d2s = (m.filter(y, tp, order=1).dsigma2 - m.filter(y, tm, order=1).dsigma2) / (
-            2 * h
-        )
-        np.testing.assert_allclose(out.d2mean[:, :, j], d2m, atol=5e-5)
-        np.testing.assert_allclose(out.d2sigma2[:, :, j], d2s, atol=5e-5)
+    for name, kw, theta in cases:
+        m = make_model(name, **kw)
+        theta = np.array(theta)
+        y = rng.standard_normal(40)
+        wg, ws = rng.standard_normal((2, y.size))
+        curvature = m.filter(y, theta, order=2).curvature
+        got = np.zeros((m.dim, m.dim)) if curvature is None else curvature(wg, ws)
+        fd = np.empty_like(got)
+        for j in range(m.dim):
+            tp, tm = theta.copy(), theta.copy()
+            tp[j] += h
+            tm[j] -= h
+            up, dn = m.filter(y, tp, order=1), m.filter(y, tm, order=1)
+            fd[:, j] = (wg @ (up.dmean - dn.dmean) + ws @ (up.dsigma2 - dn.dsigma2)) / (2 * h)
+        assert curvature is not None or name == "dar"
+        tol = 1e-6 * (1.0 + np.max(np.abs(fd)))
+        np.testing.assert_allclose(got, fd, rtol=0, atol=tol, err_msg=name)
+        np.testing.assert_array_equal(got, got.T)
 
 
 def test_simulate_is_seed_deterministic():
@@ -378,7 +395,8 @@ def test_path_of_a_few_steps_matches_oracle(name, kw, theta, n):
 
 def _arma_garch_order2_oracle(m, y, th):
     # the order-2 ARMA-GARCH filter as first vectorized: the sigma2 drives
-    # filled into an (n, d, d) array, then copied out on the upper triangle
+    # filled into an (n, d, d) array, then copied out on the upper triangle;
+    # returns the order-1 output with the (n, d, d) blocks d2 g and d2 sigma2
     n, d, mm = y.size, m.dim, m._nmean
     const, ar1, ma1, alpha0, alpha1, beta1 = m._unpack(th)
     ma_den, gj_den = np.array([1.0, ma1]), np.array([1.0, -beta1])
@@ -425,20 +443,28 @@ def _arma_garch_order2_oracle(m, y, th):
     d2sigma2 = np.empty((n, d, d))
     d2sigma2[:, k, l] = filtered
     d2sigma2[:, l, k] = filtered
-    return FilterOutput(
-        mean=y - e, sigma2=sigma2, sigma=sigma, dmean=-de, dsigma2=dsigma2,
-        d2mean=-d2e, d2sigma2=d2sigma2, clamped=clamped,
+    first = FilterOutput(
+        mean=y - e, sigma2=sigma2, sigma=sigma, dmean=-de, dsigma2=dsigma2, clamped=clamped
     )
+    return first, -d2e, d2sigma2
 
 
 @pytest.mark.parametrize("intercept", [True, False], ids=["intercept", "no-intercept"])
 def test_arma_garch_order2_filter_matches_oracle_bit_for_bit(intercept):
+    # the order-1 fields bit for bit; the contracted second derivatives
+    # to rounding, since the backward pass sums in another order
     m = make_model("arma_garch", include_intercept=intercept)
     lo, hi = m.default_bounds()
     rng = np.random.default_rng(17)
     for _ in range(100):
         y = rng.uniform(0.1, 5.0) * rng.standard_t(3.0, size=int(rng.integers(5, 601)))
         th = rng.uniform(lo, np.minimum(hi, 5.0))
-        got, want = m.filter(y, th, order=2), _arma_garch_order2_oracle(m, y, th)
+        got = m.filter(y, th, order=2)
+        want, d2mean, d2sigma2 = _arma_garch_order2_oracle(m, y, th)
         for f in dataclasses.fields(FilterOutput):
-            assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+            if f.name != "curvature":
+                assert np.array_equal(getattr(got, f.name), getattr(want, f.name)), f.name
+        wg, ws = rng.standard_normal((2, y.size))
+        contracted = np.einsum("t,tkl->kl", wg, d2mean) + np.einsum("t,tkl->kl", ws, d2sigma2)
+        err = np.max(np.abs(got.curvature(wg, ws) - contracted))
+        assert err <= 1e-12 * np.max(np.abs(contracted))
