@@ -22,7 +22,7 @@ decreases along accepted steps.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -61,20 +61,30 @@ __all__ = [
 class CriterionParts:
     """Criterion value with optional analytic derivatives.
 
-    ``score_rows`` holds per-observation score contributions (n, d);
-    ``hess`` is the Hessian of the summed criterion.  ``info_hessian``
-    is the average per-observation negative Hessian and ``info_opg``
-    the average outer product of score rows; both are None unless the
-    requested order covers them.
+    ``score_rows`` holds per-observation score contributions (n, d),
+    formed from the kept derivative blocks and weights each time it is
+    read, since only a fit's optimum reads it; ``hess`` is the Hessian
+    of the summed criterion.  ``info_hessian`` is the average
+    per-observation negative Hessian and ``info_opg`` the average outer
+    product of score rows; both are None unless the requested order
+    covers them.
     """
 
     loglik: float
     nobs: int
     clamped: int = 0
     score: np.ndarray | None = None
-    score_rows: np.ndarray | None = None
     hess: np.ndarray | None = None
     residuals: np.ndarray | None = None
+    # ((dmean, its weight), (dsigma2, its weight)); a None block has a None weight
+    terms: tuple | None = field(default=None, repr=False)
+
+    @property
+    def score_rows(self) -> np.ndarray | None:
+        if self.terms is None:
+            return None
+        rows = [block * weight[:, None] for block, weight in self.terms if block is not None]
+        return sum(rows[1:], rows[0])
 
     @property
     def info_hessian(self) -> np.ndarray:
@@ -82,7 +92,8 @@ class CriterionParts:
 
     @property
     def info_opg(self) -> np.ndarray:
-        return self.score_rows.T @ self.score_rows / self.nobs
+        rows = self.score_rows
+        return rows.T @ rows / self.nobs
 
 
 def _logistic_weights(x: np.ndarray):
@@ -101,11 +112,13 @@ def evaluate(
 ) -> CriterionParts:
     """Evaluate the criterion at theta with derivatives up to ``order``.
 
-    Order 1 adds the score and its per-observation rows, order 2 the
-    Hessian of the summed criterion.  The Hessian's second-derivative
-    term comes from one call of the filter's ``curvature`` with the
-    criterion's weights on d2 g_t and d2 sigma2_t, so no (n, d, d)
-    array is built.
+    Order 1 adds the score (``score_rows`` is formed when read), order 2
+    the Hessian of the summed criterion.  Both are sums over t of the
+    filter's column-major derivative blocks times per-observation
+    weights, and only the weights of the blocks the filter returns are
+    computed.  The criterion's weights on d2 g_t and d2 sigma2_t are
+    minus its score weights a and b, so the second-derivative term is
+    subtracted as one ``curvature(a, b)`` and no (n, d, d) array is built.
     """
     th = as_array(theta)
     yv = np.asarray(y, dtype=float).ravel()
@@ -127,40 +140,39 @@ def evaluate(
         return parts
 
     dg, ds2 = out.dmean, out.dsigma2
-    if criterion == "logistic":
+    logistic = criterion == "logistic"
+    if logistic:
         t, fx, u = _logistic_weights(x)
-        a = t / sig                      # weight on dmean
-        b = (u - 1.0) / (2.0 * sig2)     # weight on dsigma2
-    else:
-        a = x / sig
-        b = (x * x - 1.0) / (2.0 * sig2)
-    rows = dg * a[:, None] + ds2 * b[:, None]
-    parts.score_rows = rows
-    parts.score = rows.sum(axis=0)
+    inv_s2 = 1.0 / sig2
+    a = b = None  # weights on dmean and dsigma2
+    if dg is not None:
+        inv_s = 1.0 / sig
+        a = (t if logistic else x) * inv_s
+    if ds2 is not None:
+        b = 0.5 * ((u - 1.0) if logistic else (x * x - 1.0)) * inv_s2
+    parts.terms = ((dg, a), (ds2, b))
+    parts.score = sum(weight @ block for block, weight in parts.terms if block is not None)
     if order == 1:
         return parts
 
-    s4 = sig2 * sig2
-    if criterion == "logistic":
-        c_ss = (u - 1.0) / (2.0 * s4) + (u + 2.0 * x * x * fx) / (4.0 * s4)
-        c_d2s = -(u - 1.0) / (2.0 * sig2)
-        c_sg = (t + 2.0 * x * fx) / (2.0 * sig2 * sig)
-        c_d2g = -t / sig
-        c_gg = 2.0 * fx / sig2
-    else:
-        c_ss = (2.0 * x * x - 1.0) / (2.0 * s4)
-        c_d2s = (1.0 - x * x) / (2.0 * sig2)
-        c_sg = x / (sig2 * sig)
-        c_d2g = -x / sig
-        c_gg = 1.0 / sig2
-
     # per-observation negative Hessian summed over t as matrix products,
     # then negated once; the filter contracts its own second derivatives
-    cross = (ds2 * c_sg[:, None]).T @ dg
-    neg_hess = (ds2 * c_ss[:, None]).T @ ds2 + (dg * c_gg[:, None]).T @ dg
-    neg_hess += cross + cross.T
+    neg_hess = np.zeros((th.size, th.size))
+    if dg is not None:
+        c_gg = 2.0 * fx * inv_s2 if logistic else inv_s2
+        neg_hess += (dg * c_gg[:, None]).T @ dg
+    if ds2 is not None:
+        if logistic:
+            c_ss = (3.0 * u - 2.0 + 2.0 * x * x * fx) * (0.25 * inv_s2 * inv_s2)
+        else:
+            c_ss = (2.0 * x * x - 1.0) * (0.5 * inv_s2 * inv_s2)
+        neg_hess += (ds2 * c_ss[:, None]).T @ ds2
+        if dg is not None:
+            c_sg = (t + 2.0 * x * fx) * (0.5 * inv_s2 * inv_s) if logistic else a * inv_s2
+            cross = (ds2 * c_sg[:, None]).T @ dg
+            neg_hess += cross + cross.T
     if out.curvature is not None:
-        neg_hess += out.curvature(c_d2g, c_d2s)
+        neg_hess -= out.curvature(a, b)
     parts.hess = -neg_hess
     return parts
 
@@ -171,6 +183,7 @@ def evaluate(
 _STEP_TOL = 1e-8  # Newton stops once every entry of the last or next step is this small
 _SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
 _RANDOM_STARTS = 3  # uniform draws from the box that a multistart fit adds
+_TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best loglik|
 
 
 @dataclass(frozen=True)
@@ -353,6 +366,16 @@ def _build_starts(model: ModelSpec, y, lo, hi, opts: FitOptions) -> list[np.ndar
     return starts
 
 
+def _beats(loglik: float, best: float) -> bool:
+    """True when a later start's loglik clears the best one beyond rounding.
+
+    Starts that reach one optimum differ in the last bits of their
+    loglik; the earliest of them is kept, so the reported start does
+    not follow rounding.
+    """
+    return loglik > best + _TIE_TOL * (1.0 + abs(best))
+
+
 def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> FitResult:
     """Best Newton run over ``starts(series)`` on {base + basis xi}.
 
@@ -379,7 +402,7 @@ def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> 
         for n_starts, th0 in enumerate(starts(yv), 1):
             xi0 = basis.T @ (np.clip(th0, lo, hi) - base)
             res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
-            if res is not None and (best is None or res[1].loglik > best[1].loglik):
+            if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
                 best = res
     finally:
         _STRAYS.reset(token)
@@ -469,6 +492,14 @@ def _project_into_box(R, r, lo, hi) -> np.ndarray:
     raise InfeasibleConstraint("no box point satisfies the linear restriction")
 
 
+def _constrained_starts(model: ModelSpec, y, base, opts: FitOptions) -> list[np.ndarray]:
+    if opts.start is not None:
+        return [np.asarray(opts.start, dtype=float)]
+    if not opts.multistart:
+        return [base]
+    return [base, *model.start_values(y)]
+
+
 def fit_constrained(
     model: ModelSpec,
     y,
@@ -479,9 +510,12 @@ def fit_constrained(
     """Maximize subject to R theta = r by Newton in null-space coordinates.
 
     Starts from the box midpoint projected onto the restriction, then
-    from the model's start values.  The Lagrange multiplier estimate is
-    recovered from the stationarity of L(theta)/n + lambda' (R theta - r)
-    at the constrained optimum: lambda = -(R R')^{-1} R score(theta) / n.
+    from the model's start values projected onto it.  ``options.start``
+    replaces them all, projected the same way, and with
+    ``multistart=False`` only the projected midpoint runs.  The Lagrange
+    multiplier estimate is recovered from the stationarity of
+    L(theta)/n + lambda' (R theta - r) at the constrained optimum:
+    lambda = -(R R')^{-1} R score(theta) / n.
     """
     opts = options or FitOptions()
     R, r = _check_restriction(R, r, model.dim)
@@ -491,7 +525,7 @@ def fit_constrained(
         model,
         y,
         opts,
-        lambda yv: [base, *model.start_values(yv)],
+        lambda yv: _constrained_starts(model, yv, base, opts),
         null_space(R),
         base,
         R,

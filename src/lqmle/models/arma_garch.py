@@ -8,7 +8,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..errors import InvertibilityError
-from .base import FilterOutput, ModelSpec, _adjoint, _float_path, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _adjoint, _filter_columns, _float_path, _floor_sigma2, lagged
 
 __all__ = ["ArmaGarch"]
 
@@ -84,26 +84,28 @@ class ArmaGarch(ModelSpec):
         if order == 0:
             return out
 
-        # residual derivatives: e_t = u_t - ma1 e_{t-1}
-        de = np.zeros((n, d))
-        de_drives = np.empty((n, m))
+        # residual derivatives: e_t = u_t - ma1 e_{t-1}; only the mean
+        # block of de is nonzero.  Every block here is column-major
+        de_drives = np.empty((n, m), order="F")
         col = 0
         if self.include_intercept:
             de_drives[:, col] = -1.0
             col += 1
         de_drives[:, col] = -ylag
         de_drives[:, col + 1] = -elag
-        de[:, :m] = lfilter([1.0], ma_den, de_drives, axis=0)
-        delag = lagged(de, 1)
+        de = _filter_columns(ma_den, de_drives)
+        dem = lagged(de, 1)
 
         # scale derivatives: direct part then beta feedback
-        ds_drives = np.zeros((n, d))
-        ds_drives[:, :m] = 2.0 * alpha1 * elag[:, None] * delag[:, :m]
+        ds_drives = np.empty((n, d), order="F")
+        ds_drives[:, :m] = 2.0 * alpha1 * elag[:, None] * dem
         ds_drives[:, m] = 1.0
         ds_drives[:, m + 1] = elag * elag
         ds_drives[:, m + 2] = lagged(sigma2_raw, 1)
-        dsigma2 = lfilter([1.0], gj_den, ds_drives, axis=0)
-        out.dmean = -de
+        dsigma2 = _filter_columns(gj_den, ds_drives)
+        dmean = np.zeros((n, d), order="F")
+        np.negative(de, out=dmean[:, :m])
+        out.dmean = dmean
         out.dsigma2 = dsigma2
         if order == 1:
             return out
@@ -111,10 +113,9 @@ class ArmaGarch(ModelSpec):
         # second derivatives of e: only pairs involving ma1 survive, so
         # block holds the ma1 row of the mean block, (ma1, ma1) included
         i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
-        dem = delag[:, :m]
         d2e_drives = -dem
         d2e_drives[:, i_ma] *= 2.0
-        block = lfilter([1.0], ma_den, d2e_drives, axis=0)
+        block = _filter_columns(ma_den, d2e_drives)
 
         def curvature(wg, ws):
             # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'

@@ -5,10 +5,13 @@ conditional mean g_t and conditional scale sigma_t computed from the
 finite past with zero initial conditions (pre-sample observations,
 residuals and variances are all taken to be zero).  Filters optionally
 return the first derivatives of g_t and sigma_t^2 with respect to theta
-and, at order 2, their second derivatives already contracted with
-per-observation weights: the Hessian of a criterion summed over t needs
-only sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t), a (d, d) matrix, never
-the (n, d, d) blocks themselves.  Downstream code assembles these into
+as column-major (n, d) blocks, so that every weighted sum over t runs
+down contiguous columns, and None for a block that is identically zero
+(GARCH's mean, EXPAR's scale).  At order 2 they return their second
+derivatives already contracted with per-observation weights: the
+Hessian of a criterion summed over t needs only
+sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t), a (d, d) matrix, never the
+(n, d, d) blocks themselves.  Downstream code assembles these into
 analytic scores and Hessians.
 """
 
@@ -52,18 +55,31 @@ def _adjoint(den: np.ndarray, w: np.ndarray) -> np.ndarray:
     return lfilter([1.0], den, w[::-1])[::-1]
 
 
+def _filter_columns(den: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``lfilter([1], den, x, axis=0)`` of a column-major x, column-major.
+
+    The filter runs along the contiguous rows of x.T, which gives the
+    same bits as axis=0 without striding across rows.
+    """
+    return lfilter([1.0], den, x.T).T
+
+
 @dataclass
 class FilterOutput:
     """Filtered conditional moments and their parameter derivatives.
 
     ``mean`` and ``sigma2`` have shape (n,); the derivative blocks
-    ``dmean`` and ``dsigma2`` are (n, d), or None below order 1.
-    ``curvature(w_g, w_s)`` takes two (n,) weight vectors and returns
-    the (d, d) matrix sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t); it is
-    None below order 2 and for models whose second derivatives vanish
-    identically.  ``sigma2`` is already floored at SCALE_FLOOR**2 and
-    ``clamped`` counts how many entries the floor touched.  Derivatives
-    refer to the unfloored recursion.
+    ``dmean`` and ``dsigma2`` are column-major (Fortran-ordered) (n, d)
+    arrays from order 1 on.  A block is None below order 1, and from
+    order 1 on None means identically zero: GARCH leaves ``dmean`` None,
+    EXPAR ``dsigma2``.  ``curvature(w_g, w_s)`` takes two (n,) weight
+    vectors and returns the (d, d) matrix
+    sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t); the weight of a None
+    block may itself be None.  ``curvature`` is None below order 2 and
+    for models whose second derivatives vanish identically.  ``sigma2``
+    is already floored at SCALE_FLOOR**2 and ``clamped`` counts how many
+    entries the floor touched.  Derivatives refer to the unfloored
+    recursion.
     """
 
     mean: np.ndarray

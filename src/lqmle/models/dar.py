@@ -58,27 +58,28 @@ class Dar(ModelSpec):
         n, d = y.size, self.dim
         mean_part, scale_part = th[: self.p + 1], th[self.p + 1 :]
 
-        ylags = np.column_stack([lagged(y, i) for i in range(1, self.p + 1)]) if self.p else np.zeros((n, 0))
-        y2lags = np.column_stack([lagged(y * y, j) for j in range(1, self.q + 1)]) if self.q else np.zeros((n, 0))
+        # both blocks are columns of data: write them once, column by
+        # column, and take mean and sigma2 as products with them
+        dmean = np.zeros((n, d), order="F")
+        dmean[:, 0] = 1.0
+        for i in range(1, self.p + 1):
+            dmean[i:, i] = y[:-i]
+        dsigma2 = np.zeros((n, d), order="F")
+        dsigma2[:, self.p + 1] = 1.0
+        y2 = y * y
+        for j in range(1, self.q + 1):
+            dsigma2[j:, self.p + 1 + j] = y2[:-j]
 
         mean = np.full(n, mean_part[0])
         if self.p:
-            mean += ylags @ mean_part[1:]
+            mean += dmean[:, 1 : self.p + 1] @ mean_part[1:]
         sigma2_raw = np.full(n, scale_part[0])
         if self.q:
-            sigma2_raw += y2lags @ scale_part[1:]
+            sigma2_raw += dsigma2[:, self.p + 2 :] @ scale_part[1:]
         sigma2, sigma, clamped = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=mean, sigma2=sigma2, sigma=sigma, clamped=clamped)
         if order >= 1:
-            dmean = np.zeros((n, d))
-            dmean[:, 0] = 1.0
-            if self.p:
-                dmean[:, 1 : self.p + 1] = ylags
-            dsigma2 = np.zeros((n, d))
-            dsigma2[:, self.p + 1] = 1.0
-            if self.q:
-                dsigma2[:, self.p + 2 :] = y2lags
             out.dmean, out.dsigma2 = dmean, dsigma2
         return out
 

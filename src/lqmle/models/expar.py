@@ -21,7 +21,8 @@ class Expar(ModelSpec):
     The nl coefficients act only when the last observation is small,
     with decay > 0 controlling how fast the nonlinear part switches
     off.  Everything is a closed-form function of lagged data, so the
-    filter and its derivatives are direct (no recursion).
+    filter and its derivatives are direct (no recursion).  The scale
+    does not depend on theta, so the filter leaves ``dsigma2`` None.
     """
 
     p: int = 1
@@ -63,12 +64,11 @@ class Expar(ModelSpec):
 
         out = FilterOutput(mean=mean, sigma2=ones, sigma=ones, clamped=0)
         if order >= 1:
-            dmean = np.zeros((n, d))
+            dmean = np.empty((n, d), order="F")
             dmean[:, :p] = ylags
             dmean[:, p : 2 * p] = env[:, None] * ylags
             dmean[:, 2 * p] = -y1sq * env * nl_sum
             out.dmean = dmean
-            out.dsigma2 = np.zeros((n, d))
         if order >= 2:
 
             def curvature(wg, ws):

@@ -11,7 +11,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..errors import NonstationaryRegionWarning
-from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _float_path, _floor_sigma2, lagged
+from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _filter_columns, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Garch"]
 
@@ -25,7 +25,8 @@ class Garch(ModelSpec):
     started from zero pre-sample values (so sigma2_1 = alpha0).  The
     recursion and its parameter derivatives are linear constant-
     coefficient difference equations in the beta lags, evaluated with a
-    direct-form IIR filter.  The conditional mean is identically zero.
+    direct-form IIR filter.  The conditional mean is identically zero,
+    so the filter leaves ``dmean`` None.
     """
 
     p: int = 1
@@ -78,13 +79,13 @@ class Garch(ModelSpec):
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma, clamped=clamped)
         if order >= 1:
-            v = np.zeros((n, d))
+            # the drives of dsigma2, column-major; the mean is identically zero
+            v = np.zeros((n, d), order="F")
             v[:, 0] = 1.0
             v[:, 1 : self.p + 1] = y2lags
             for j in range(1, self.q + 1):
-                v[:, self.p + j] = lagged(sigma2_raw, j)
-            dsigma2 = lfilter([1.0], den, v, axis=0)
-            out.dmean = np.zeros((n, d))
+                v[j:, self.p + j] = sigma2_raw[:-j]
+            dsigma2 = _filter_columns(den, v)
             out.dsigma2 = dsigma2
         if order >= 2:
 

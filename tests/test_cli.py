@@ -7,9 +7,14 @@ passed explicitly so reruns must be byte identical.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import lqmle
 from lqmle.cli import main
 
 SIM = [
@@ -361,6 +366,28 @@ def test_render_unknown_schema(tmp_path):
     doc = tmp_path / "weird.json"
     doc.write_text('{"schema": "lqmle.unknown/9"}')
     assert main(["render", str(doc)]) == 3
+
+
+def _run_module(*args):
+    # ``python -m lqmle`` from a checkout, without the installed console script
+    src = str(Path(lqmle.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "lqmle", *args],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    proc = _run_module("--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: lqmle")
+    # the exit code main returns is the process's
+    proc = _run_module("fit", "--data", str(tmp_path / "ghost.csv"), "--model", "dar")
+    assert proc.returncode == 3, proc.stderr
 
 
 def test_render_missing_file(tmp_path):

@@ -35,7 +35,7 @@ from lqmle.estimation import (
     scale_only_cov,
     scale_only_information,
 )
-from lqmle.kernel import scale_kernel
+from lqmle.kernel import logistic_logpdf, scale_kernel
 from lqmle.models import make_model, simulate
 
 CASES = [
@@ -102,6 +102,73 @@ def test_analytic_hessian_matches_finite_differences(name, kw, theta0):
         fd = (evaluate(model, y, tp, order=1).score - evaluate(model, y, tm, order=1).score) / (2 * h)
         scale = np.maximum(1.0, np.abs(fd))
         assert np.max(np.abs(parts.hess[:, j] - fd) / scale) < 1e-4
+
+
+def _assembly_with_dense_blocks(model, y, theta, criterion):
+    # evaluate's order-2 assembly as first written for row-major blocks:
+    # every weight computed, the score summed from its rows, the
+    # curvature added with the weights on d2 g and d2 sigma2; a None
+    # block read as the zeros it stands for
+    out = model.filter(y, theta, order=2)
+    n, d = y.size, model.dim
+    dg, ds2 = (np.zeros((n, d)) if b is None else np.ascontiguousarray(b)
+               for b in (out.dmean, out.dsigma2))
+    sig2, sig = out.sigma2, out.sigma
+    x = (y - out.mean) / sig
+    s4 = sig2 * sig2
+    if criterion == "logistic":
+        ll = float(np.sum(-0.5 * np.log(sig2) + logistic_logpdf(x)))
+        t = np.tanh(0.5 * x)
+        fx = 0.25 * (1.0 - t * t)
+        u = x * t
+        a, b = t / sig, (u - 1.0) / (2.0 * sig2)
+        c_ss = (u - 1.0) / (2.0 * s4) + (u + 2.0 * x * x * fx) / (4.0 * s4)
+        c_d2s = -(u - 1.0) / (2.0 * sig2)
+        c_sg = (t + 2.0 * x * fx) / (2.0 * sig2 * sig)
+        c_d2g = -t / sig
+        c_gg = 2.0 * fx / sig2
+    else:
+        ll = float(np.sum(-0.5 * np.log(sig2) - 0.5 * x * x))
+        a, b = x / sig, (x * x - 1.0) / (2.0 * sig2)
+        c_ss = (2.0 * x * x - 1.0) / (2.0 * s4)
+        c_d2s = (1.0 - x * x) / (2.0 * sig2)
+        c_sg = x / (sig2 * sig)
+        c_d2g = -x / sig
+        c_gg = 1.0 / sig2
+    rows = dg * a[:, None] + ds2 * b[:, None]
+    cross = (ds2 * c_sg[:, None]).T @ dg
+    neg_hess = (ds2 * c_ss[:, None]).T @ ds2 + (dg * c_gg[:, None]).T @ dg
+    neg_hess += cross + cross.T
+    if out.curvature is not None:
+        neg_hess += out.curvature(c_d2g, c_d2s)
+    return ll, rows.sum(axis=0), rows, -neg_hess
+
+
+ASSEMBLY_CASES = CASES + [
+    ("dar", dict(p=2, q=2), np.array([0.3, 0.4, -0.2, 0.8, 0.3, 0.2])),
+    ("garch", dict(p=1, q=2), np.array([0.6, 0.15, 0.3, 0.2])),
+    ("expar", dict(p=2), np.array([0.3, -0.2, 0.6, 0.4, 1.2])),
+    ("arma_garch", dict(include_intercept=False), np.array([0.3, 0.2, 0.8, 0.1, 0.3])),
+]
+
+
+@pytest.mark.parametrize("criterion", ["logistic", "gaussian"])
+@pytest.mark.parametrize(
+    "name,kw,theta0",
+    ASSEMBLY_CASES,
+    ids=["dar", "garch", "expar", "arma_garch", "dar22", "garch12", "expar2", "arma_garch-no-intercept"],
+)
+def test_lean_assembly_matches_dense_blocks(name, kw, theta0, criterion):
+    model = make_model(name, **kw)
+    rng = np.random.default_rng(303)
+    for n in (20, 200, 2000):
+        y = simulate(model, theta0, n, student_t(4.0), seed=n)
+        theta = _random_admissible(model, theta0, rng)
+        parts = evaluate(model, y, theta, order=2, criterion=criterion)
+        ll, score, rows, hess = _assembly_with_dense_blocks(model, y, theta, criterion)
+        assert parts.loglik == ll
+        for got, want in ((parts.score, score), (parts.score_rows, rows), (parts.hess, hess)):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, want)
 
 
 def test_score_rows_sum_to_score():
@@ -288,6 +355,57 @@ def test_constrained_fit_satisfies_restriction():
     assert float((R @ cfit.theta.array)[0]) == pytest.approx(2.3, abs=1e-8)
     free = fit(model, y)
     assert cfit.loglik <= free.loglik + 1e-9
+
+
+def test_constrained_fit_runs_only_the_given_start():
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 600, logistic(), seed=23)
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    start = (0.8, 0.4, 0.7, 0.4)  # on R theta = r
+    cfit = fit_constrained(model, y, R, r, FitOptions(start=start))
+    assert cfit.n_starts == 1
+    assert cfit.trace[0] == pytest.approx(evaluate(model, y, np.array(start)).loglik, abs=1e-9)
+    assert float((R @ cfit.theta.array)[0]) == pytest.approx(2.3, abs=1e-8)
+    assert fit_constrained(model, y, R, r).n_starts == 3
+
+
+def test_constrained_fit_without_multistart_runs_the_base_point():
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 600, logistic(), seed=23)
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    cfit = fit_constrained(model, y, R, r, FitOptions(multistart=False))
+    lo, hi = model.default_bounds()
+    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    assert cfit.n_starts == 1
+    assert cfit.trace[0] == evaluate(model, y, base).loglik
+
+
+def test_earlier_start_wins_a_tie(monkeypatch):
+    # starts that reach one optimum differ in the last bits of their
+    # loglik; a later start must clear the best by more than rounding
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=23)
+    first = fit(model, y, FitOptions(multistart=False))
+    real = estimation._newton
+    for bump, winner in ((1e-12, 0), (1e-6, 1)):
+        calls = []
+
+        def recording(*args, bump=bump, calls=calls):
+            res = real(*args)
+            if calls:  # every later start reaches the optimum a little higher
+                res[1].loglik += bump * (1.0 + abs(res[1].loglik))
+            calls.append(res)
+            return res
+
+        monkeypatch.setattr(estimation, "_newton", recording)
+        starts = [model.start_values(y)[0], first.theta.array]
+        got = estimation._fit(
+            model, y, FitOptions(), lambda yv: starts, np.eye(model.dim), np.zeros(model.dim)
+        )
+        assert len(calls) == 2
+        assert got.loglik == calls[winner][1].loglik
+        assert got.iterations == calls[winner][3]
+        assert got.trace == tuple(calls[winner][4])
 
 
 def test_constrained_fit_at_the_optimum_is_free_fit():

@@ -114,6 +114,11 @@ def test_filter_rejects_wrong_theta_length():
         m.filter(Y3, np.array([0.2, 0.1]))
 
 
+def _dense(block, n, d):
+    # None is the filters' mark for a derivative block that is identically zero
+    return np.zeros((n, d)) if block is None else block
+
+
 def test_filter_derivatives_match_finite_differences():
     rng = np.random.default_rng(42)
     cases = [
@@ -133,12 +138,10 @@ def test_filter_derivatives_match_finite_differences():
             tm[j] -= h
             dmean = (m.filter(y, tp).mean - m.filter(y, tm).mean) / (2 * h)
             dsig2 = (m.filter(y, tp).sigma2 - m.filter(y, tm).sigma2) / (2 * h)
-            np.testing.assert_allclose(
-                out.dmean[:, j], dmean, atol=1e-6, err_msg=f"{name} dmean[{j}]"
-            )
-            np.testing.assert_allclose(
-                out.dsigma2[:, j], dsig2, atol=1e-6, err_msg=f"{name} dsigma2[{j}]"
-            )
+            got_mean = _dense(out.dmean, y.size, m.dim)[:, j]
+            got_sig2 = _dense(out.dsigma2, y.size, m.dim)[:, j]
+            np.testing.assert_allclose(got_mean, dmean, atol=1e-6, err_msg=f"{name} dmean[{j}]")
+            np.testing.assert_allclose(got_sig2, dsig2, atol=1e-6, err_msg=f"{name} dsigma2[{j}]")
 
 
 def test_filter_second_derivatives_match_finite_differences():
@@ -170,11 +173,65 @@ def test_filter_second_derivatives_match_finite_differences():
             tp[j] += h
             tm[j] -= h
             up, dn = m.filter(y, tp, order=1), m.filter(y, tm, order=1)
-            fd[:, j] = (wg @ (up.dmean - dn.dmean) + ws @ (up.dsigma2 - dn.dsigma2)) / (2 * h)
+            dg = _dense(up.dmean, y.size, m.dim) - _dense(dn.dmean, y.size, m.dim)
+            ds2 = _dense(up.dsigma2, y.size, m.dim) - _dense(dn.dsigma2, y.size, m.dim)
+            fd[:, j] = (wg @ dg + ws @ ds2) / (2 * h)
         assert curvature is not None or name == "dar"
         tol = 1e-6 * (1.0 + np.max(np.abs(fd)))
         np.testing.assert_allclose(got, fd, rtol=0, atol=tol, err_msg=name)
         np.testing.assert_array_equal(got, got.T)
+
+
+LAYOUT_CASES = [
+    ("dar", dict(p=1, q=1), [0.3, 0.4, 0.8, 0.3]),
+    ("dar", dict(p=2, q=2), [0.3, 0.4, -0.2, 0.8, 0.3, 0.2]),
+    ("garch", dict(p=1, q=1), [0.6, 0.15, 0.45]),
+    ("garch", dict(p=1, q=2), [0.6, 0.15, 0.3, 0.2]),
+    ("garch", dict(p=2, q=1), [0.6, 0.1, 0.1, 0.45]),
+    ("expar", dict(p=1), [0.3, 0.6, 1.2]),
+    ("expar", dict(p=2), [0.3, -0.2, 0.6, 0.4, 1.2]),
+    ("arma_garch", dict(), [0.2, 0.3, 0.25, 0.7, 0.1, 0.35]),
+    ("arma_garch", dict(include_intercept=False), [0.3, 0.25, 0.7, 0.1, 0.35]),
+]
+LAYOUT_IDS = ["dar11", "dar22", "garch11", "garch12", "garch21", "expar1", "expar2",
+              "arma_garch", "arma_garch-no-intercept"]
+# the blocks a filter leaves None because they vanish identically
+ZERO_BLOCKS = {"garch": "dmean", "expar": "dsigma2"}
+ZERO_BLOCK_CASES = [
+    pytest.param(*case, id=i) for case, i in zip(LAYOUT_CASES, LAYOUT_IDS) if case[0] in ZERO_BLOCKS
+]
+
+
+@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("name,kw,theta", LAYOUT_CASES, ids=LAYOUT_IDS)
+def test_derivative_blocks_are_column_major(name, kw, theta, order):
+    m = make_model(name, **kw)
+    y = np.random.default_rng(8).standard_normal(50)
+    out = m.filter(y, np.array(theta), order=order)
+    for field in ("dmean", "dsigma2"):
+        block = getattr(out, field)
+        if ZERO_BLOCKS.get(name) == field:
+            assert block is None, field
+        else:
+            assert block.shape == (y.size, m.dim), field
+            assert block.flags.f_contiguous, field
+
+
+@pytest.mark.parametrize("name,kw,theta", ZERO_BLOCK_CASES)
+def test_none_blocks_have_zero_finite_differences(name, kw, theta):
+    # None promises an identically zero block: moving any parameter
+    # leaves that moment exactly where it was
+    moment = {"dmean": "mean", "dsigma2": "sigma2"}[ZERO_BLOCKS[name]]
+    m = make_model(name, **kw)
+    y = np.random.default_rng(9).standard_normal(50)
+    theta = np.array(theta)
+    for j in range(m.dim):
+        for h in (1e-6, 1e-2):
+            step = np.zeros(m.dim)
+            step[j] = h
+            up = getattr(m.filter(y, theta + step), moment)
+            dn = getattr(m.filter(y, theta - step), moment)
+            assert np.array_equal(up - dn, np.zeros(y.size)), (moment, j, h)
 
 
 def test_simulate_is_seed_deterministic():

@@ -240,10 +240,16 @@ def _population_information_with_copies(model, theta0, dist, nobs, seed=0, burn=
     y = model.path(np.asarray(theta0, dtype=float), eta)
     out = model.filter(y, theta0, order=1)
     sl = slice(burn, None)
-    w = out.dsigma2[sl] / out.sigma2[sl][:, None]
-    ms = w.T @ w / (4.0 * nobs)
-    dg = out.dmean[sl] / out.sigma[sl][:, None]
-    mg = dg.T @ dg / nobs
+
+    def gram(block, scale):
+        # a None block is identically zero
+        if block is None:
+            return np.zeros((model.dim, model.dim))
+        q = block[sl] / scale[sl][:, None]
+        return q.T @ q
+
+    ms = gram(out.dsigma2, out.sigma2) / (4.0 * nobs)
+    mg = gram(out.dmean, out.sigma) / nobs
     mom = kernel_moments(eta[sl])
     return (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg, mom.m2 * ms + mom.t2 * mg
 
