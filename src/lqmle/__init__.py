@@ -85,7 +85,6 @@ from .models.stationarity import lyapunov_exponent
 from .montecarlo import (
     McSummary,
     Scenario,
-    gqmle_fit,
     normality_sample,
     population_information,
     run_scenario,
@@ -128,7 +127,6 @@ __all__ = [
     "evaluate",
     "fit",
     "fit_constrained",
-    "gqmle_fit",
     "FitOptions",
     "FitResult",
     "CriterionParts",

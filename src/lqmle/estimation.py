@@ -68,8 +68,8 @@ class CriterionParts:
     per-observation negative Hessian and ``info_opg`` the average outer
     product of score rows; both are None unless the requested order
     covers them.  ``nobs`` counts the terms in the sum, len(y) minus
-    the model's ``presample`` (len(y) for a zero-start evaluation), and
-    ``residuals`` has that length.
+    the model's ``presample``, and ``residuals`` has that length;
+    ``clamped`` counts the floored variances among those terms.
     """
 
     loglik: float
@@ -105,16 +105,13 @@ def _logistic_weights(x: np.ndarray):
     return t, fx, u
 
 
-def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput, zero_start: bool = False):
+def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput):
     """y and ``out`` without their first ``model.presample`` rows.
 
     Those observations condition the criterion: they enter the filter as
-    lags but add no term, and ``clamped`` counts the floored variances
-    among the kept rows.  With ``zero_start`` the series is known to
-    start from the zero state, the filter's zero pre-sample values are
-    the true ones, and every row is kept.
+    lags but add no term.
     """
-    k = 0 if zero_start else model.presample
+    k = model.presample
     if k == 0:
         return y, out
     if y.size <= k:
@@ -132,7 +129,6 @@ def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput, zero_start:
         out.sigma[k:],
         None if dg is None else dg[k:],
         None if ds2 is None else ds2[k:],
-        clamped=out.clamped and out.clamped - _clamp_count(out.sigma2[:k]),
     )
 
 
@@ -142,16 +138,15 @@ def evaluate(
     theta,
     order: int = 0,
     criterion: str = "logistic",
-    zero_start: bool = False,
 ) -> CriterionParts:
     """Evaluate the criterion at theta with derivatives up to ``order``.
 
     The sum runs over t >= ``model.presample``: the criterion is
     conditional on the first observations, so ``nobs`` is len(y) minus
-    ``presample`` and the residuals have length ``nobs``.  With
-    ``zero_start`` the series is known to start from the zero state (a
-    ``simulate`` path with no burn-in), the criterion is conditional on
-    those known pre-sample zeros, and the sum runs over every t.
+    ``presample`` and the residuals have length ``nobs``.  A caller who
+    knows the pre-sample values (the zeros before a ``simulate`` path
+    with no burn-in) prepends them to y, and the sum then runs over
+    every observed t.
     Order 1 adds the score (``score_rows`` is formed when read), order 2
     the Hessian of the summed criterion.  Both are sums over t of the
     filter's column-major derivative blocks times per-observation
@@ -162,7 +157,7 @@ def evaluate(
     """
     th = as_array(theta)
     yv = np.asarray(y, dtype=float).ravel()
-    yv, out = _conditioned(model, yv, model.filter(yv, th, order=order), zero_start)
+    yv, out = _conditioned(model, yv, model.filter(yv, th, order=order))
     sig2, sig = out.sigma2, out.sigma
     x = (yv - out.mean) / sig
     n = yv.size
@@ -175,7 +170,7 @@ def evaluate(
         raise ValueError(f"unknown criterion {criterion!r}")
     if not np.isfinite(ll):
         ll = -np.inf
-    parts = CriterionParts(loglik=ll, nobs=n, clamped=out.clamped, residuals=x)
+    parts = CriterionParts(loglik=ll, nobs=n, clamped=_clamp_count(sig2), residuals=x)
     if order == 0:
         return parts
 
@@ -228,19 +223,13 @@ _TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best log
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer controls; defaults suit series of a few hundred points.
-
-    ``zero_start`` declares that the series starts from the zero state,
-    as ``simulate`` makes it with no burn-in: the criterion then scores
-    every observation (see ``evaluate``).
-    """
+    """Optimizer controls; defaults suit series of a few hundred points."""
 
     criterion: str = "logistic"
     max_iter: int = 500
     multistart: bool = True
     seed: int = 0
     start: tuple[float, ...] | None = None
-    zero_start: bool = False
 
 
 @dataclass
@@ -248,8 +237,7 @@ class FitResult:
     """Point estimate, information pieces and diagnostics of one fit.
 
     ``nobs`` is the number of terms in the criterion, len(y) minus the
-    model's ``presample`` (len(y) for a zero-start fit); ``residuals``
-    has that length.
+    model's ``presample``; ``residuals`` has that length.
 
     A fit under R theta = r carries the Lagrange multiplier estimate in
     ``multiplier`` and no covariance; an unrestricted fit carries the
@@ -323,9 +311,7 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
         th = base + basis @ xi
         if np.any(th < lo_out) or np.any(th > hi_out):
             return None
-        return evaluate(
-            model, y, th, order=order, criterion=opts.criterion, zero_start=opts.zero_start
-        )
+        return evaluate(model, y, th, order=order, criterion=opts.criterion)
 
     # the same faces bind for many iterations: one SVD per working set
     tangents = {}
@@ -664,13 +650,12 @@ def scale_only_information(model: ModelSpec, y, theta) -> tuple[np.ndarray, np.n
     return a_hat, b_hat
 
 
-def scale_only_cov(model: ModelSpec, y, theta, nobs: int | None = None) -> np.ndarray:
+def scale_only_cov(model: ModelSpec, y, theta) -> np.ndarray:
     """Covariance for pure-scale models: 4 tau Omega^{-1} / n.
 
     Omega is the average outer product of dsigma2 / sigma^2 at theta
     and tau the residual-moment ratio m2 / (1 + 2 mf)^2.
     """
-    omega, mom, nraw = _scale_only_pieces(model, y, theta)
-    n = nobs or nraw
+    omega, mom, n = _scale_only_pieces(model, y, theta)
     _positive_definite(omega, "scale information")
     return 4.0 * mom.variance_ratio * np.linalg.inv(omega) / n

@@ -95,7 +95,7 @@ def wald_test(fit: FitResult, R, r) -> TestResult:
     return TestResult("wald", stat, q, chisq_sf(stat, q), _freeze_constraint(R, r))
 
 
-def lm_test(cfit: FitResult, R, r=None) -> TestResult:
+def lm_test(cfit: FitResult, R, r) -> TestResult:
     """Score test from the constrained fit's multiplier estimate.
 
     With Lambda = (R A^-1 R')^-1 R A^-1 B A^-1 R' (R A^-1 R')^-1 the
@@ -104,8 +104,7 @@ def lm_test(cfit: FitResult, R, r=None) -> TestResult:
     M = R A^-1 B A^-1 R'.  ``r`` is only recorded in the result; the
     statistic itself depends on the constrained fit and R alone.
     """
-    rvec = np.zeros(np.atleast_2d(R).shape[0]) if r is None else r
-    R, rvec = _check_restriction(R, rvec, cfit.theta.dim)
+    R, r = _check_restriction(R, r, cfit.theta.dim)
     a = _positive_definite(cfit.info_hessian, "information matrix")
     ainv_rt = np.linalg.solve(a, R.T)
     gram = R @ ainv_rt
@@ -113,7 +112,7 @@ def lm_test(cfit: FitResult, R, r=None) -> TestResult:
     u = gram @ cfit.multiplier
     stat = cfit.nobs * _solve_quadform(mid, u, "restricted information")
     q = R.shape[0]
-    return TestResult("lm", stat, q, chisq_sf(stat, q), _freeze_constraint(R, rvec))
+    return TestResult("lm", stat, q, chisq_sf(stat, q), _freeze_constraint(R, r))
 
 
 def t_test(fit: FitResult, coef: int | str, null_value: float = 0.0) -> TestResult:

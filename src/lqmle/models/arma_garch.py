@@ -78,9 +78,9 @@ class ArmaGarch(ModelSpec):
         elag = lagged(e, 1)
         drive = alpha0 + alpha1 * elag * elag
         sigma2_raw = lfilter([1.0], gj_den, drive)
-        sigma2, sigma, clamped = _floor_sigma2(sigma2_raw)
+        sigma2, sigma = _floor_sigma2(sigma2_raw)
 
-        out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma, clamped=clamped)
+        out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma)
         if order == 0:
             return out
 

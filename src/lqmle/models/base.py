@@ -7,10 +7,9 @@ residuals and variances are all taken to be zero).  The filter returns
 a row for every observation; the criterion conditions on the first
 ``presample`` of them, which enter the recursion as lags but add no
 term of their own (DAR conditions on its first max(p, q) observations,
-the other models on none).  A series known to start from the zero
-state, as ``simulate`` makes it with no burn-in, can instead be scored
-from its first observation (``evaluate(..., zero_start=True)``): its
-pre-sample values are then the filter's zeros.  Filters optionally
+the other models on none).  A caller who knows the pre-sample values,
+such as the zeros before a ``simulate`` path with no burn-in, prepends
+them to the series.  Filters optionally
 return the first derivatives of g_t and sigma_t^2 with respect to theta
 as column-major (n, d) blocks, so that every weighted sum over t runs
 down contiguous columns, and None for a block that is identically zero
@@ -84,9 +83,8 @@ class FilterOutput:
     sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t); the weight of a None
     block may itself be None.  ``curvature`` is None below order 2 and
     for models whose second derivatives vanish identically.  ``sigma2``
-    is already floored at SCALE_FLOOR**2 and ``clamped`` counts how many
-    entries the floor touched.  Derivatives refer to the unfloored
-    recursion.
+    is already floored at SCALE_FLOOR**2; derivatives refer to the
+    unfloored recursion.
     """
 
     mean: np.ndarray
@@ -95,12 +93,11 @@ class FilterOutput:
     dmean: np.ndarray | None = None
     dsigma2: np.ndarray | None = None
     curvature: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    clamped: int = 0
 
 
-def _floor_sigma2(sigma2_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+def _floor_sigma2(sigma2_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sigma2 = np.maximum(sigma2_raw, SCALE_FLOOR * SCALE_FLOOR)
-    return sigma2, np.sqrt(sigma2), _clamp_count(sigma2)
+    return sigma2, np.sqrt(sigma2)
 
 
 def _clamp_count(sigma2: np.ndarray) -> int:

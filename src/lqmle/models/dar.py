@@ -24,8 +24,8 @@ class Dar(ModelSpec):
     criterion conditions on the first max(p, q) observations
     (``presample``), the rows whose lags would reach before the series:
     a heavy-tailed y_0 scored against sigma2_0 = alpha0 would otherwise
-    drag alpha0 up.  Only a series known to start from the zero state
-    (``zero_start``) scores its first rows against the zero lags.  Both
+    drag alpha0 up.  A series known to start from the zero state is
+    scored from its first observation by prepending max(p, q) zeros.  Both
     derivative blocks are linear in the data, so second derivatives
     vanish identically and the order-2 filter leaves ``curvature`` None.
     q = 0 (constant scale) and p = 0 (constant mean) are allowed as
@@ -86,9 +86,9 @@ class Dar(ModelSpec):
         sigma2_raw = np.full(n, scale_part[0])
         if self.q:
             sigma2_raw += dsigma2[:, self.p + 2 :] @ scale_part[1:]
-        sigma2, sigma, clamped = _floor_sigma2(sigma2_raw)
+        sigma2, sigma = _floor_sigma2(sigma2_raw)
 
-        out = FilterOutput(mean=mean, sigma2=sigma2, sigma=sigma, clamped=clamped)
+        out = FilterOutput(mean=mean, sigma2=sigma2, sigma=sigma)
         if order >= 1:
             out.dmean, out.dsigma2 = dmean, dsigma2
         return out

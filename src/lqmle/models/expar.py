@@ -62,7 +62,7 @@ class Expar(ModelSpec):
         mean = ylags @ ar + env * nl_sum
         ones = np.ones(n)
 
-        out = FilterOutput(mean=mean, sigma2=ones, sigma=ones, clamped=0)
+        out = FilterOutput(mean=mean, sigma2=ones, sigma=ones)
         if order >= 1:
             dmean = np.empty((n, d), order="F")
             dmean[:, :p] = ylags

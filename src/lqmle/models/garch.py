@@ -75,9 +75,9 @@ class Garch(ModelSpec):
         y2lags = np.column_stack([lagged(y * y, i) for i in range(1, self.p + 1)])
         drive = alpha0 + y2lags @ alpha
         sigma2_raw = lfilter([1.0], den, drive)
-        sigma2, sigma, clamped = _floor_sigma2(sigma2_raw)
+        sigma2, sigma = _floor_sigma2(sigma2_raw)
 
-        out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma, clamped=clamped)
+        out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
         if order >= 1:
             # the drives of dsigma2, column-major; the mean is identically zero
             v = np.zeros((n, d), order="F")

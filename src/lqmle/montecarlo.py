@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,7 +30,6 @@ __all__ = [
     "run_scenario",
     "normality_sample",
     "population_information",
-    "gqmle_fit",
 ]
 
 _CRITERION = {"lqmle": "logistic", "gqmle": "gaussian"}
@@ -43,8 +42,8 @@ class Scenario:
     """One simulation cell: model, truth, innovation law, size, seed.
 
     A replication with no burn-in is a path from the zero state, whose
-    pre-sample values are known zeros: it is fitted with
-    ``FitOptions(zero_start=True)``, so every observation adds a term.
+    ``model.presample`` pre-sample values are known zeros: they are
+    prepended to the path, so every simulated observation adds a term.
     A burned-in window has unknown pre-sample values and is fitted
     conditional on its first ``model.presample`` observations.
 
@@ -118,7 +117,9 @@ def _replicate(args: tuple[Scenario, int]) -> RepRecord:
         rng=rng,
         burn=scenario.burn,
     )
-    opts = FitOptions(criterion=scenario.criterion, zero_start=scenario.burn == 0)
+    if scenario.burn == 0:
+        y = np.r_[np.zeros(scenario.model.presample), y]
+    opts = FitOptions(criterion=scenario.criterion)
     rec = RepRecord(index=index, ok=False)
     try:
         res = fit(scenario.model, y, opts)
@@ -135,7 +136,7 @@ def _replicate(args: tuple[Scenario, int]) -> RepRecord:
             rec.wald_p = wald_test(res, R, r).p_value
             cfit = fit_constrained(scenario.model, y, R, r, opts)
             if cfit.converged:
-                rec.lm_p = lm_test(cfit, R).p_value
+                rec.lm_p = lm_test(cfit, R, r).p_value
             else:
                 ok = False
                 rec.error = "constrained fit did not converge"
@@ -347,8 +348,3 @@ def _require_finite(bad: np.ndarray, offset: int, what: str) -> None:
         raise NonFiniteObjective(
             f"population {what} at theta0 is not finite from observation {t} on"
         )
-
-
-def gqmle_fit(model: ModelSpec, y, options: FitOptions | None = None):
-    """Gaussian-criterion fit with the same optimizer and diagnostics."""
-    return fit(model, y, replace(options or FitOptions(), criterion="gaussian"))

@@ -189,7 +189,7 @@ def test_score_rows_sum_to_score():
 ], ids=["dar11", "dar22"])
 def test_dar_criterion_conditions_on_first_max_lag_observations(p, q, theta):
     # the sum runs over t >= max(p, q) of the zero-start recursion's terms;
-    # a series declared to start from the zero state scores every t
+    # prepending the zero pre-sample values as data scores every t
     model = make_model("dar", p=p, q=q)
     y = simulate(model, np.array(theta), 12, student_t(4.0), seed=5)
     k = max(p, q)
@@ -209,7 +209,7 @@ def test_dar_criterion_conditions_on_first_max_lag_observations(p, q, theta):
     assert parts.loglik == pytest.approx(sum(terms[k:]), rel=1e-12)
     with pytest.raises(ShapeMismatch):
         evaluate(model, y[:k], theta)
-    whole = evaluate(model, y, theta, zero_start=True)
+    whole = evaluate(model, np.r_[np.zeros(k), y], theta)
     assert whole.nobs == len(whole.residuals) == len(y)
     np.testing.assert_allclose(whole.residuals, resid, rtol=1e-12)
     assert whole.loglik == pytest.approx(sum(terms), rel=1e-12)
@@ -477,12 +477,18 @@ def test_constrained_fit_rejects_infeasible_target():
 
 
 def test_evaluate_clamps_are_counted():
-    # a scale path through the floor must be clamped, not propagated
-    model = make_model("garch", p=1, q=1)
-    y = np.zeros(50)
-    parts = evaluate(model, y, np.array([1e-6, 0.0, 0.0]))
+    # a zero variance path (outside the box) is floored, not propagated,
+    # and every floored row the criterion scores is counted
+    garch = make_model("garch", p=1, q=1)
+    parts = evaluate(garch, np.zeros(50), np.zeros(3))
     assert np.isfinite(parts.loglik)
-    assert parts.clamped >= 0
+    assert parts.clamped == parts.nobs == 50
+    # the DAR conditioning row is floored too, but scores no term
+    dar = make_model("dar", p=1, q=1)
+    y = simulate(dar, np.array([0.5, 0.4, 1.0, 0.3]), 50, logistic(), seed=3)
+    parts = evaluate(dar, y, np.zeros(4))
+    assert np.isfinite(parts.loglik)
+    assert parts.clamped == parts.nobs == y.size - 1
 
 
 def test_fit_result_covariance_is_consistent():

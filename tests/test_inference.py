@@ -136,7 +136,7 @@ def test_lm_small_at_binding_optimum(dar_fit):
     model, y, res = dar_fit
     R = np.eye(4)
     cfit = fit_constrained(model, y, R, res.theta.array)
-    t = lm_test(cfit, R)
+    t = lm_test(cfit, R, res.theta.array)
     assert t.statistic < 1e-4
     assert t.p_value > 0.999
 

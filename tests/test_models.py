@@ -461,7 +461,7 @@ def _arma_garch_order2_oracle(m, y, th):
     e = lfilter([1.0], ma_den, y - const - ar1 * ylag)
     elag = lagged(e, 1)
     sigma2_raw = lfilter([1.0], gj_den, alpha0 + alpha1 * elag * elag)
-    sigma2, sigma, clamped = _floor_sigma2(sigma2_raw)
+    sigma2, sigma = _floor_sigma2(sigma2_raw)
     de = np.zeros((n, d))
     de_drives = np.empty((n, mm))
     col = 0
@@ -501,7 +501,7 @@ def _arma_garch_order2_oracle(m, y, th):
     d2sigma2[:, k, l] = filtered
     d2sigma2[:, l, k] = filtered
     first = FilterOutput(
-        mean=y - e, sigma2=sigma2, sigma=sigma, dmean=-de, dsigma2=dsigma2, clamped=clamped
+        mean=y - e, sigma2=sigma2, sigma=sigma, dmean=-de, dsigma2=dsigma2
     )
     return first, -d2e, d2sigma2
 

@@ -14,7 +14,7 @@ import pytest
 
 from lqmle.distributions import logistic, student_t
 from lqmle.errors import ExcessiveFailures, NonFiniteObjective
-from lqmle.estimation import FitOptions, fit, kernel_moments
+from lqmle.estimation import fit, kernel_moments
 from lqmle.models import make_model, simulate
 from lqmle.montecarlo import (
     _BLOCK,
@@ -121,8 +121,9 @@ def test_records_carry_replication_outcomes():
 
 @pytest.mark.parametrize("burn", [0, 20])
 def test_replications_condition_on_what_is_known_of_the_start(burn):
-    # a path with no burn-in starts from the known zero state and scores
-    # every observation; a burned-in window conditions on its first one
+    # a path with no burn-in starts from the known zero state, which is
+    # prepended as data so that every observation scores; a burned-in
+    # window conditions on its first one
     sc = _dar_scenario(reps=2, burn=burn, constraint=None)
     s = run_scenario(sc, keep_records=True)
     for rec in s.records:
@@ -130,7 +131,8 @@ def test_replications_condition_on_what_is_known_of_the_start(burn):
             np.random.Philox(np.random.SeedSequence(sc.seed, spawn_key=(rec.index,)))
         )
         y = simulate(sc.model, sc.dgp_theta, sc.nobs, sc.dist, rng=rng, burn=burn)
-        fits = {z: fit(sc.model, y, FitOptions(zero_start=z)).theta.array for z in (True, False)}
+        padded = np.r_[np.zeros(sc.model.presample), y]
+        fits = {z: fit(sc.model, padded if z else y).theta.array for z in (True, False)}
         np.testing.assert_array_equal(rec.theta_hat, fits[burn == 0])
         assert not np.allclose(fits[True], fits[False], rtol=1e-6, atol=0)
 

@@ -1,0 +1,43 @@
+"""The benchmark's tracer (``bench/tracing.py``) against this package.
+
+The tracer wraps package functions and model methods by name, so a
+refactor that renames or drops one of them breaks ``bench/run.py
+--trace 1``.  Installing it here makes that fail in the unit tests.
+"""
+
+import importlib
+from pathlib import Path
+
+import numpy as np
+
+import lqmle
+import lqmle.cli  # noqa: F401  the tracer wraps cli.main
+from lqmle.distributions import logistic
+from lqmle.models import make_model
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+
+def test_bench_tracer_wraps_the_package_and_records_spans(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    fit, evaluate = lqmle.fit, lqmle.estimation.evaluate
+    model = make_model("dar", p=1, q=1)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        y = lqmle.simulate(model, np.array([0.5, 0.4, 1.0, 0.3]), 60, logistic(), seed=3)
+        lqmle.fit(model, y)
+    finally:
+        tracer.uninstall()
+    names = {s.name for s in tracer.spans}
+    assert {
+        "montecarlo.simulate",
+        "models.path.dar",
+        "estimation.fit.dar",
+        "estimation.evaluate.o2",
+        "models.filter.o2.dar",
+    } <= names
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["models.filter.o2_us.dar"] > 0
+    assert lqmle.fit is fit and lqmle.estimation.evaluate is evaluate
