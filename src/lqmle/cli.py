@@ -83,6 +83,17 @@ def _int_at_least(low: int):
     return parse
 
 
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number above zero, else a usage error naming the flag."""
+    value = float(text)
+    if not (np.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"
+
+
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", default="lqmle", choices=sorted(_CRITERION))
     p.add_argument("--start", default=None, help="comma-separated starting values")
@@ -238,6 +249,13 @@ def _parse_point(text: str, flag: str, model: ModelSpec) -> tuple[float, ...]:
     return point
 
 
+def _check_hill_k(hill_k: int | None, y: np.ndarray, model: ModelSpec) -> None:
+    """--hill-k must fall below the residual count, one per observation after the presample."""
+    count = y.size - model.presample
+    if hill_k is not None and hill_k >= count:
+        raise _UsageError(f"--hill-k {hill_k} must be below the residual count {count}")
+
+
 def _resolve_seed(seed: int | None) -> int:
     if seed is not None:
         return seed
@@ -303,6 +321,7 @@ def _estimate_rows(result) -> list[dict]:
 def _cmd_fit(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
+    _check_hill_k(args.hill_k, y, model)
     seed = _resolve_seed(args.seed)
     opts = _fit_options(args, seed, model)
     result = fit(model, y, opts)
@@ -386,6 +405,21 @@ def _cmd_simulate(args) -> int:
 # -- mc ---------------------------------------------------------------------
 
 
+_SCENARIO_KEYS = (
+    "model", "dist", "theta0", "nobs", "reps", "estimator", "burn",
+    "constraint", "alternative_scale", "level", "label", "seed",
+)
+
+
+def _check_keys(mapping: dict, known, where: str = "") -> None:
+    """DataFormatError naming every key of ``mapping`` outside ``known``."""
+    unknown = [key for key in mapping if key not in known]
+    if unknown:
+        raise DataFormatError(
+            f"{where}unknown key(s) {', '.join(map(repr, unknown))}; known keys are {', '.join(known)}"
+        )
+
+
 def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
     """Scenarios from the ``scenarios`` list of a loaded config.
 
@@ -394,13 +428,15 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
     estimator (lqmle or gqmle, default lqmle), burn (default 0),
     constraint ({R, r}: test R theta = r), alternative_scale (data drawn
     at this multiple of theta0, default 1), level (test level, default
-    0.05), label and seed (default: derived from the master seed).
+    0.05), label and seed (default: derived from the master seed).  Any
+    other key is a DataFormatError naming it.
     """
     scenarios = []
     for i, raw in enumerate(config["scenarios"]):
         try:
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a mapping, got {raw!r}")
+            _check_keys(raw, _SCENARIO_KEYS)
             seed = raw.get("seed")
             if seed is None:
                 child = np.random.SeedSequence(master_seed, spawn_key=(1000 + i,))
@@ -458,6 +494,7 @@ def _cmd_mc(args) -> int:
         config = yaml.safe_load(fh)
     if not isinstance(config, dict) or not isinstance(config.get("scenarios"), list):
         raise DataFormatError(f"{args.config}: expected a mapping with a 'scenarios' list")
+    _check_keys(config, ("scenarios", *_TOP_LEVEL), f"{args.config}: ")
     seed, workers, max_fail = (_top_level(config, args.config, key) for key in _TOP_LEVEL)
     seed = _resolve_seed(args.seed if args.seed is not None else seed)
     scenarios = _load_scenarios(config, args.config, seed)
@@ -576,6 +613,7 @@ def _cmd_diagnose(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
     theta = _parse_point(args.theta, "--theta", model)
+    _check_hill_k(args.hill_k, y, model)
     parts = evaluate(model, y, np.asarray(theta), order=0)
     # quacks enough like a fit for the diagnostics assembler
     shim = SimpleNamespace(
@@ -672,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", required=True, choices=[f for f in _FAMILIES if f != "empirical"]
     )
     p.add_argument("--nu", type=float, default=None, help="degrees of freedom for family t")
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=_positive_float, default=None)
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=_cmd_calibrate)
 

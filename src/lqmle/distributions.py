@@ -8,9 +8,11 @@ multiplier is the half-width, i.e. ``uniform(a)`` is U(-a, a).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gamma, log, pi, sqrt
+from functools import lru_cache
+from math import log, pi, sqrt
 
 import numpy as np
+from scipy.special import beta
 
 from .errors import NonIntegrableError
 
@@ -26,6 +28,17 @@ __all__ = [
 ]
 
 _FAMILIES = ("logistic", "normal", "uniform", "student_t", "stable", "empirical")
+
+
+@lru_cache(maxsize=64)
+def _student_t_constants(nu: float) -> tuple[float, float]:
+    """Density constant and E|X| of Student t with ``nu`` degrees of freedom.
+
+    Both go through B(nu/2, 1/2), which stays finite and accurate where
+    the gamma functions of the textbook form overflow (nu above ~340).
+    """
+    b = float(beta(0.5 * nu, 0.5))
+    return 1.0 / (sqrt(nu) * b), 2.0 * sqrt(nu) / ((nu - 1.0) * b)
 
 
 def sample_symmetric_stable(rng: np.random.Generator, index: float, size: int) -> np.ndarray:
@@ -131,7 +144,7 @@ class InnovationDist:
             return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
         if fam == "student_t":
             nu = self.shape
-            c = gamma((nu + 1.0) / 2.0) / (sqrt(nu * pi) * gamma(nu / 2.0))
+            c, _ = _student_t_constants(nu)
             return c * (1.0 + x * x / nu) ** (-(nu + 1.0) / 2.0)
         raise NotImplementedError(f"no closed-form density for {fam}")
 
@@ -145,8 +158,7 @@ class InnovationDist:
         if fam == "uniform":
             return 0.5
         if fam == "student_t":
-            nu = self.shape
-            return 2.0 * sqrt(nu) * gamma((nu + 1.0) / 2.0) / ((nu - 1.0) * sqrt(pi) * gamma(nu / 2.0))
+            return _student_t_constants(self.shape)[1]
         raise NotImplementedError(f"no closed-form mean for {fam}")
 
     def base_support_end(self) -> float:

@@ -12,6 +12,16 @@ from .base import FilterOutput, ModelSpec, _adjoint, _filter_columns, _float_pat
 
 __all__ = ["ArmaGarch"]
 
+# (name, lower, upper, template); a model without intercept drops the const row
+_PARAM_TABLE = (
+    ("const", -10.0, 10.0, 0.0),
+    ("ar1", -0.999, 0.999, 0.1),
+    ("ma1", -0.999, 0.999, 0.1),
+    ("alpha0", 1e-6, 100.0, 1.0),
+    ("alpha1", 0.0, 0.9999, 0.1),
+    ("beta1", 0.0, 0.9999, 0.3),
+)
+
 
 @dataclass(frozen=True)
 class ArmaGarch(ModelSpec):
@@ -37,24 +47,12 @@ class ArmaGarch(ModelSpec):
     name = "arma_garch"
 
     @property
-    def param_names(self) -> tuple[str, ...]:
-        mean = ("const", "ar1", "ma1") if self.include_intercept else ("ar1", "ma1")
-        return mean + ("alpha0", "alpha1", "beta1")
+    def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
+        return _PARAM_TABLE if self.include_intercept else _PARAM_TABLE[1:]
 
     @property
     def _nmean(self) -> int:
-        return 3 if self.include_intercept else 2
-
-    def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo_mean = [-10.0, -0.999, -0.999] if self.include_intercept else [-0.999, -0.999]
-        hi_mean = [10.0, 0.999, 0.999] if self.include_intercept else [0.999, 0.999]
-        lo = np.r_[lo_mean, 1e-6, 0.0, 0.0]
-        hi = np.r_[hi_mean, 100.0, 0.9999, 0.9999]
-        return lo, hi
-
-    def _template_values(self) -> np.ndarray:
-        mean = [0.0, 0.1, 0.1] if self.include_intercept else [0.1, 0.1]
-        return np.r_[mean, 1.0, 0.1, 0.3]
+        return self.dim - 3
 
     def _unpack(self, th: np.ndarray):
         m = self._nmean

@@ -19,6 +19,11 @@ Hessian of a criterion summed over t needs only
 sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t), a (d, d) matrix, never the
 (n, d, d) blocks themselves.  Downstream code assembles these into
 analytic scores and Hessians.
+
+A model declares ``param_table`` (one (name, lower, upper, template)
+row per parameter), ``filter`` and ``path``, and where needed
+``presample`` and ``start_values``; names, dimension, bounds and the
+template start all derive from the table.
 """
 
 from __future__ import annotations
@@ -126,7 +131,14 @@ def _float_path(loop, theta: np.ndarray, innovations, *orders) -> np.ndarray:
 
 
 class ModelSpec(abc.ABC):
-    """A parametric conditional location-scale model."""
+    """A parametric conditional location-scale model.
+
+    A subclass declares ``param_table``, ``filter`` and ``path``, and
+    overrides ``presample`` and ``start_values`` where the defaults (no
+    conditioning rows, the template start alone) do not fit.  Outside
+    the model, read a parameter by name through ``param_names``, not by
+    its position.
+    """
 
     name: str = "model"
     #: True when the conditional mean is identically zero.
@@ -138,18 +150,28 @@ class ModelSpec(abc.ABC):
 
     @property
     @abc.abstractmethod
-    def param_names(self) -> tuple[str, ...]: ...
+    def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
+        """One (name, lower, upper, template) row per parameter, in theta order.
+
+        lower and upper bound the admissible box; the templates form the
+        first starting point of every fit.
+        """
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return tuple(row[0] for row in self.param_table)
 
     @property
     def dim(self) -> int:
-        return len(self.param_names)
+        return len(self.param_table)
 
-    @abc.abstractmethod
     def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Box (lower, upper) defining the admissible parameter region."""
+        _, lo, hi, _ = zip(*self.param_table)
+        return np.array(lo), np.array(hi)
 
-    @abc.abstractmethod
-    def _template_values(self) -> np.ndarray: ...
+    def _template_values(self) -> np.ndarray:
+        return np.array([row[3] for row in self.param_table])
 
     def wrap(self, values) -> ParamVector:
         """Attach names and default bounds to a raw value array."""

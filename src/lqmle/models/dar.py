@@ -46,21 +46,13 @@ class Dar(ModelSpec):
         return max(self.p, self.q)
 
     @property
-    def param_names(self) -> tuple[str, ...]:
+    def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
         return (
-            ("const",)
-            + tuple(f"ar{i}" for i in range(1, self.p + 1))
-            + ("alpha0",)
-            + tuple(f"alpha{j}" for j in range(1, self.q + 1))
+            ("const", -10.0, 10.0, 0.0),
+            *((f"ar{i}", -5.0, 5.0, 0.0) for i in range(1, self.p + 1)),
+            ("alpha0", 1e-6, 100.0, 1.0),
+            *((f"alpha{j}", 0.0, 50.0, 0.1) for j in range(1, self.q + 1)),
         )
-
-    def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.r_[-10.0, np.full(self.p, -5.0), 1e-6, np.zeros(self.q)]
-        hi = np.r_[10.0, np.full(self.p, 5.0), 100.0, np.full(self.q, 50.0)]
-        return lo, hi
-
-    def _template_values(self) -> np.ndarray:
-        return np.r_[0.0, np.zeros(self.p), 1.0, np.full(self.q, 0.1)]
 
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)

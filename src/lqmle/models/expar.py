@@ -34,20 +34,12 @@ class Expar(ModelSpec):
     name = "expar"
 
     @property
-    def param_names(self) -> tuple[str, ...]:
+    def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
         return (
-            tuple(f"ar{i}" for i in range(1, self.p + 1))
-            + tuple(f"nl{i}" for i in range(1, self.p + 1))
-            + ("decay",)
+            *((f"ar{i}", -5.0, 5.0, 0.0) for i in range(1, self.p + 1)),
+            *((f"nl{i}", -5.0, 5.0, 0.0) for i in range(1, self.p + 1)),
+            ("decay", 1e-6, 100.0, 1.0),
         )
-
-    def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.r_[np.full(2 * self.p, -5.0), 1e-6]
-        hi = np.r_[np.full(2 * self.p, 5.0), 100.0]
-        return lo, hi
-
-    def _template_values(self) -> np.ndarray:
-        return np.r_[np.zeros(2 * self.p), 1.0]
 
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)

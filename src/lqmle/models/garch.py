@@ -40,20 +40,12 @@ class Garch(ModelSpec):
     scale_only = True
 
     @property
-    def param_names(self) -> tuple[str, ...]:
+    def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
         return (
-            ("alpha0",)
-            + tuple(f"alpha{i}" for i in range(1, self.p + 1))
-            + tuple(f"beta{j}" for j in range(1, self.q + 1))
+            ("alpha0", 1e-6, 100.0, 1.0),
+            *((f"alpha{i}", 0.0, 0.9999, 0.1 / self.p) for i in range(1, self.p + 1)),
+            *((f"beta{j}", 0.0, 0.9999, 0.3 / self.q) for j in range(1, self.q + 1)),
         )
-
-    def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        lo = np.r_[1e-6, np.zeros(self.p + self.q)]
-        hi = np.r_[100.0, np.full(self.p + self.q, 0.9999)]
-        return lo, hi
-
-    def _template_values(self) -> np.ndarray:
-        return np.r_[1.0, np.full(self.p, 0.1 / self.p), np.full(self.q, 0.3 / max(self.q, 1))]
 
     def _denominator(self, beta: np.ndarray) -> np.ndarray:
         if np.sum(beta) >= 1.0:
@@ -109,12 +101,11 @@ class Garch(ModelSpec):
 
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
-        starts = [self._template_values()]
+        template = self._template_values()
+        starts = [template]
         scale = float(np.median(y * y))
         if np.isfinite(scale) and scale > 0:
-            starts.append(
-                np.r_[0.6 * scale, np.full(self.p, 0.1 / self.p), np.full(self.q, 0.3 / max(self.q, 1))]
-            )
+            starts.append(np.r_[0.6 * scale, template[1:]])
         return starts
 
 

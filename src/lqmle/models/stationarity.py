@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions import InnovationDist
-from ..params import as_array
 from .arma_garch import ArmaGarch
 from .base import ModelSpec
 from .dar import Dar
@@ -38,35 +37,22 @@ def lyapunov_exponent(
     Supported models: DAR(1,1) with E log |ar1 + eta sqrt(alpha1)|, and
     GARCH(1,1) or ARMA(1,1)-GARCH(1,1) with E log (beta1 + alpha1 eta^2)
     for the volatility recursion.  When the random coefficient vanishes
-    the exact degenerate value is returned with zero standard error.
+    (alpha1 = 0) the exact degenerate value, log |ar1| or log |beta1|,
+    is returned with zero standard error.
     """
-    th = as_array(theta)
+    if not isinstance(model, (Dar, Garch, ArmaGarch)):
+        raise ValueError(f"no Lyapunov recursion defined for model {model.name!r}")
+    if (getattr(model, "p", 1), getattr(model, "q", 1)) != (1, 1):
+        raise ValueError("Lyapunov exponent implemented only for first-order recursions")
+    named = dict(zip(model.param_names, model._check_theta(theta)))
+    alpha1 = named["alpha1"]
+    fixed = named["ar1"] if isinstance(model, Dar) else named["beta1"]
+    if alpha1 == 0.0:
+        if fixed == 0.0:
+            raise ValueError("degenerate recursion: both coefficients are zero")
+        return float(np.log(abs(fixed))), 0.0
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    eta = dist.sample(rng, draws)
     if isinstance(model, Dar):
-        if (model.p, model.q) != (1, 1):
-            raise ValueError("Lyapunov exponent implemented only for first-order recursions")
-        ar1, alpha1 = th[1], th[3]
-        if alpha1 == 0.0:
-            if ar1 == 0.0:
-                raise ValueError("degenerate recursion: both coefficients are zero")
-            return float(np.log(abs(ar1))), 0.0
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        eta = dist.sample(rng, draws)
-        return _mc_mean(np.log(np.abs(ar1 + np.sqrt(alpha1) * eta)))
-
-    if isinstance(model, (Garch, ArmaGarch)):
-        if isinstance(model, Garch):
-            if (model.p, model.q) != (1, 1):
-                raise ValueError("Lyapunov exponent implemented only for first-order recursions")
-            alpha1, beta1 = th[model.p], th[model.p + 1]
-        else:
-            m = model._nmean
-            alpha1, beta1 = th[m + 1], th[m + 2]
-        if alpha1 == 0.0:
-            if beta1 == 0.0:
-                raise ValueError("degenerate recursion: both coefficients are zero")
-            return float(np.log(beta1)), 0.0
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        eta = dist.sample(rng, draws)
-        return _mc_mean(np.log(beta1 + alpha1 * eta * eta))
-
-    raise ValueError(f"no Lyapunov recursion defined for model {model.name!r}")
+        return _mc_mean(np.log(np.abs(fixed + np.sqrt(alpha1) * eta)))
+    return _mc_mean(np.log(fixed + alpha1 * eta * eta))

@@ -165,6 +165,46 @@ def test_fit_flags_below_range_exit_before_the_fit(
     assert f"argument {flag}: {message}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,target,extra",
+    [
+        ("fit", "lqmle.cli.fit", []),
+        ("diagnose", "lqmle.cli.evaluate", ["--theta", "1.0,0.5,0.3,0.5"]),
+    ],
+)
+def test_hill_k_at_residual_count_exits_before_the_fit(
+    dar_csv, tmp_path, capsys, monkeypatch, command, target, extra
+):
+    # 300 observations, one conditioning row: 299 residuals, so k = 299 leaves no reference
+    monkeypatch.setattr(target, lambda *a, **k: pytest.fail("the model was evaluated"))
+    out = tmp_path / "x.json"
+    argv = [command, "--data", str(dar_csv), "--model", "dar", *extra, "--out", str(out)]
+    assert main(argv + ["--hill-k", "299"]) == 2
+    assert not out.exists()
+    assert "--hill-k 299 must be below the residual count 299" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "-1e-6", "nan", "inf"])
+def test_calibrate_tol_must_be_positive_and_finite(tmp_path, capsys, monkeypatch, value):
+    monkeypatch.setattr("lqmle.kernel.calibrate_scale", lambda *a, **k: pytest.fail("calibration ran"))
+    out = tmp_path / "cal.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate", "--family", "t", "--nu", "3", f"--tol={value}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"argument --tol: must be a finite number above 0, got {value}" in capsys.readouterr().err
+
+
+def test_calibrate_student_t_with_many_degrees_of_freedom(tmp_path):
+    scales = {}
+    for family, nu in (("t", "30"), ("t", "400"), ("normal", None)):
+        out = tmp_path / f"cal-{family}{nu}.json"
+        argv = ["calibrate", "--family", family, "--out", str(out)]
+        assert main(argv + (["--nu", nu] if nu else [])) == 0
+        scales[family, nu] = json.loads(out.read_text())["scale"]
+    assert scales["t", "30"] < scales["t", "400"] < scales["normal", None]
+
+
 def test_missing_data_file(tmp_path):
     out = tmp_path / "r.json"
     rc = main([
@@ -424,9 +464,15 @@ SCENARIO = (
             3,
             "intercept applies to arma_garch only",
         ),
+        (
+            SCENARIO + "    dist: logistic\n    alternative_scal: 1.3\n",
+            3,
+            "scenario 0: unknown key(s) 'alternative_scal'; known keys are model, dist",
+        ),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
-         "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar"],
+         "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
+         "misspelt-scenario-key"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"
@@ -621,6 +667,7 @@ def test_simulate_series_match_golden_digests(tmp_path, draws_csv, form, family)
         ("max_failure_fraction: 1.5", "max_failure_fraction must be a number in [0, 1], got 1.5"),
         ("seed: abc", "seed must be a nonnegative integer, got 'abc'"),
         ("seed: -1", "seed must be a nonnegative integer, got -1"),
+        ("wokers: 2", "unknown key(s) 'wokers'; known keys are scenarios, seed, workers"),
     ],
 )
 def test_mc_top_level_keys_exit_3(tmp_path, capsys, line, message):

@@ -307,6 +307,76 @@ def test_lyapunov_rejects_unsupported_orders():
         lyapunov_exponent(m, np.array([0.0, 0.2, 0.1, 1.0, 0.3]), logistic(), draws=1000)
 
 
+def test_lyapunov_arma_garch_exact_when_arch_off():
+    # alpha1 = 0 leaves sigma2_t = alpha0 + beta1 sigma2_{t-1}: exponent log(beta1)
+    for kw, theta in [
+        (dict(), [0.1, 0.4, 0.2, 0.5, 0.0, 0.6]),
+        (dict(include_intercept=False), [0.4, 0.2, 0.5, 0.0, 0.6]),
+    ]:
+        m = make_model("arma_garch", **kw)
+        val, se = lyapunov_exponent(m, np.array(theta), logistic(), draws=1000)
+        assert val == np.log(0.6)
+        assert se == 0.0
+
+
+# (name, lower, upper, template) of each parameter, in theta order
+_GOLDEN_TABLES = [
+    ("dar", dict(p=1, q=1), [
+        ("const", -10.0, 10.0, 0.0), ("ar1", -5.0, 5.0, 0.0),
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 50.0, 0.1),
+    ]),
+    ("dar", dict(p=0, q=0), [("const", -10.0, 10.0, 0.0), ("alpha0", 1e-06, 100.0, 1.0)]),
+    ("dar", dict(p=2, q=3), [
+        ("const", -10.0, 10.0, 0.0), ("ar1", -5.0, 5.0, 0.0), ("ar2", -5.0, 5.0, 0.0),
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 50.0, 0.1),
+        ("alpha2", 0.0, 50.0, 0.1), ("alpha3", 0.0, 50.0, 0.1),
+    ]),
+    ("garch", dict(p=1, q=1), [
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 0.9999, 0.1), ("beta1", 0.0, 0.9999, 0.3),
+    ]),
+    ("garch", dict(p=2, q=0), [
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 0.9999, 0.05), ("alpha2", 0.0, 0.9999, 0.05),
+    ]),
+    ("garch", dict(p=3, q=2), [
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 0.9999, 0.03333333333333333),
+        ("alpha2", 0.0, 0.9999, 0.03333333333333333), ("alpha3", 0.0, 0.9999, 0.03333333333333333),
+        ("beta1", 0.0, 0.9999, 0.15), ("beta2", 0.0, 0.9999, 0.15),
+    ]),
+    ("arma_garch", dict(), [
+        ("const", -10.0, 10.0, 0.0), ("ar1", -0.999, 0.999, 0.1), ("ma1", -0.999, 0.999, 0.1),
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 0.9999, 0.1), ("beta1", 0.0, 0.9999, 0.3),
+    ]),
+    ("arma_garch", dict(include_intercept=False), [
+        ("ar1", -0.999, 0.999, 0.1), ("ma1", -0.999, 0.999, 0.1),
+        ("alpha0", 1e-06, 100.0, 1.0), ("alpha1", 0.0, 0.9999, 0.1), ("beta1", 0.0, 0.9999, 0.3),
+    ]),
+    ("expar", dict(p=1), [("ar1", -5.0, 5.0, 0.0), ("nl1", -5.0, 5.0, 0.0), ("decay", 1e-06, 100.0, 1.0)]),
+    ("expar", dict(p=3), [
+        ("ar1", -5.0, 5.0, 0.0), ("ar2", -5.0, 5.0, 0.0), ("ar3", -5.0, 5.0, 0.0),
+        ("nl1", -5.0, 5.0, 0.0), ("nl2", -5.0, 5.0, 0.0), ("nl3", -5.0, 5.0, 0.0),
+        ("decay", 1e-06, 100.0, 1.0),
+    ]),
+]
+
+
+@pytest.mark.parametrize(
+    "name,kw,rows",
+    _GOLDEN_TABLES,
+    ids=["dar11", "dar00", "dar23", "garch11", "garch20", "garch32",
+         "arma_garch", "arma_garch-no-intercept", "expar1", "expar3"],
+)
+def test_parameter_tables_match_golden(name, kw, rows):
+    m = make_model(name, **kw)
+    names, lo, hi, template = zip(*rows)
+    assert m.param_names == names
+    assert m.dim == len(rows)
+    got_lo, got_hi = m.default_bounds()
+    for got, want in [(got_lo, lo), (got_hi, hi), (m._template_values(), template)]:
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.array(want).tobytes()
+    assert [tuple(row) for row in m.param_table] == rows
+
+
 def test_start_values_land_inside_bounds():
     # every candidate start must be admissible, or wrap raises
     rng = np.random.default_rng(8)
