@@ -97,9 +97,19 @@ _positive_float.__name__ = "float"
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", default="lqmle", choices=sorted(_CRITERION))
     p.add_argument("--start", default=None, help="comma-separated starting values")
-    p.add_argument("--no-multistart", action="store_true")
+    p.add_argument(
+        "--no-multistart",
+        action="store_true",
+        help="fit from the model's start values alone, without its screened start "
+        "candidates; a restricted fit runs only its projected base point",
+    )
     p.add_argument("--max-iter", type=_int_at_least(1), default=500)
-    p.add_argument("--seed", type=_int_at_least(0), default=None)
+    p.add_argument(
+        "--seed",
+        type=_int_at_least(0),
+        default=None,
+        help="recorded in the manifest; the fit draws no random numbers",
+    )
 
 
 # Entries of a model's order, as constructor keywords; arma_garch is fixed at 1,1.
@@ -156,15 +166,20 @@ _FAMILIES = {
 }
 
 
+_DIST_KEYS = ("family", "scale", *(key for _, key, _ in _FAMILIES.values() if key is not None))
+
+
 def _build_dist(spec) -> InnovationDist:
     """Innovation law from a family name or a mapping {family, scale, nu, alpha, data}.
 
-    Raises ValueError naming an unknown family or the key it lacks.
+    Raises ValueError naming an unknown family, an unknown key or the
+    key the family lacks.
     """
     if isinstance(spec, str):
         spec = {"family": spec}
     if not isinstance(spec, dict):
         raise ValueError(f"dist must be a family name or a mapping, got {spec!r}")
+    _check_keys(spec, _DIST_KEYS, "dist: ")
     fam = spec.get("family")
     if fam not in _FAMILIES:
         raise ValueError(f"dist family {fam!r} is not one of {list(_FAMILIES)}")
@@ -264,7 +279,7 @@ def _resolve_seed(seed: int | None) -> int:
     return fresh
 
 
-def _fit_options(args, seed: int, model: ModelSpec) -> FitOptions:
+def _fit_options(args, model: ModelSpec) -> FitOptions:
     start = None
     if args.start is not None:
         start = _parse_point(args.start, "--start", model)
@@ -272,7 +287,6 @@ def _fit_options(args, seed: int, model: ModelSpec) -> FitOptions:
         criterion=_CRITERION[args.criterion],
         max_iter=args.max_iter,
         multistart=not args.no_multistart,
-        seed=seed,
         start=start,
     )
 
@@ -322,8 +336,7 @@ def _cmd_fit(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
     _check_hill_k(args.hill_k, y, model)
-    seed = _resolve_seed(args.seed)
-    opts = _fit_options(args, seed, model)
+    opts = _fit_options(args, model)
     result = fit(model, y, opts)
     report = residual_diagnostics(model, result, hill_k=args.hill_k)
     residuals_path = None
@@ -342,7 +355,7 @@ def _cmd_fit(args) -> int:
     }
     doc = {
         "schema": "lqmle.fit/1",
-        "manifest": make_manifest("fit", options, input_path=args.data, seed=seed),
+        "manifest": make_manifest("fit", options, input_path=args.data, seed=args.seed),
         "model": _model_block(model),
         "nobs": int(result.nobs),
         "criterion": result.criterion,
@@ -429,7 +442,8 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
     constraint ({R, r}: test R theta = r), alternative_scale (data drawn
     at this multiple of theta0, default 1), level (test level, default
     0.05), label and seed (default: derived from the master seed).  Any
-    other key is a DataFormatError naming it.
+    other key, of the scenario, its dist or its constraint mapping, is a
+    DataFormatError naming it.
     """
     scenarios = []
     for i, raw in enumerate(config["scenarios"]):
@@ -444,6 +458,9 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
             constraint = None
             if raw.get("constraint") is not None:
                 c = raw["constraint"]
+                if not isinstance(c, dict):
+                    raise ValueError(f"constraint must be a mapping {{R, r}}, got {c!r}")
+                _check_keys(c, ("R", "r"), "constraint: ")
                 rows = tuple(tuple(float(v) for v in row) for row in c["R"])
                 rhs = tuple(float(v) for v in c["r"])
                 constraint = (rows, rhs)
@@ -550,8 +567,7 @@ def _parse_restrictions(texts, dim: int):
 def _cmd_test(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
-    seed = _resolve_seed(args.seed)
-    opts = _fit_options(args, seed, model)
+    opts = _fit_options(args, model)
     R, r = _parse_restrictions(args.restrict, model.dim)
     result = fit(model, y, opts)
     wald = wald_test(result, R, r)
@@ -565,7 +581,7 @@ def _cmd_test(args) -> int:
     }
     doc = {
         "schema": "lqmle.test/1",
-        "manifest": make_manifest("test", options, input_path=args.data, seed=seed),
+        "manifest": make_manifest("test", options, input_path=args.data, seed=args.seed),
         "model": _model_block(model),
         "nobs": int(result.nobs),
         "restriction": {"R": R.tolist(), "r": r.tolist()},

@@ -17,6 +17,13 @@ working-set Newton ascent: a ridged Newton direction tangent to the
 binding box faces, a ratio test that stops the step at the first face
 it meets, and Armijo backtracking, so the criterion value never
 decreases along accepted steps.
+
+The criterion's consistency rests on its global maximum, so a fit runs
+Newton from several starts and keeps the best optimum: the model's
+cheap data-driven ``start_values`` and, for a multistart fit, the
+``model.screened_runs`` (mostly one) of its ``start_candidates``, points
+spread over the basins the model can have, with the highest criterion
+values, found by one order-0 evaluation each.
 """
 
 from __future__ import annotations
@@ -217,13 +224,19 @@ def evaluate(
 
 _STEP_TOL = 1e-8  # Newton stops once every entry of the last or next step is this small
 _SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
-_RANDOM_STARTS = 3  # uniform draws from the box that a multistart fit adds
 _TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best loglik|
 
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Optimizer controls; defaults suit series of a few hundred points."""
+    """Optimizer controls; defaults suit series of a few hundred points.
+
+    ``multistart`` adds the model's best-scoring start candidates to its
+    start values in ``fit``; in ``fit_constrained`` it adds the start
+    values to the projected base point.  ``start`` replaces every start
+    of either.  ``seed`` is accepted but read by neither, since no start
+    is drawn at random.
+    """
 
     criterion: str = "logistic"
     max_iter: int = 500
@@ -390,17 +403,21 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
     return xi, parts, converged, iterations, trace
 
 
-def _build_starts(model: ModelSpec, y, lo, hi, opts: FitOptions) -> list[np.ndarray]:
+def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
+    """``opts.start`` alone, or the model's start values and, for a
+    multistart fit, its ``screened_runs`` best start candidates.
+
+    Each candidate costs one order-0 evaluation under the fit's own
+    criterion; of equal scores the earlier candidate ranks first.
+    """
     if opts.start is not None:
         return [np.asarray(opts.start, dtype=float)]
     starts = list(model.start_values(y))
-    if opts.multistart:
-        starts.append(0.5 * (lo + hi))
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(opts.seed, spawn_key=(101,)))
-        )
-        for _ in range(_RANDOM_STARTS):
-            starts.append(rng.uniform(lo, hi))
+    candidates = model.start_candidates(y) if opts.multistart else []
+    if candidates:
+        scores = [evaluate(model, y, c, criterion=opts.criterion).loglik for c in candidates]
+        order = np.argsort(-np.asarray(scores), kind="stable")
+        starts.extend(candidates[i] for i in order[: model.screened_runs])
     return starts
 
 
@@ -483,14 +500,19 @@ def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> 
 
 
 def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
-    """Maximize the criterion over the model's box; best of several starts."""
+    """Maximize the criterion over the model's box; best of several starts.
+
+    Newton runs from each of ``model.start_values(y)`` and, unless
+    ``options.multistart`` is off, from the ``model.screened_runs``
+    best-scoring of ``model.start_candidates(y)``; ``options.start``
+    replaces them all.  The fit draws no random numbers.
+    """
     opts = options or FitOptions()
-    lo, hi = model.default_bounds()
     return _fit(
         model,
         y,
         opts,
-        lambda yv: _build_starts(model, yv, lo, hi, opts),
+        lambda yv: _build_starts(model, yv, opts),
         np.eye(model.dim),
         np.zeros(model.dim),
     )

@@ -9,6 +9,7 @@ from scipy.signal import lfilter
 
 from ..errors import InvertibilityError
 from .base import FilterOutput, ModelSpec, _adjoint, _filter_columns, _float_path, _floor_sigma2, lagged
+from .garch import _garch_candidates
 
 __all__ = ["ArmaGarch"]
 
@@ -45,6 +46,10 @@ class ArmaGarch(ModelSpec):
     include_intercept: bool = True
 
     name = "arma_garch"
+    # the criterion at a candidate ranks the basins poorly here: the beta1 = 0
+    # face and a near-cancelling ar1, ma1 pair hold optima that the best-
+    # scoring candidate misses, so the two best candidates run
+    screened_runs = 2
 
     @property
     def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
@@ -147,19 +152,36 @@ class ArmaGarch(ModelSpec):
         th = self._check_theta(theta)
         return _float_path(_arma_garch_loop, np.asarray(self._unpack(th)), innovations)
 
+    def _mean_start(self, y: np.ndarray):
+        """Least-squares AR(1) mean coefficients and the median squared
+        residual (at least 1e-3), or None for a series of 8 or fewer."""
+        n = y.size
+        if n <= 8:
+            return None
+        cols = [np.ones(n), lagged(y, 1)] if self.include_intercept else [lagged(y, 1)]
+        x = np.column_stack(cols)
+        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+        resid = y - x @ coef
+        return coef, max(float(np.median(resid * resid)), 1e-3)
+
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
         starts = [self._template_values()]
-        n = y.size
-        if n > 8:
-            cols = [np.ones(n), lagged(y, 1)] if self.include_intercept else [lagged(y, 1)]
-            x = np.column_stack(cols)
-            coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-            resid = y - x @ coef
-            s = max(float(np.median(resid * resid)), 1e-3)
+        mean_start = self._mean_start(y)
+        if mean_start is not None:
+            coef, s = mean_start
             lo, hi = self.default_bounds()
             starts.append(np.clip(np.r_[coef, 0.0, 0.6 * s, 0.1, 0.3], lo, hi))
         return starts
+
+    def start_candidates(self, y) -> list[np.ndarray]:
+        """The GARCH(1,1) candidates on the mean part of the data start."""
+        mean_start = self._mean_start(self._check_series(y))
+        if mean_start is None:
+            return []
+        coef, s = mean_start
+        lo, hi = self.default_bounds()
+        return [np.clip(np.r_[coef, 0.0, c], lo, hi) for c in _garch_candidates(s / 0.6, 1, 1)]
 
 
 def _arma_garch_loop(eta, y, sqrt, th):

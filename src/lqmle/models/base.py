@@ -22,8 +22,12 @@ analytic scores and Hessians.
 
 A model declares ``param_table`` (one (name, lower, upper, template)
 row per parameter), ``filter`` and ``path``, and where needed
-``presample`` and ``start_values``; names, dimension, bounds and the
-template start all derive from the table.
+``presample``, ``start_values`` and ``start_candidates``; names,
+dimension, bounds and the template start all derive from the table.
+Every fit runs Newton from each of ``start_values``; a multistart fit
+also scores the ``start_candidates`` by one criterion value each and
+runs Newton from the best ``screened_runs`` of them (one unless the
+model says otherwise).
 """
 
 from __future__ import annotations
@@ -134,10 +138,10 @@ class ModelSpec(abc.ABC):
     """A parametric conditional location-scale model.
 
     A subclass declares ``param_table``, ``filter`` and ``path``, and
-    overrides ``presample`` and ``start_values`` where the defaults (no
-    conditioning rows, the template start alone) do not fit.  Outside
-    the model, read a parameter by name through ``param_names``, not by
-    its position.
+    overrides ``presample``, ``start_values`` and ``start_candidates``
+    where the defaults (no conditioning rows, the template start alone,
+    no candidates) do not fit.  Outside the model, read a parameter by
+    name through ``param_names``, not by its position.
     """
 
     name: str = "model"
@@ -145,6 +149,8 @@ class ModelSpec(abc.ABC):
     scale_only: bool = False
     #: Leading observations the criterion conditions on instead of summing.
     presample: int = 0
+    #: Best-scoring start candidates a multistart fit runs Newton from.
+    screened_runs: int = 1
 
     # -- parameter block ------------------------------------------------
 
@@ -209,8 +215,17 @@ class ModelSpec(abc.ABC):
         """Generate y from given standardized innovations, zero initial state."""
 
     def start_values(self, y) -> list[np.ndarray]:
-        """Cheap data-driven starting points for optimization."""
+        """Cheap data-driven starting points; every fit runs Newton from each."""
         return [self._template_values()]
+
+    def start_candidates(self, y) -> list[np.ndarray]:
+        """Points inside the box and the stationary region for a multistart fit.
+
+        The fit scores each by one criterion value and runs Newton from
+        the best ``screened_runs`` only, so a model can offer a grid
+        over its basins here at little cost.
+        """
+        return []
 
 
 def simulate(

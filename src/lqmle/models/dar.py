@@ -91,12 +91,13 @@ class Dar(ModelSpec):
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
         starts = [self._template_values()]
-        n = y.size
-        if n > self.p + self.q + 4:
-            x = np.column_stack([np.ones(n)] + [lagged(y, i) for i in range(1, self.p + 1)])
-            coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-            resid = y - x @ coef
-            z = np.column_stack([np.ones(n)] + [lagged(y * y, j) for j in range(1, self.q + 1)])
+        n, k = y.size, self.presample
+        if n - k > self.p + self.q + 4:
+            # regress on the rows the criterion scores, whose lags are all observed
+            x = np.column_stack([np.ones(n)] + [lagged(y, i) for i in range(1, self.p + 1)])[k:]
+            coef, *_ = np.linalg.lstsq(x, y[k:], rcond=None)
+            resid = y[k:] - x @ coef
+            z = np.column_stack([np.ones(n)] + [lagged(y * y, j) for j in range(1, self.q + 1)])[k:]
             acoef, *_ = np.linalg.lstsq(z, resid * resid, rcond=None)
             acoef[0] = max(acoef[0], 1e-3)
             acoef[1:] = np.clip(acoef[1:], 0.0, None)

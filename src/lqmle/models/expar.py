@@ -6,9 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..kernel import logistic_logpdf
 from .base import FilterOutput, ModelSpec, lagged
 
 __all__ = ["Expar"]
+
+# decays of the candidate grid: eight per decade over [1e-4, 100]
+_DECAYS = np.logspace(-4.0, 2.0, 49)
 
 
 @dataclass(frozen=True)
@@ -91,15 +95,69 @@ class Expar(ModelSpec):
             y[t] = g + eta[t]
         return y
 
+    def _lags(self, y: np.ndarray) -> np.ndarray | None:
+        """Columns y_{t-1}, ..., y_{t-p}, or None for a series too short to fit (ar, nl)."""
+        if y.size <= 2 * self.p + 4:
+            return None
+        return np.column_stack([lagged(y, i) for i in range(1, self.p + 1)])
+
     def start_values(self, y) -> list[np.ndarray]:
         y = self._check_series(y)
         starts = [self._template_values()]
-        n, p = y.size, self.p
-        if n > 2 * p + 4:
-            ylags = np.column_stack([lagged(y, i) for i in range(1, p + 1)])
+        ylags = self._lags(y)
+        if ylags is not None:
             env = np.exp(-(ylags[:, 0] ** 2))
             x = np.column_stack([ylags, env[:, None] * ylags])
             coef, *_ = np.linalg.lstsq(x, y, rcond=None)
             lo, hi = self.default_bounds()
             starts.append(np.clip(np.r_[coef, 1.0], lo, hi))
         return starts
+
+    def start_candidates(self, y) -> list[np.ndarray]:
+        """The peaks of the profile criterion over a log grid of decays.
+
+        At fixed decay g_t is linear in (ar, nl) and sigma_t = 1, so the
+        logistic criterion is concave in them: least squares, then four
+        Newton steps of that criterion, clipped to the box, give its
+        profile at each decay.  The grid points where that profile has a
+        local maximum are returned, one per basin along the decay.  All
+        decays run at once, and every sum over t is a product with the
+        lags or their outer products.
+        """
+        y = self._check_series(y)
+        ylags = self._lags(y)
+        if ylags is None:
+            return []
+        n, p = ylags.shape
+        env = np.exp(-np.outer(_DECAYS, ylags[:, 0] ** 2))  # (k, n)
+        env_sq = env * env
+        outer = (ylags[:, :, None] * ylags[:, None, :]).reshape(n, p * p)
+
+        def gram(w):
+            """(k, 2p, 2p) sums over t of w_t x_t x_t' for x_t = (ylags_t, env_t ylags_t)."""
+            a, b, c = (np.dot(w * e, outer).reshape(-1, p, p) for e in (1.0, env, env_sq))
+            return np.concatenate([np.concatenate([a, b], axis=2), np.concatenate([b, c], axis=2)], axis=1)
+
+        def cross(v):
+            """(k, 2p) sums over t of v_t x_t."""
+            return np.concatenate([np.dot(v, ylags), np.dot(v * env, ylags)], axis=1)
+
+        def solve(mat, rhs):
+            # a ridge of 1e-12 of the largest diagonal entry keeps collinear columns solvable
+            ridge = 1e-12 * np.max(np.diagonal(mat, axis1=1, axis2=2), axis=1) + np.finfo(float).tiny
+            return np.linalg.solve(mat + ridge[:, None, None] * np.eye(2 * p), rhs[..., None])[..., 0]
+
+        def residuals(coef):
+            # np.dot, not @: it takes the strided coefficient blocks to BLAS
+            return y - np.dot(coef[:, :p], ylags.T) - env * np.dot(coef[:, p:], ylags.T)
+
+        coef = solve(gram(np.ones_like(env)), cross(np.broadcast_to(y, env.shape)))
+        for _ in range(4):
+            t = np.tanh(0.5 * residuals(coef))  # minus d log f / d residual
+            coef = coef + solve(gram(0.5 * (1.0 - t * t)), cross(t))
+        lo, hi = self.default_bounds()
+        coef = np.clip(coef, lo[:-1], hi[:-1])
+        profile = logistic_logpdf(residuals(coef)).sum(axis=1)
+        padded = np.r_[-np.inf, profile, -np.inf]
+        peaks = (profile > padded[:-2]) & (profile >= padded[2:])  # one per plateau
+        return [np.r_[c, decay] for c, decay in zip(coef[peaks], _DECAYS[peaks])]

@@ -15,6 +15,25 @@ from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _filter_columns, _
 
 __all__ = ["Garch"]
 
+# (alpha, beta) sums of the candidate starts: persistence up to 0.99
+_SUMS_GRID = tuple(
+    (a, b) for a in (0.05, 0.2, 0.4, 0.7) for b in (0.0, 0.3, 0.6, 0.9) if a + b < 0.99
+)
+
+
+def _garch_candidates(scale: float, p: int, q: int) -> list[np.ndarray]:
+    """(alpha0, alpha_1..p, beta_1..q) over a grid of (alpha, beta) sums.
+
+    Each sum is split evenly over its lags, as the template splits it;
+    alpha0 = max(scale (1 - alpha - beta), 1e-3) puts the stationary
+    variance near ``scale``.  Without beta lags only beta = 0 is kept.
+    """
+    return [
+        np.r_[max(scale * (1.0 - a - b), 1e-3), np.full(p, a / p), np.full(q, b / max(q, 1))]
+        for a, b in _SUMS_GRID
+        if q or b == 0.0
+    ]
+
 
 @dataclass(frozen=True)
 class Garch(ModelSpec):
@@ -105,8 +124,15 @@ class Garch(ModelSpec):
         starts = [template]
         scale = float(np.median(y * y))
         if np.isfinite(scale) and scale > 0:
-            starts.append(np.r_[0.6 * scale, template[1:]])
+            lo, hi = self.default_bounds()
+            starts.append(np.clip(np.r_[0.6 * scale, template[1:]], lo, hi))
         return starts
+
+    def start_candidates(self, y) -> list[np.ndarray]:
+        y = self._check_series(y)
+        lo, hi = self.default_bounds()
+        scale = float(np.median(y * y)) / 0.6  # a median square understates the variance
+        return [np.clip(c, lo, hi) for c in _garch_candidates(scale, self.p, self.q)]
 
 
 def _garch_loop(eta, y, sqrt, th, p, q):

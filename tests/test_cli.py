@@ -469,10 +469,27 @@ SCENARIO = (
             3,
             "scenario 0: unknown key(s) 'alternative_scal'; known keys are model, dist",
         ),
+        (
+            SCENARIO + "    dist: {family: logistic, sclae: 2.0}\n",
+            3,
+            "scenario 0: dist: unknown key(s) 'sclae'; known keys are family, scale, nu, alpha, data",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    constraint: {R: [[1, 1, 1, 1]], r: [2.3], level: 0.01}\n",
+            3,
+            "scenario 0: constraint: unknown key(s) 'level'; known keys are R, r",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    constraint: [1, 1]\n",
+            3,
+            "scenario 0: constraint must be a mapping {R, r}, got [1, 1]",
+        ),
+        (SCENARIO + "    dist: {family: t, nu: 3, scale: 0.5}\n", 0, ""),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
-         "misspelt-scenario-key"],
+         "misspelt-scenario-key", "misspelt-dist-key", "unknown-constraint-key",
+         "constraint-not-mapping", "dist-mapping"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"

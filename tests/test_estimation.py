@@ -534,17 +534,87 @@ def test_feasible_point_is_projected_once_per_restriction(monkeypatch):
 
 
 def test_fit_reports_nonstationary_trials_once():
-    # optimizer trials of this GARCH(1,2) fit cross beta1 + beta2 >= 1
-    # five times; the fit warns once, with the count, at the caller
+    # from this start, optimizer trials of the GARCH(1,2) fit cross
+    # beta1 + beta2 >= 1 twice; the fit warns once, with the count, at the caller
     model = make_model("garch", p=1, q=2)
     y = simulate(model, np.array([1.0, 0.15, 0.2, 0.2]), 400, logistic(), seed=3)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = fit(model, y)
+        res = fit(model, y, FitOptions(start=(0.1, 0.5, 0.7, 0.25)))
     assert res.converged
     assert [w.category for w in caught] == [NonstationaryRegionWarning]
-    assert str(caught[0].message).startswith("5 trial points of this fit were nonstationary")
+    assert str(caught[0].message).startswith("2 trial points of this fit were nonstationary")
     assert caught[0].filename == __file__
+
+
+@pytest.mark.parametrize(
+    "name,kw,theta0",
+    [
+        ("dar", dict(p=1, q=1), (1.0, 0.5, 0.3, 0.5)),
+        ("garch", dict(p=1, q=1), (1.0, 0.15, 0.4)),
+        ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3)),
+        ("expar", dict(p=1), (0.3, 0.7, 1.5)),
+    ],
+    ids=["dar", "garch", "arma_garch", "expar"],
+)
+def test_multistart_runs_start_values_and_screened_candidates(name, kw, theta0):
+    model = make_model(name, **kw)
+    y = simulate(model, np.array(theta0), 400, logistic(), seed=6, burn=100)
+    candidates = model.start_candidates(y)
+    want = len(model.start_values(y)) + min(model.screened_runs, len(candidates))
+    assert fit(model, y).n_starts == want
+    assert fit(model, y, FitOptions(multistart=False)).n_starts == len(model.start_values(y))
+
+
+def test_gaussian_fit_screens_candidates_by_the_gaussian_criterion(monkeypatch):
+    model = make_model("garch", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.15, 0.4]), 400, student_t(3.0), seed=0, burn=100)
+    candidates = model.start_candidates(y)
+
+    def best(criterion):
+        scores = [evaluate(model, y, c, criterion=criterion).loglik for c in candidates]
+        return candidates[int(np.argmax(scores))]
+
+    # on this series the two criteria rank the candidates differently
+    assert not np.array_equal(best("gaussian"), best("logistic"))
+    real = estimation._newton
+    ran = []
+
+    def recording(*args):
+        ran.append(args[6].copy())
+        return real(*args)
+
+    monkeypatch.setattr(estimation, "_newton", recording)
+    fit(model, y, FitOptions(criterion="gaussian"))
+    assert len(ran) == len(model.start_values(y)) + 1
+    np.testing.assert_array_equal(ran[-1], best("gaussian"))
+
+
+_T2_SCALE = 0.9585596  # t(2) scale with E[x tanh(x/2)] = 1
+
+
+@pytest.mark.parametrize(
+    "name,kw,theta0,family,seed,reference",
+    [
+        ("expar", dict(p=1), (0.3, 0.7, 1.5), "logistic", 8, -774.8734303535724),
+        ("garch", dict(p=1, q=1), (1.0, 0.15, 0.4), "t2", 78, -1050.5169241647372),
+        # the start values alone end 0.019, 0.16, 0.20 and 17.1 lower on these
+        ("expar", dict(p=1), (0.3, 0.7, 1.5), "logistic", 28, -833.2595706520169),
+        ("expar", dict(p=1), (0.3, 0.7, 1.5), "t2", 85, -785.0990300926375),
+        ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3), "t2", 46, -651.6380355962064),
+        ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3), "t2", 95, -916.4773761842831),
+    ],
+    ids=["expar-logistic-8", "garch-t2-78", "expar-logistic-28", "expar-t2-85", "arma_garch-t2-46", "arma_garch-t2-95"],
+)
+def test_fit_reaches_the_reference_optimum(name, kw, theta0, family, seed, reference):
+    # n=400 after a burn of 100 from innovations drawn with default_rng(seed);
+    # reference is the loglik the six-start fit (template and data starts,
+    # the box midpoint and three uniform draws) reached on the same series
+    model = make_model(name, **kw)
+    rng = np.random.default_rng(seed)
+    eta = rng.logistic(0.0, 1.0, 500) if family == "logistic" else _T2_SCALE * rng.standard_t(2.0, 500)
+    y = simulate(model, np.array(theta0), 400, innovations=eta, burn=100)
+    assert fit(model, y).loglik >= reference - 1e-8 * (1.0 + abs(reference))
 
 
 def test_wrong_length_start_fails_before_any_evaluation(monkeypatch):

@@ -378,21 +378,57 @@ def test_parameter_tables_match_golden(name, kw, rows):
 
 
 def test_start_values_land_inside_bounds():
-    # every candidate start must be admissible, or wrap raises
+    # every start value and start candidate must be admissible, and the
+    # GARCH-type candidates must lie in the stationary region
     rng = np.random.default_rng(8)
-    y = rng.standard_normal(80)
+    z = rng.standard_normal(80)
     for name, kw in [
         ("dar", dict(p=1, q=1)),
+        ("dar", dict(p=2, q=0)),
         ("garch", dict(p=1, q=1)),
+        ("garch", dict(p=2, q=1)),
+        ("garch", dict(p=1, q=2)),
+        ("garch", dict(p=1, q=0)),
         ("expar", dict(p=1)),
+        ("expar", dict(p=2)),
         ("arma_garch", dict()),
+        ("arma_garch", dict(include_intercept=False)),
     ]:
         m = make_model(name, **kw)
-        starts = m.start_values(y)
-        assert len(starts) >= 1, name
-        for start in starts:
-            pv = m.wrap(np.asarray(start))
-            assert pv.dim == m.dim, name
+        lo, hi = m.default_bounds()
+        for y in (z, 30.0 * z):
+            starts = m.start_values(y)
+            candidates = m.start_candidates(y)
+            assert len(starts) >= 1, name
+            assert (len(candidates) > 0) == (name != "dar"), name
+            for start in [*starts, *candidates]:
+                assert start.shape == (m.dim,), name
+                assert np.all((lo <= start) & (start <= hi)), (name, start)
+            if name in ("garch", "arma_garch"):
+                for c in candidates:
+                    lags = [v for k, v in zip(m.param_names, c) if k.startswith(("alpha", "beta")) and k != "alpha0"]
+                    assert sum(lags) < 0.99, (name, c)
+
+
+def test_dar_data_start_regresses_on_the_scored_rows():
+    # the lstsq start uses rows t >= presample, whose lags are all observed
+    m = make_model("dar", p=2, q=1)
+    y = simulate(m, np.array([0.5, 0.4, -0.2, 0.8, 0.3]), 200, logistic(), seed=4, burn=50)
+    y[0] = 40.0  # a pre-sample outlier enters only as a lag
+    t = np.arange(2, y.size)
+    x = np.column_stack([np.ones(t.size), y[t - 1], y[t - 2]])
+    coef = np.linalg.lstsq(x, y[t], rcond=None)[0]
+    resid = y[t] - x @ coef
+    z = np.column_stack([np.ones(t.size), y[t - 1] ** 2])
+    acoef = np.linalg.lstsq(z, resid**2, rcond=None)[0]
+    want = np.clip(np.r_[coef, max(acoef[0], 1e-3), max(acoef[1], 0.0)], *m.default_bounds())
+    np.testing.assert_allclose(m.start_values(y)[1], want, rtol=1e-12)
+
+
+def test_start_candidates_of_a_short_series_are_empty():
+    y = np.arange(1.0, 7.0)
+    assert make_model("expar", p=1).start_candidates(y) == []
+    assert make_model("arma_garch").start_candidates(y) == []
 
 
 def test_higher_order_dar_shapes():
