@@ -20,10 +20,11 @@ decreases along accepted steps.
 
 The criterion's consistency rests on its global maximum, so a fit runs
 Newton from several starts and keeps the best optimum: the model's
-cheap data-driven ``start_values`` and, for a multistart fit, the
-``model.screened_runs`` (mostly one) of its ``start_candidates``, points
-spread over the basins the model can have, with the highest criterion
-values, found by one order-0 evaluation each.
+cheap data-driven ``start_values`` and, for a multistart fit, one point
+of each group of its ``start_candidates``, groups of points aimed at
+the kinds of basin the model can have; the point with the highest
+criterion value in its group runs, found by one order-0 evaluation
+each.
 """
 
 from __future__ import annotations
@@ -231,11 +232,11 @@ _TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best log
 class FitOptions:
     """Optimizer controls; defaults suit series of a few hundred points.
 
-    ``multistart`` adds the model's best-scoring start candidates to its
-    start values in ``fit``; in ``fit_constrained`` it adds the start
-    values to the projected base point.  ``start`` replaces every start
-    of either.  ``seed`` is accepted but read by neither, since no start
-    is drawn at random.
+    ``multistart`` adds the best-scoring candidate of each group of the
+    model's start candidates to its start values in ``fit``; in
+    ``fit_constrained`` it adds the start values to the projected base
+    point.  ``start`` replaces every start of either.  ``seed`` is
+    accepted but read by neither, since no start is drawn at random.
     """
 
     criterion: str = "logistic"
@@ -405,19 +406,20 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
 
 def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
     """``opts.start`` alone, or the model's start values and, for a
-    multistart fit, its ``screened_runs`` best start candidates.
+    multistart fit, the best candidate of each group of its start
+    candidates.
 
-    Each candidate costs one order-0 evaluation under the fit's own
-    criterion; of equal scores the earlier candidate ranks first.
+    Each candidate of a group of several costs one order-0 evaluation
+    under the fit's own criterion; of equal scores the earlier one wins.
     """
     if opts.start is not None:
         return [np.asarray(opts.start, dtype=float)]
     starts = list(model.start_values(y))
-    candidates = model.start_candidates(y) if opts.multistart else []
-    if candidates:
-        scores = [evaluate(model, y, c, criterion=opts.criterion).loglik for c in candidates]
-        order = np.argsort(-np.asarray(scores), kind="stable")
-        starts.extend(candidates[i] for i in order[: model.screened_runs])
+    for group in model.start_candidates(y) if opts.multistart else []:
+        if len(group) > 1:
+            scores = [evaluate(model, y, c, criterion=opts.criterion).loglik for c in group]
+            group = [group[int(np.argmax(scores))]]
+        starts.extend(group)
     return starts
 
 
@@ -503,8 +505,8 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
     """Maximize the criterion over the model's box; best of several starts.
 
     Newton runs from each of ``model.start_values(y)`` and, unless
-    ``options.multistart`` is off, from the ``model.screened_runs``
-    best-scoring of ``model.start_candidates(y)``; ``options.start``
+    ``options.multistart`` is off, from the best-scoring candidate of
+    each group of ``model.start_candidates(y)``; ``options.start``
     replaces them all.  The fit draws no random numbers.
     """
     opts = options or FitOptions()

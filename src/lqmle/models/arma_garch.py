@@ -46,10 +46,6 @@ class ArmaGarch(ModelSpec):
     include_intercept: bool = True
 
     name = "arma_garch"
-    # the criterion at a candidate ranks the basins poorly here: the beta1 = 0
-    # face and a near-cancelling ar1, ma1 pair hold optima that the best-
-    # scoring candidate misses, so the two best candidates run
-    screened_runs = 2
 
     @property
     def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
@@ -174,14 +170,15 @@ class ArmaGarch(ModelSpec):
             starts.append(np.clip(np.r_[coef, 0.0, 0.6 * s, 0.1, 0.3], lo, hi))
         return starts
 
-    def start_candidates(self, y) -> list[np.ndarray]:
+    def start_candidates(self, y) -> list[list[np.ndarray]]:
         """The GARCH(1,1) candidates on the mean part of the data start."""
         mean_start = self._mean_start(self._check_series(y))
         if mean_start is None:
             return []
         coef, s = mean_start
         lo, hi = self.default_bounds()
-        return [np.clip(np.r_[coef, 0.0, c], lo, hi) for c in _garch_candidates(s / 0.6, 1, 1)]
+        groups = _garch_candidates(s / 0.6, 1, 1)
+        return [[np.clip(np.r_[coef, 0.0, c], lo, hi) for c in group] for group in groups]
 
 
 def _arma_garch_loop(eta, y, sqrt, th):

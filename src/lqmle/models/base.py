@@ -25,9 +25,8 @@ row per parameter), ``filter`` and ``path``, and where needed
 ``presample``, ``start_values`` and ``start_candidates``; names,
 dimension, bounds and the template start all derive from the table.
 Every fit runs Newton from each of ``start_values``; a multistart fit
-also scores the ``start_candidates`` by one criterion value each and
-runs Newton from the best ``screened_runs`` of them (one unless the
-model says otherwise).
+also runs it from one point of each group of ``start_candidates``, the
+one with the highest criterion value.
 """
 
 from __future__ import annotations
@@ -149,8 +148,6 @@ class ModelSpec(abc.ABC):
     scale_only: bool = False
     #: Leading observations the criterion conditions on instead of summing.
     presample: int = 0
-    #: Best-scoring start candidates a multistart fit runs Newton from.
-    screened_runs: int = 1
 
     # -- parameter block ------------------------------------------------
 
@@ -218,12 +215,14 @@ class ModelSpec(abc.ABC):
         """Cheap data-driven starting points; every fit runs Newton from each."""
         return [self._template_values()]
 
-    def start_candidates(self, y) -> list[np.ndarray]:
-        """Points inside the box and the stationary region for a multistart fit.
+    def start_candidates(self, y) -> list[list[np.ndarray]]:
+        """Groups of points inside the box and the stationary region.
 
-        The fit scores each by one criterion value and runs Newton from
-        the best ``screened_runs`` only, so a model can offer a grid
-        over its basins here at little cost.
+        A multistart fit runs Newton from one point of each group: the
+        one with the highest criterion value, found by one evaluation
+        per point (a group of one is not scored).  A group holds the
+        points that compete for one kind of basin, so a model can offer
+        a grid over each at little cost.
         """
         return []
 

@@ -113,14 +113,14 @@ class Expar(ModelSpec):
             starts.append(np.clip(np.r_[coef, 1.0], lo, hi))
         return starts
 
-    def start_candidates(self, y) -> list[np.ndarray]:
-        """The peaks of the profile criterion over a log grid of decays.
+    def start_candidates(self, y) -> list[list[np.ndarray]]:
+        """One group: the peaks of the profile criterion over a log grid of decays.
 
         At fixed decay g_t is linear in (ar, nl) and sigma_t = 1, so the
         logistic criterion is concave in them: least squares, then four
         Newton steps of that criterion, clipped to the box, give its
         profile at each decay.  The grid points where that profile has a
-        local maximum are returned, one per basin along the decay.  All
+        local maximum form the group, one per basin along the decay.  All
         decays run at once, and every sum over t is a product with the
         lags or their outer products.
         """
@@ -160,4 +160,5 @@ class Expar(ModelSpec):
         profile = logistic_logpdf(residuals(coef)).sum(axis=1)
         padded = np.r_[-np.inf, profile, -np.inf]
         peaks = (profile > padded[:-2]) & (profile >= padded[2:])  # one per plateau
-        return [np.r_[c, decay] for c, decay in zip(coef[peaks], _DECAYS[peaks])]
+        group = [np.r_[c, decay] for c, decay in zip(coef[peaks], _DECAYS[peaks])]
+        return [group] if group else []

@@ -15,24 +15,30 @@ from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _filter_columns, _
 
 __all__ = ["Garch"]
 
-# (alpha, beta) sums of the candidate starts: persistence up to 0.99
-_SUMS_GRID = tuple(
-    (a, b) for a in (0.05, 0.2, 0.4, 0.7) for b in (0.0, 0.3, 0.6, 0.9) if a + b < 0.99
-)
+# alphas of the candidates without beta, and the (alpha, beta) sums of the
+# high-persistence candidate
+_ARCH_ALPHAS = (0.05, 0.2, 0.4, 0.7)
+_PERSISTENT = (0.05, 0.9)
 
 
-def _garch_candidates(scale: float, p: int, q: int) -> list[np.ndarray]:
-    """(alpha0, alpha_1..p, beta_1..q) over a grid of (alpha, beta) sums.
+def _garch_candidates(scale: float, p: int, q: int) -> list[list[np.ndarray]]:
+    """(alpha0, alpha_1..p, beta_1..q) candidates at both ends of the persistence range.
 
-    Each sum is split evenly over its lags, as the template splits it;
+    Two groups: no beta (an ARCH fit) over a grid of alphas, and one
+    high-persistence point; the template start covers the middle.  Each
+    sum is split evenly over its lags, as the template splits it;
     alpha0 = max(scale (1 - alpha - beta), 1e-3) puts the stationary
-    variance near ``scale``.  Without beta lags only beta = 0 is kept.
+    variance near ``scale``.  Without beta lags only the first group is
+    kept.
     """
-    return [
-        np.r_[max(scale * (1.0 - a - b), 1e-3), np.full(p, a / p), np.full(q, b / max(q, 1))]
-        for a, b in _SUMS_GRID
-        if q or b == 0.0
-    ]
+
+    def point(a, b):
+        return np.r_[max(scale * (1.0 - a - b), 1e-3), np.full(p, a / p), np.full(q, b / max(q, 1))]
+
+    groups = [[point(a, 0.0) for a in _ARCH_ALPHAS]]
+    if q:
+        groups.append([point(*_PERSISTENT)])
+    return groups
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,12 @@ class Garch(ModelSpec):
             starts.append(np.clip(np.r_[0.6 * scale, template[1:]], lo, hi))
         return starts
 
-    def start_candidates(self, y) -> list[np.ndarray]:
+    def start_candidates(self, y) -> list[list[np.ndarray]]:
         y = self._check_series(y)
         lo, hi = self.default_bounds()
         scale = float(np.median(y * y)) / 0.6  # a median square understates the variance
-        return [np.clip(c, lo, hi) for c in _garch_candidates(scale, self.p, self.q)]
+        groups = _garch_candidates(scale, self.p, self.q)
+        return [[np.clip(c, lo, hi) for c in group] for group in groups]
 
 
 def _garch_loop(eta, y, sqrt, th, p, q):

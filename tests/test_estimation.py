@@ -560,8 +560,8 @@ def test_fit_reports_nonstationary_trials_once():
 def test_multistart_runs_start_values_and_screened_candidates(name, kw, theta0):
     model = make_model(name, **kw)
     y = simulate(model, np.array(theta0), 400, logistic(), seed=6, burn=100)
-    candidates = model.start_candidates(y)
-    want = len(model.start_values(y)) + min(model.screened_runs, len(candidates))
+    # one Newton run per group of candidates
+    want = len(model.start_values(y)) + len(model.start_candidates(y))
     assert fit(model, y).n_starts == want
     assert fit(model, y, FitOptions(multistart=False)).n_starts == len(model.start_values(y))
 
@@ -569,7 +569,7 @@ def test_multistart_runs_start_values_and_screened_candidates(name, kw, theta0):
 def test_gaussian_fit_screens_candidates_by_the_gaussian_criterion(monkeypatch):
     model = make_model("garch", p=1, q=1)
     y = simulate(model, np.array([1.0, 0.15, 0.4]), 400, student_t(3.0), seed=0, burn=100)
-    candidates = model.start_candidates(y)
+    candidates = model.start_candidates(y)[0]  # the screened group
 
     def best(criterion):
         scores = [evaluate(model, y, c, criterion=criterion).loglik for c in candidates]
@@ -586,34 +586,69 @@ def test_gaussian_fit_screens_candidates_by_the_gaussian_criterion(monkeypatch):
 
     monkeypatch.setattr(estimation, "_newton", recording)
     fit(model, y, FitOptions(criterion="gaussian"))
-    assert len(ran) == len(model.start_values(y)) + 1
-    np.testing.assert_array_equal(ran[-1], best("gaussian"))
+    n_values = len(model.start_values(y))
+    assert len(ran) == n_values + 2
+    np.testing.assert_array_equal(ran[n_values], best("gaussian"))
 
 
 _T2_SCALE = 0.9585596  # t(2) scale with E[x tanh(x/2)] = 1
 
 
+_DAR = ("dar", dict(p=1, q=1), (1.0, 0.5, 0.3, 0.5))
+_GARCH = ("garch", dict(p=1, q=1), (1.0, 0.15, 0.4))
+_AG = ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3))
+_EXPAR = ("expar", dict(p=1), (0.3, 0.7, 1.5))
+
+
+def _scaled(case, factor):
+    name, kw, theta0 = case
+    return name, kw, tuple(factor * np.array(theta0))
+
+
 @pytest.mark.parametrize(
-    "name,kw,theta0,family,seed,reference",
+    "case,nobs,family,seed,reference",
     [
-        ("expar", dict(p=1), (0.3, 0.7, 1.5), "logistic", 8, -774.8734303535724),
-        ("garch", dict(p=1, q=1), (1.0, 0.15, 0.4), "t2", 78, -1050.5169241647372),
-        # the start values alone end 0.019, 0.16, 0.20 and 17.1 lower on these
-        ("expar", dict(p=1), (0.3, 0.7, 1.5), "logistic", 28, -833.2595706520169),
-        ("expar", dict(p=1), (0.3, 0.7, 1.5), "t2", 85, -785.0990300926375),
-        ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3), "t2", 46, -651.6380355962064),
-        ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3), "t2", 95, -916.4773761842831),
+        (_EXPAR, 400, "logistic", 8, -774.8734303535724),
+        (_GARCH, 400, "t2", 78, -1050.5169241647372),
+        # the start values alone end lower on the series below
+        (_EXPAR, 400, "logistic", 28, -833.2595706520169),
+        (_EXPAR, 400, "t2", 85, -785.0990300926375),
+        (_AG, 400, "t2", 46, -651.6380355962064),
+        (_AG, 400, "t2", 95, -916.4773761842831),
+        # other orders, the default arma_garch with its intercept, the
+        # short series and the 1.3 theta0 alternatives of Monte Carlo designs
+        (("arma_garch", dict(), (0.5, 0.3, 0.2, 0.2, 0.1, 0.3)), 400, "t2", 128, -727.4306543534249),
+        (("garch", dict(p=1, q=2), (1.0, 0.15, 0.2, 0.2)), 400, "t2", 144, -1208.099179905781),
+        (("garch", dict(p=2, q=1), (1.0, 0.1, 0.1, 0.4)), 400, "t2", 112, -1059.277709296569),
+        (("expar", dict(p=2), (0.3, 0.1, 0.5, -0.2, 1.5)), 400, "logistic", 115, -780.9825717010249),
+        (("dar", dict(p=2, q=2), (1.0, 0.4, 0.1, 0.3, 0.3, 0.2)), 400, "t2", 100, -1223.1244849685188),
+        (_GARCH, 150, "t2", 128, -429.635239915443),
+        (_AG, 150, "t2", 137, -232.7225562268446),
+        (_EXPAR, 150, "t2", 123, -331.2608709329147),
+        (_DAR, 150, "t2", 100, -450.7797886043129),
+        (_scaled(_GARCH, 1.3), 400, "t2", 162, -1521.3516222303172),
+        (_scaled(_AG, 1.3), 400, "t2", 105, -904.2712798705525),
+        (_scaled(_EXPAR, 1.3), 400, "t2", 179, -996.5255935552218),
+        (_scaled(_DAR, 1.3), 400, "t2", 100, -1478.1091166059477),
     ],
-    ids=["expar-logistic-8", "garch-t2-78", "expar-logistic-28", "expar-t2-85", "arma_garch-t2-46", "arma_garch-t2-95"],
+    ids=[
+        "expar-logistic-8", "garch-t2-78", "expar-logistic-28", "expar-t2-85", "arma_garch-t2-46",
+        "arma_garch-t2-95", "arma_garch_const-t2-128", "garch12-t2-144", "garch21-t2-112",
+        "expar2-logistic-115", "dar22-t2-100", "garch-n150-t2-128", "arma_garch-n150-t2-137",
+        "expar-n150-t2-123", "dar-n150-t2-100", "garch-1.3x-t2-162", "arma_garch-1.3x-t2-105",
+        "expar-1.3x-t2-179", "dar-1.3x-t2-100",
+    ],
 )
-def test_fit_reaches_the_reference_optimum(name, kw, theta0, family, seed, reference):
-    # n=400 after a burn of 100 from innovations drawn with default_rng(seed);
+def test_fit_reaches_the_reference_optimum(case, nobs, family, seed, reference):
+    # nobs after a burn of 100 from innovations drawn with default_rng(seed);
     # reference is the loglik the six-start fit (template and data starts,
     # the box midpoint and three uniform draws) reached on the same series
+    name, kw, theta0 = case
     model = make_model(name, **kw)
     rng = np.random.default_rng(seed)
-    eta = rng.logistic(0.0, 1.0, 500) if family == "logistic" else _T2_SCALE * rng.standard_t(2.0, 500)
-    y = simulate(model, np.array(theta0), 400, innovations=eta, burn=100)
+    size = nobs + 100
+    eta = rng.logistic(0.0, 1.0, size) if family == "logistic" else _T2_SCALE * rng.standard_t(2.0, size)
+    y = simulate(model, np.array(theta0), nobs, innovations=eta, burn=100)
     assert fit(model, y).loglik >= reference - 1e-8 * (1.0 + abs(reference))
 
 

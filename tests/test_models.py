@@ -398,9 +398,11 @@ def test_start_values_land_inside_bounds():
         lo, hi = m.default_bounds()
         for y in (z, 30.0 * z):
             starts = m.start_values(y)
-            candidates = m.start_candidates(y)
+            groups = m.start_candidates(y)
+            candidates = [c for group in groups for c in group]
             assert len(starts) >= 1, name
-            assert (len(candidates) > 0) == (name != "dar"), name
+            assert (len(groups) > 0) == (name != "dar"), name
+            assert all(groups), name
             for start in [*starts, *candidates]:
                 assert start.shape == (m.dim,), name
                 assert np.all((lo <= start) & (start <= hi)), (name, start)
