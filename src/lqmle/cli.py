@@ -25,7 +25,7 @@ from . import kernel
 from .dataio import read_series, write_series
 from .diagnostics import hill_sweep, residual_diagnostics
 from .distributions import InnovationDist, empirical
-from .errors import DataFormatError, ExcessiveFailures, LqmleError, ShapeMismatch
+from .errors import DataFormatError, ExcessiveFailures, LqmleError, ShapeMismatch, SingularInformation
 from .estimation import FitOptions, evaluate, fit, fit_constrained
 from .inference import deviance, lm_test, t_test, wald_test
 from .models import MODEL_REGISTRY, ModelSpec, make_model, simulate
@@ -564,15 +564,30 @@ def _parse_restrictions(texts, dim: int):
     return np.asarray(rows), np.asarray(rhs)
 
 
+def _restriction_test(method: str, test, fitted, R, r) -> dict:
+    """``test(fitted, R, r)`` as a report entry; one whose information
+    matrix is singular keeps its place, with a null statistic and the error."""
+    try:
+        return test(fitted, R, r).as_dict()
+    except SingularInformation as exc:
+        return {
+            "method": method,
+            "statistic": None,
+            "df": len(r),
+            "p_value": None,
+            "constraint": {"R": R.tolist(), "r": r.tolist()},
+            "error": f"{type(exc).__name__}: {exc}",
+        }
+
+
 def _cmd_test(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
     opts = _fit_options(args, model)
     R, r = _parse_restrictions(args.restrict, model.dim)
     result = fit(model, y, opts)
-    wald = wald_test(result, R, r)
     cfit = fit_constrained(model, y, R, r, opts)
-    lm = lm_test(cfit, R, r)
+    tests = [_restriction_test("wald", wald_test, result, R, r), _restriction_test("lm", lm_test, cfit, R, r)]
     options = {
         **_model_options(args),
         **_data_options(args),
@@ -585,12 +600,17 @@ def _cmd_test(args) -> int:
         "model": _model_block(model),
         "nobs": int(result.nobs),
         "restriction": {"R": R.tolist(), "r": r.tolist()},
-        "tests": [wald.as_dict(), lm.as_dict()],
+        "tests": tests,
         "deviance": deviance(result, cfit),
         "loglik_unrestricted": float(result.loglik),
         "loglik_restricted": float(cfit.loglik),
     }
     dump_json(doc, args.out)
+    failed = [t for t in tests if "error" in t]
+    for t in failed:
+        print(f"error: {t['method']} test: {t['error']}; report written anyway", file=sys.stderr)
+    if failed:
+        return EXIT_NUMERIC
     if not (result.converged and cfit.converged):
         print("a fit did not converge; report written anyway", file=sys.stderr)
         return EXIT_NOCONV
@@ -608,13 +628,11 @@ def _cmd_calibrate(args) -> int:
         "family": args.family,
     }
     if args.family == "stable":
-        tol = args.tol if args.tol is not None else 2e-3
-        doc["index"] = kernel.calibrate_stable_index(tol=tol)
-        value, doc["mc_se"] = kernel.stable_kernel_expectation(doc["index"])
+        doc["index"] = kernel.calibrate_stable_index(tol=args.tol)
+        value = kernel.stable_kernel_expectation(doc["index"])
     else:
         base = _from_flags(_build_dist, {"family": args.family, "nu": args.nu})
-        tol = args.tol if args.tol is not None else 1e-6
-        doc["scale"] = kernel.calibrate_scale(base.family, shape=base.shape, tol=tol)
+        doc["scale"] = kernel.calibrate_scale(base.family, shape=base.shape, tol=args.tol)
         value = kernel.kernel_expectation(replace(base, scale=doc["scale"]))
         doc["nu"] = args.nu
     doc.update(expectation=value, psi_error=abs(value - 1.0))
@@ -726,7 +744,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--family", required=True, choices=[f for f in _FAMILIES if f != "empirical"]
     )
     p.add_argument("--nu", type=float, default=None, help="degrees of freedom for family t")
-    p.add_argument("--tol", type=_positive_float, default=None)
+    p.add_argument(
+        "--tol", type=_positive_float, default=1e-6, help="absolute tolerance on the scale or stable index (default %(default)g)"
+    )
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=_cmd_calibrate)
 

@@ -6,6 +6,9 @@ provides the logistic density pieces in overflow-safe form, the even
 kernel x (2 F(x) - 1) whose unit expectation pins down the scale, the
 expectation functional itself, and the brentq root finder that locates
 the scale multiplier (or stable tail index) at which it equals one.
+Every expectation is a deterministic quadrature: over the density for
+the closed-form families, over the characteristic function for the
+symmetric stable law, whose density has no closed form.
 """
 
 from __future__ import annotations
@@ -15,8 +18,9 @@ import math
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import expit
 
-from .distributions import InnovationDist, sample_symmetric_stable
+from .distributions import InnovationDist
 from .errors import BracketFailure, NonIntegrableError, QuadratureFailure
 
 __all__ = [
@@ -28,25 +32,14 @@ __all__ = [
     "stable_kernel_expectation",
     "calibrate_scale",
     "calibrate_stable_index",
-    "STABLE_MC_DRAWS",
-    "STABLE_MC_SEED",
 ]
 
-# Monte Carlo settings for the stable family, fixed so results reproduce.
-STABLE_MC_DRAWS = 10_000_000
-STABLE_MC_SEED = 20240817
-_CHUNK = 1_000_000
 _QUAD_TOL = 1e-10  # absolute accuracy asked of the kernel-expectation quadrature
 
 
 def logistic_cdf(x):
-    """Standard logistic distribution function 1 / (1 + exp(-x)).
-
-    Evaluated through exp(-|x|) so neither tail overflows.
-    """
-    x = np.asarray(x, dtype=float)
-    q = np.exp(-np.abs(x))
-    out = np.where(x >= 0.0, 1.0 / (1.0 + q), q / (1.0 + q))
+    """Standard logistic distribution function 1 / (1 + exp(-x)) (``scipy.special.expit``)."""
+    out = expit(np.asarray(x, dtype=float))
     return out if out.ndim else float(out)
 
 
@@ -100,47 +93,58 @@ def _expectation_by_quadrature(dist: InnovationDist) -> float:
     return c * dist.base_mean_abs() - 4.0 * c * val
 
 
-def stable_kernel_expectation(
-    index: float,
-    scale: float = 1.0,
-    draws: int = STABLE_MC_DRAWS,
-    seed: int = STABLE_MC_SEED,
-) -> tuple[float, float]:
-    """Monte Carlo E[k(scale * X)] for X symmetric stable with the given index.
+def _kernel_correction_transform(t: float) -> float:
+    # Fourier transform of k(x) - |x| = -2|x| / (1 + e^|x|):
+    # 2/t^2 - 2 pi^2 cosh(pi t) / sinh(pi t)^2, written in q = exp(-pi t)
+    # so that nothing overflows.  Below t = 0.02 the two terms cancel to
+    # about eps / t^2, and the Taylor series (error ~ 36 t^8) is used instead.
+    if t < 0.02:
+        u = (math.pi * t) ** 2
+        return math.pi**2 * (-1.0 / 3.0 + u * (7.0 / 60.0 + u * (-31.0 / 1512.0 + u * 127.0 / 43200.0)))
+    q = math.exp(-math.pi * t)
+    return 2.0 / (t * t) - 4.0 * math.pi**2 * q * (1.0 + q * q) / (1.0 - q * q) ** 2
 
-    Returns (estimate, standard error).  The default seed is a package
-    constant so repeated calls reproduce; reusing one seed across
-    indices gives common random numbers, which keeps the expectation
-    smooth and monotone in the index along a root finder's path.
+
+def stable_kernel_expectation(index: float, scale: float = 1.0) -> float:
+    """E[k(scale * X)] for X standard symmetric stable with the given index.
+
+    With the characteristic function exp(-|t|^index) and
+    E|X| = (2 / pi) Gamma(1 - 1/index) (Zolotarev 1986), Parseval gives
+
+        E k(cX) = c E|X| + (1/pi) int_0^inf g(t) exp(-(c t)^index) dt,
+
+    where g is the Fourier transform of k(x) - |x|; one adaptive
+    quadrature evaluates it.  At index 2 the law is N(0, 2).
     """
     if not 1.0 < index <= 2.0:
         raise NonIntegrableError(
             "stable index must lie in (1, 2] so that E|X| is finite"
         )
-    rng = np.random.Generator(np.random.Philox(seed))
-    total = total_sq = 0.0
-    for done in range(0, draws, _CHUNK):
-        vals = scale_kernel(scale * sample_symmetric_stable(rng, index, min(_CHUNK, draws - done)))
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-    mean = total / draws
-    var = max(total_sq / draws - mean * mean, 0.0)
-    return mean, float(np.sqrt(var / draws))
+    eps = _QUAD_TOL / 10.0
+    val, abserr = quad(
+        lambda t: _kernel_correction_transform(t) * math.exp(-((scale * t) ** index)),
+        0.0, math.inf, epsabs=eps, epsrel=1e-11, limit=400,
+    )
+    if abserr > max(20.0 * eps, 1e-9 * max(1.0, abs(val))):
+        raise QuadratureFailure(
+            f"stable kernel expectation quadrature error {abserr:.2e} exceeds tolerance"
+        )
+    return scale * (2.0 / math.pi) * math.gamma(1.0 - 1.0 / index) + val / math.pi
 
 
 def kernel_expectation(dist: InnovationDist) -> float:
     """E[k(X)] for the scaled law, k the even kernel x (2 F(x) - 1).
 
     Closed-form-density families go through adaptive quadrature with a
-    tail correction; the stable family uses a seeded Monte Carlo sum;
-    an empirical law averages the kernel over its sample values.
+    tail correction; the stable family through a quadrature over its
+    characteristic function; an empirical law averages the kernel over
+    its sample values.
     """
     if dist.family == "empirical":
         vals = scale_kernel(dist.scale * np.asarray(dist.data, dtype=float))
         return float(np.mean(vals))
     if dist.family == "stable":
-        value, _ = stable_kernel_expectation(dist.shape, dist.scale)
-        return value
+        return stable_kernel_expectation(dist.shape, dist.scale)
     return _expectation_by_quadrature(dist)
 
 
@@ -188,22 +192,19 @@ def calibrate_scale(
     return _find_root(objective, 0.25, 4.0, tol / 2.0, grow=True)
 
 
-def calibrate_stable_index(
-    tol: float = 2e-3,
-    draws: int = STABLE_MC_DRAWS,
-    seed: int = STABLE_MC_SEED,
-) -> float:
+def calibrate_stable_index(tol: float = 1e-6) -> float:
     """Tail index in (1, 2] at which E[k(X)] = 1 for the unit-scale stable law.
 
     The expectation decreases in the index: heavier tails (smaller
     index) inflate E|X|, and at index 2 the law is N(0, 2) whose
-    expectation sits below one.  Common random numbers keep the sampled
-    log E[k(X)] smooth and monotone, and brentq finds its root on
-    [1.05, 2].  ``tol`` is the absolute tolerance on the returned index;
-    the reference value is about 1.69.
+    expectation sits below one.  brentq finds the root of 1 / E[k(X)] - 1
+    on [1.05, 2]: E|X| = (2 / pi) Gamma(1 - 1/index) has a pole at index 1,
+    so the reciprocal is nearly linear in the index and needs fewer
+    quadratures than 1 - E[k(X)].  ``tol`` is the absolute tolerance on
+    the returned index.  The root is about 1.6885.
     """
 
     def objective(index: float) -> float:
-        return -math.log(stable_kernel_expectation(index, 1.0, draws, seed)[0])
+        return 1.0 / stable_kernel_expectation(index) - 1.0
 
     return _find_root(objective, 1.05, 2.0, tol / 2.0)

@@ -152,6 +152,9 @@ def _render_mc(doc: dict) -> str:
 def _render_test(doc: dict) -> str:
     lines = [f"model: {doc['model']['name']}  nobs: {doc['nobs']}"]
     for t in doc["tests"]:
+        if t.get("error"):
+            lines.append(f"{t['method']:>5}: not computed ({t['error']})")
+            continue
         df = f" df={t['df']}" if t.get("df") else ""
         lines.append(
             f"{t['method']:>5}: statistic {t['statistic']:.4f}{df}  p-value {t['p_value']:.4g}"
@@ -164,8 +167,8 @@ def _render_test(doc: dict) -> str:
 def _render_calibrate(doc: dict) -> str:
     if "index" in doc:
         return (
-            f"family: {doc['family']}\ncalibrated tail index: {doc['index']:.4f}\n"
-            f"kernel expectation at index: {doc['expectation']:.6f} (mc se {doc['mc_se']:.2e})\n"
+            f"family: {doc['family']}\ncalibrated tail index: {doc['index']:.6f}\n"
+            f"kernel expectation at index: {doc['expectation']:.10f}\n"
             f"|psi - 1|: {doc['psi_error']:.2e}"
         )
     nu = f" (nu {doc['nu']:g})" if doc.get("nu") is not None else ""

@@ -404,6 +404,106 @@ def test_render_every_schema(dar_csv, tmp_path, capsys):
     assert "scale" in text
 
 
+def _render(capsys, path) -> str:
+    capsys.readouterr()
+    assert main(["render", str(path)]) == 0
+    return capsys.readouterr().out
+
+
+def test_render_mc_report(tmp_path, capsys):
+    # a power scenario and a failed one, so every part of the view is drawn
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(
+        MC_CONFIG
+        + "  - label: broken\n"
+        "    model: {name: garch, order: [1, 1]}\n"
+        "    theta0: [1.0, 0.1, 0.3]\n"
+        "    dist: {family: logistic}\n"
+        "    nobs: 120\n"
+        "    reps: 2\n"
+        "    constraint:\n"
+        "      R: [[1, 0, 0]]\n"
+        "      r: [-5]\n"
+    )
+    out = tmp_path / "mc.json"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 4
+    text = _render(capsys, out)
+    assert "scenario: dar-null  model: dar" in text
+    assert "dgp scale: 1.3" in text
+    assert "reject rate at 0.05: wald" in text
+    assert "scenario broken: FAILED (" in text
+
+
+def test_render_diagnose_report(dar_csv, tmp_path, capsys):
+    out = tmp_path / "diag.json"
+    assert main([
+        "diagnose", "--data", str(dar_csv), "--model", "dar", "--order", "1,1",
+        "--theta", "1.0,0.5,0.3,0.5", "--hill-k", "30", "--out", str(out),
+    ]) == 0
+    text = _render(capsys, out)
+    assert "model: dar  nobs: 299" in text
+    assert "theta: const=1.0000, ar1=0.5000, alpha0=0.3000, alpha1=0.5000" in text
+    for head in ("residual kernel mean: ", "residual quartiles: ", "lyapunov: ", "hill sweep: k="):
+        assert head in text
+    assert "(k=30)" in text
+
+
+def test_render_stable_calibration(tmp_path, capsys):
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--family", "stable", "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    assert "mc_se" not in doc
+    assert doc["index"] == pytest.approx(1.6884507, abs=1e-6)
+    assert doc["psi_error"] < 1e-6
+    text = _render(capsys, out)
+    assert "calibrated tail index: 1.688451" in text
+    assert "kernel expectation at index: " in text
+
+
+# An ARMA-GARCH t2 series whose unrestricted fit ends with beta1 on its 0
+# face at an indefinite information matrix: the Wald statistic cannot be
+# formed there, the score statistic can.
+SINGULAR_SIM = [
+    "simulate", "--model", "arma_garch", "--no-intercept",
+    "--theta", "0.3,0.2,0.2,0.1,0.3", "--dist", "t", "--nu", "2",
+    "--dist-scale", "0.9585596", "--n", "400", "--burn", "50", "--seed", "10",
+]
+
+
+@pytest.fixture(scope="module")
+def singular_test_report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("singular")
+    data, out = tmp / "ag.csv", tmp / "test.json"
+    assert main(SINGULAR_SIM + ["--out", str(data)]) == 0
+    rc = main([
+        "test", "--data", str(data), "--model", "arma_garch", "--no-intercept",
+        "--restrict", "1,1,2,3,1=1.5", "--out", str(out),
+    ])
+    return rc, out
+
+
+def test_test_writes_report_when_a_statistic_cannot_be_formed(singular_test_report):
+    rc, out = singular_test_report
+    assert rc == 4
+    doc = json.loads(out.read_text())
+    wald, lm = doc["tests"]
+    assert wald["method"] == "wald" and wald["df"] == 1
+    assert wald["statistic"] is None and wald["p_value"] is None
+    assert wald["error"].startswith("SingularInformation: ")
+    assert wald["constraint"] == lm["constraint"] == doc["restriction"]
+    assert "error" not in lm
+    assert lm["statistic"] == pytest.approx(0.325, abs=1e-3)
+    assert lm["p_value"] == pytest.approx(0.569, abs=1e-3)
+
+
+def test_render_test_report(singular_test_report, capsys):
+    _, out = singular_test_report
+    text = _render(capsys, out)
+    assert " wald: not computed (SingularInformation: " in text
+    assert "   lm: statistic 0.3250 df=1  p-value 0.5686" in text
+    assert "deviance (descriptive, no p-value): " in text
+
+
 def test_render_unknown_schema(tmp_path):
     doc = tmp_path / "weird.json"
     doc.write_text('{"schema": "lqmle.unknown/9"}')

@@ -41,3 +41,19 @@ def test_bench_tracer_wraps_the_package_and_records_spans(monkeypatch):
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["models.filter.o2_us.dar"] > 0
     assert lqmle.fit is fit and lqmle.estimation.evaluate is evaluate
+
+
+def test_bench_tracer_counts_stable_expectations_per_calibration(monkeypatch):
+    # long-series reports kernel.stable_kernel_expectation.calls; it holds
+    # only while calibrate_stable_index calls the module-level function
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        lqmle.calibrate_stable_index()
+    finally:
+        tracer.uninstall()
+    inner = [s for s in tracer.spans if s.name == "kernel.stable_kernel_expectation"]
+    assert inner and all(s.parent.name == "kernel.calibrate_stable_index" for s in inner)
+    assert tracing.layer_metrics(tracer.spans)["kernel.stable_kernel_expectation.calls"] == len(inner)
