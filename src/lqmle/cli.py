@@ -101,7 +101,8 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
         "--no-multistart",
         action="store_true",
         help="fit from the model's start values alone, without its screened start "
-        "candidates; a restricted fit runs only its projected base point",
+        "candidates; a restricted fit runs only its first start, the unrestricted "
+        "estimate projected onto the restriction",
     )
     p.add_argument("--max-iter", type=_int_at_least(1), default=500)
     p.add_argument(
@@ -586,7 +587,7 @@ def _cmd_test(args) -> int:
     opts = _fit_options(args, model)
     R, r = _parse_restrictions(args.restrict, model.dim)
     result = fit(model, y, opts)
-    cfit = fit_constrained(model, y, R, r, opts)
+    cfit = fit_constrained(model, y, R, r, opts, theta_hat=result.theta)
     tests = [_restriction_test("wald", wald_test, result, R, r), _restriction_test("lm", lm_test, cfit, R, r)]
     options = {
         **_model_options(args),

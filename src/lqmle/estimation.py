@@ -24,7 +24,9 @@ cheap data-driven ``start_values`` and, for a multistart fit, one point
 of each group of its ``start_candidates``, groups of points aimed at
 the kinds of basin the model can have; the point with the highest
 criterion value in its group runs, found by one order-0 evaluation
-each.
+each.  A restricted fit that is given the unrestricted estimate starts
+next to its optimum: theta_hat projected into the box on the plane
+runs first, ahead of the start values.
 """
 
 from __future__ import annotations
@@ -234,9 +236,10 @@ class FitOptions:
 
     ``multistart`` adds the best-scoring candidate of each group of the
     model's start candidates to its start values in ``fit``; in
-    ``fit_constrained`` it adds the start values to the projected base
-    point.  ``start`` replaces every start of either.  ``seed`` is
-    accepted but read by neither, since no start is drawn at random.
+    ``fit_constrained`` it adds the start values to the first start, the
+    projected unrestricted estimate (or the projected box midpoint
+    without one).  ``start`` replaces every start of either.  ``seed``
+    is accepted but read by neither, since no start is drawn at random.
     """
 
     criterion: str = "logistic"
@@ -542,24 +545,40 @@ def _feasible_point(*blobs: bytes) -> np.ndarray:
     return _project_into_box(R.reshape(r.size, lo.size), r, lo, hi)
 
 
-def _project_into_box(R, r, lo, hi) -> np.ndarray:
-    th = np.clip(0.5 * (lo + hi), lo, hi)
+def _project_into_box(R, r, lo, hi, start=None) -> np.ndarray:
+    """Read-only box point on R theta = r by alternating projection.
+
+    Starts from ``start`` clipped to the box, or from the box midpoint;
+    a start already in the box and on the plane is returned as it is.
+    """
+    th = np.clip(0.5 * (lo + hi) if start is None else start, lo, hi)
     gram = R @ R.T
+    tol = 1e-11 * (1.0 + np.max(np.abs(r)))
     for _ in range(500):
-        th = th - R.T @ np.linalg.solve(gram, R @ th - r)
-        th = np.clip(th, lo, hi)
-        if np.max(np.abs(R @ th - r)) <= 1e-11 * (1.0 + np.max(np.abs(r))):
+        if np.max(np.abs(R @ th - r)) <= tol:
             th.setflags(write=False)
             return th
+        th = np.clip(th - R.T @ np.linalg.solve(gram, R @ th - r), lo, hi)
     raise InfeasibleConstraint("no box point satisfies the linear restriction")
 
 
-def _constrained_starts(model: ModelSpec, y, base, opts: FitOptions) -> list[np.ndarray]:
+def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, base) -> np.ndarray:
+    """theta_hat projected into the box on R theta = r; ``base`` if that fails."""
+    th = model._check_theta(theta_hat)
+    if not np.all(np.isfinite(th)):
+        raise NonFiniteObjective("theta_hat contains non-finite values")
+    try:
+        return _project_into_box(R, r, lo, hi, start=th)
+    except InfeasibleConstraint:
+        return base
+
+
+def _constrained_starts(model: ModelSpec, y, first, opts: FitOptions) -> list[np.ndarray]:
     if opts.start is not None:
         return [np.asarray(opts.start, dtype=float)]
     if not opts.multistart:
-        return [base]
-    return [base, *model.start_values(y)]
+        return [first]
+    return [first, *model.start_values(y)]
 
 
 def fit_constrained(
@@ -568,26 +587,33 @@ def fit_constrained(
     R,
     r,
     options: FitOptions | None = None,
+    theta_hat=None,
 ) -> FitResult:
     """Maximize subject to R theta = r by Newton in null-space coordinates.
 
-    Starts from the box midpoint projected onto the restriction, then
-    from the model's start values projected onto it.  ``options.start``
-    replaces them all, projected the same way, and with
-    ``multistart=False`` only the projected midpoint runs.  The Lagrange
-    multiplier estimate is recovered from the stationarity of
-    L(theta)/n + lambda' (R theta - r) at the constrained optimum:
-    lambda = -(R R')^{-1} R score(theta) / n.
+    The first start is the unrestricted estimate ``theta_hat`` projected
+    into the box on the restriction plane (alternating projection from
+    theta_hat), which usually sits a few Newton steps from the
+    restricted optimum; without theta_hat, or when that projection
+    fails, it is the plane's base point, the box midpoint projected the
+    same way.  The model's start values follow, projected onto the
+    plane; with ``multistart=False`` only the first start runs, and
+    ``options.start`` replaces them all.  A theta_hat of the wrong
+    length raises ShapeMismatch and a non-finite one NonFiniteObjective,
+    before any Newton step.  The Lagrange multiplier estimate is
+    recovered from the stationarity of L(theta)/n + lambda' (R theta - r)
+    at the constrained optimum: lambda = -(R R')^{-1} R score(theta) / n.
     """
     opts = options or FitOptions()
     R, r = _check_restriction(R, r, model.dim)
     lo, hi = model.default_bounds()
     base = _feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    first = base if theta_hat is None else _warm_start(model, theta_hat, R, r, lo, hi, base)
     return _fit(
         model,
         y,
         opts,
-        lambda yv: _constrained_starts(model, yv, base, opts),
+        lambda yv: _constrained_starts(model, yv, first, opts),
         null_space(R),
         base,
         R,

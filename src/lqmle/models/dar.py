@@ -8,6 +8,8 @@ from itertools import islice
 
 import numpy as np
 
+from ..errors import BracketFailure
+from ..kernel import _find_root, scale_kernel
 from .base import FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Dar"]
@@ -29,7 +31,9 @@ class Dar(ModelSpec):
     derivative blocks are linear in the data, so second derivatives
     vanish identically and the order-2 filter leaves ``curvature`` None.
     q = 0 (constant scale) and p = 0 (constant mean) are allowed as
-    degenerate orders.
+    degenerate orders.  The start values are the template and a
+    self-weighted least-squares fit scaled to the criterion's
+    normalization (``start_values``); DAR has no start candidates.
     """
 
     p: int = 1
@@ -89,18 +93,40 @@ class Dar(ModelSpec):
         return _float_path(_dar_loop, self._check_theta(theta), innovations, self.p, self.q)
 
     def start_values(self, y) -> list[np.ndarray]:
+        """The template, then a self-weighted least-squares start.
+
+        At the designs of interest y can have infinite variance, and
+        ordinary least squares then lets a few large lags set the
+        coefficients (alpha0 lands on its upper face).  Both regressions
+        therefore run on the scored rows t >= ``presample``, each row
+        multiplied by w_t = 1 / (1 + sum_{j<=q} y_{t-j}^2), the
+        self-weighting of Ling (2005, 2007): the mean regression of y_t on
+        its lags, then the regression of the squared residuals on the
+        squared lags.  The fitted scale s2_t is then multiplied by the c
+        that solves mean_t k(e_t / sqrt(c s2_t)) = 1, with k the scale
+        kernel, the criterion's own scale normalization; when that root
+        cannot be bracketed the scale is kept as fitted.
+        """
         y = self._check_series(y)
         starts = [self._template_values()]
         n, k = y.size, self.presample
         if n - k > self.p + self.q + 4:
             # regress on the rows the criterion scores, whose lags are all observed
             x = np.column_stack([np.ones(n)] + [lagged(y, i) for i in range(1, self.p + 1)])[k:]
-            coef, *_ = np.linalg.lstsq(x, y[k:], rcond=None)
-            resid = y[k:] - x @ coef
             z = np.column_stack([np.ones(n)] + [lagged(y * y, j) for j in range(1, self.q + 1)])[k:]
-            acoef, *_ = np.linalg.lstsq(z, resid * resid, rcond=None)
+            w = 1.0 / z.sum(axis=1)  # z's rows are (1, y_{t-1}^2, ..., y_{t-q}^2)
+            coef, *_ = np.linalg.lstsq(x * w[:, None], y[k:] * w, rcond=None)
+            resid = y[k:] - x @ coef
+            acoef, *_ = np.linalg.lstsq(z * w[:, None], resid * resid * w, rcond=None)
             acoef[0] = max(acoef[0], 1e-3)
             acoef[1:] = np.clip(acoef[1:], 0.0, None)
+            u = resid / np.sqrt(z @ acoef)
+            try:
+                acoef *= _find_root(
+                    lambda c: 1.0 - np.mean(scale_kernel(u / np.sqrt(c))), 0.25, 4.0, 1e-8, grow=True
+                )
+            except BracketFailure:
+                pass
             lo, hi = self.default_bounds()
             starts.append(np.clip(np.r_[coef, acoef], lo, hi))
         return starts

@@ -49,7 +49,7 @@ class Scenario:
 
     When ``constraint`` is set to (R, r) each replication also runs the
     Wald and multiplier tests of R theta = r and records their
-    p-values.  Power studies set ``alternative_scale`` away from 1: the
+    p-values; its restricted fit starts from its unrestricted estimate.  Power studies set ``alternative_scale`` away from 1: the
     data are generated at alternative_scale * theta0 while the tests
     keep the null encoded by (R, r).
     """
@@ -134,7 +134,7 @@ def _replicate(args: tuple[Scenario, int]) -> RepRecord:
             R = np.asarray(scenario.constraint[0], dtype=float)
             r = np.asarray(scenario.constraint[1], dtype=float)
             rec.wald_p = wald_test(res, R, r).p_value
-            cfit = fit_constrained(scenario.model, y, R, r, opts)
+            cfit = fit_constrained(scenario.model, y, R, r, opts, theta_hat=res.theta)
             if cfit.converged:
                 rec.lm_p = lm_test(cfit, R, r).p_value
             else:

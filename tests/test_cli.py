@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lqmle
@@ -241,6 +242,29 @@ def test_test_subcommand_reports_all_three(dar_csv, tmp_path):
         assert 0 <= by_method[key]["p_value"] <= 1
     assert doc["deviance"] >= 0
     assert doc["loglik_restricted"] <= doc["loglik_unrestricted"] + 1e-9
+
+
+def test_test_without_multistart_runs_the_warm_start(tmp_path):
+    # replication 4 of a burn-0 DAR(1,1) logistic scenario with seed 5 and
+    # n = 400: the projected box midpoint alone stops after one iteration
+    # far below the restricted optimum; the unrestricted estimate projected
+    # onto the restriction reaches it in a few Newton steps
+    model = lqmle.make_model("dar", p=1, q=1)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(4,))))
+    y = lqmle.simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, lqmle.logistic(), rng=rng)
+    data = tmp_path / "rep4.csv"
+    np.savetxt(data, np.r_[0.0, y], fmt="%.17g")
+    docs = {}
+    for flags in ([], ["--no-multistart"]):
+        out = tmp_path / f"test{len(flags)}.json"
+        rc = main([
+            "test", "--data", str(data), "--model", "dar", "--order", "1,1",
+            "--restrict", "1,1,1,1=2.3", "--out", str(out), *flags,
+        ])
+        assert rc == 0
+        docs[len(flags)] = json.loads(out.read_text())
+    assert docs[1]["loglik_restricted"] == docs[0]["loglik_restricted"]
+    assert docs[1]["loglik_restricted"] == pytest.approx(-1191.7638, abs=1e-4)
 
 
 def test_restriction_dimension_mismatch(dar_csv, tmp_path):

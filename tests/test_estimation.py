@@ -417,6 +417,81 @@ def test_constrained_fit_without_multistart_runs_the_base_point():
     assert cfit.trace[0] == evaluate(model, y, base).loglik
 
 
+def test_constrained_fit_without_theta_hat_is_unchanged():
+    # without theta_hat the base point is the first start, as before the
+    # warm start existed: these figures are the earlier code's, bit for bit
+    dar = make_model("dar", p=1, q=1)
+    y = simulate(dar, np.array([1.0, 0.5, 0.3, 0.5]), 600, logistic(), seed=23)
+    cfit = fit_constrained(dar, y, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3]), FitOptions(multistart=False))
+    assert (cfit.loglik, cfit.iterations, cfit.n_starts) == (-1494.0725079600495, 16, 1)
+    ag = make_model("arma_garch", include_intercept=False)
+    y = simulate(ag, np.array([0.3, 0.2, 0.2, 0.1, 0.3]), 400, logistic(), seed=1000, burn=100)
+    cfit = fit_constrained(ag, y, np.array([[1.0, 1.0, 2.0, 3.0, 1.0]]), np.array([1.5]))
+    assert (cfit.loglik, cfit.iterations, cfit.n_starts) == (-676.3405410284347, 17, 3)
+
+
+@pytest.mark.parametrize(
+    "theta_hat,error",
+    [((1.0, 0.5, 0.3), ShapeMismatch), ((1.0, np.nan, 0.3, 0.5), NonFiniteObjective)],
+    ids=["wrong-length", "non-finite"],
+)
+def test_bad_theta_hat_fails_before_any_newton_step(monkeypatch, theta_hat, error):
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=23)
+    monkeypatch.setattr(estimation, "_newton", lambda *a, **k: pytest.fail("Newton ran"))
+    with pytest.raises(error):
+        fit_constrained(model, y, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3]), theta_hat=theta_hat)
+
+
+def test_feasible_theta_hat_is_the_first_start():
+    # a theta_hat inside the box on R theta = r is its own projection
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 600, logistic(), seed=23)
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    lo, hi = model.default_bounds()
+    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    theta_hat = np.array([0.8, 0.4, 0.7, 0.4])
+    np.testing.assert_array_equal(estimation._warm_start(model, theta_hat, R, r, lo, hi, base), theta_hat)
+    cfit = fit_constrained(model, y, R, r, FitOptions(multistart=False), theta_hat=theta_hat)
+    assert cfit.n_starts == 1
+    assert cfit.trace[0] == pytest.approx(evaluate(model, y, theta_hat).loglik, abs=1e-9)
+    # the warm start replaces the base point ahead of the start values
+    assert fit_constrained(model, y, R, r, theta_hat=theta_hat).n_starts == 3
+
+
+def test_warm_start_projects_theta_hat_into_the_box_on_the_plane(monkeypatch):
+    model = make_model("dar", p=1, q=1)
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    lo, hi = model.default_bounds()
+    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    warm = estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi, base)
+    assert float((R @ warm)[0]) == pytest.approx(2.3, abs=1e-10)
+    assert np.all((lo <= warm) & (warm <= hi))
+    assert np.max(np.abs(warm - base)) > 1.0  # not the base point
+
+    def stuck(R, r, lo, hi, start=None):  # a projection that fails falls back to the base point
+        raise InfeasibleConstraint("no box point satisfies the linear restriction")
+
+    monkeypatch.setattr(estimation, "_project_into_box", stuck)
+    assert estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi, base) is base
+
+
+def test_warm_start_reaches_the_restricted_optimum_the_base_point_misses():
+    # ARMA-GARCH at 1.3 theta0: from the base point the fit stops after
+    # one iteration far below the optimum and its start values die; from
+    # the unrestricted estimate it converges in a few steps
+    model = make_model("arma_garch", include_intercept=False)
+    theta0 = 1.3 * np.array([0.3, 0.2, 0.2, 0.1, 0.3])
+    y = simulate(model, theta0, 400, logistic(), seed=1027, burn=100)
+    R, r = np.array([[1.0, 1.0, 2.0, 3.0, 1.0]]), np.array([1.5])
+    cold = fit_constrained(model, y, R, r)
+    warm = fit_constrained(model, y, R, r, theta_hat=fit(model, y).theta)
+    assert not cold.converged
+    assert warm.converged
+    assert warm.loglik > cold.loglik + 1000.0
+    assert warm.loglik == pytest.approx(-745.1474206812732, abs=1e-6)
+
+
 def test_earlier_start_wins_a_tie(monkeypatch):
     # starts that reach one optimum differ in the last bits of their
     # loglik; a later start must clear the best by more than rounding
@@ -622,6 +697,9 @@ def _scaled(case, factor):
         (("garch", dict(p=2, q=1), (1.0, 0.1, 0.1, 0.4)), 400, "t2", 112, -1059.277709296569),
         (("expar", dict(p=2), (0.3, 0.1, 0.5, -0.2, 1.5)), 400, "logistic", 115, -780.9825717010249),
         (("dar", dict(p=2, q=2), (1.0, 0.4, 0.1, 0.3, 0.3, 0.2)), 400, "t2", 100, -1223.1244849685188),
+        # an ordinary least-squares data start put alpha0 on its upper face here
+        (("dar", dict(p=2, q=2), (1.0, 0.4, 0.1, 0.3, 0.3, 0.2)), 400, "logistic", 156, -1637.9038566446695),
+        (("dar", dict(p=2, q=2), (1.0, 0.4, 0.1, 0.3, 0.3, 0.2)), 400, "logistic", 198, -1493.900180437267),
         (_GARCH, 150, "t2", 128, -429.635239915443),
         (_AG, 150, "t2", 137, -232.7225562268446),
         (_EXPAR, 150, "t2", 123, -331.2608709329147),
@@ -634,9 +712,9 @@ def _scaled(case, factor):
     ids=[
         "expar-logistic-8", "garch-t2-78", "expar-logistic-28", "expar-t2-85", "arma_garch-t2-46",
         "arma_garch-t2-95", "arma_garch_const-t2-128", "garch12-t2-144", "garch21-t2-112",
-        "expar2-logistic-115", "dar22-t2-100", "garch-n150-t2-128", "arma_garch-n150-t2-137",
-        "expar-n150-t2-123", "dar-n150-t2-100", "garch-1.3x-t2-162", "arma_garch-1.3x-t2-105",
-        "expar-1.3x-t2-179", "dar-1.3x-t2-100",
+        "expar2-logistic-115", "dar22-t2-100", "dar22-logistic-156", "dar22-logistic-198",
+        "garch-n150-t2-128", "arma_garch-n150-t2-137", "expar-n150-t2-123", "dar-n150-t2-100",
+        "garch-1.3x-t2-162", "arma_garch-1.3x-t2-105", "expar-1.3x-t2-179", "dar-1.3x-t2-100",
     ],
 )
 def test_fit_reaches_the_reference_optimum(case, nobs, family, seed, reference):

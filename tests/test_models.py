@@ -8,10 +8,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.signal import lfilter
 
 from lqmle.distributions import logistic, normal
 from lqmle.errors import ShapeMismatch
+from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
 from lqmle.models.base import FilterOutput, _floor_sigma2
 from lqmle.models.stationarity import lyapunov_exponent
@@ -413,18 +415,27 @@ def test_start_values_land_inside_bounds():
 
 
 def test_dar_data_start_regresses_on_the_scored_rows():
-    # the lstsq start uses rows t >= presample, whose lags are all observed
+    # the data start uses rows t >= presample, whose lags are all observed:
+    # least squares with each row multiplied by w_t = 1 / (1 + y_{t-1}^2),
+    # then the scale multiplied by the c with mean_t k(e_t / sqrt(c s2_t)) = 1
     m = make_model("dar", p=2, q=1)
     y = simulate(m, np.array([0.5, 0.4, -0.2, 0.8, 0.3]), 200, logistic(), seed=4, burn=50)
     y[0] = 40.0  # a pre-sample outlier enters only as a lag
     t = np.arange(2, y.size)
+    w = 1.0 / (1.0 + y[t - 1] ** 2)
     x = np.column_stack([np.ones(t.size), y[t - 1], y[t - 2]])
-    coef = np.linalg.lstsq(x, y[t], rcond=None)[0]
+    coef = np.linalg.lstsq(x * w[:, None], y[t] * w, rcond=None)[0]
     resid = y[t] - x @ coef
     z = np.column_stack([np.ones(t.size), y[t - 1] ** 2])
-    acoef = np.linalg.lstsq(z, resid**2, rcond=None)[0]
-    want = np.clip(np.r_[coef, max(acoef[0], 1e-3), max(acoef[1], 0.0)], *m.default_bounds())
-    np.testing.assert_allclose(m.start_values(y)[1], want, rtol=1e-12)
+    acoef = np.linalg.lstsq(z * w[:, None], resid**2 * w, rcond=None)[0]
+    acoef = np.r_[max(acoef[0], 1e-3), max(acoef[1], 0.0)]
+    u = resid / np.sqrt(z @ acoef)
+    c = brentq(lambda c: np.mean(u / np.sqrt(c) * np.tanh(0.5 * u / np.sqrt(c))) - 1.0, 1e-6, 1e6, xtol=1e-14)
+    want = np.clip(np.r_[coef, c * acoef], *m.default_bounds())
+    got = m.start_values(y)[1]
+    np.testing.assert_allclose(got, want, rtol=1e-7)
+    s2 = got[3] + got[4] * y[t - 1] ** 2
+    assert np.mean(scale_kernel(resid / np.sqrt(s2))) == pytest.approx(1.0, abs=1e-7)
 
 
 def test_start_candidates_of_a_short_series_are_empty():

@@ -57,3 +57,32 @@ def test_bench_tracer_counts_stable_expectations_per_calibration(monkeypatch):
     inner = [s for s in tracer.spans if s.name == "kernel.stable_kernel_expectation"]
     assert inner and all(s.parent.name == "kernel.calibrate_stable_index" for s in inner)
     assert tracing.layer_metrics(tracer.spans)["kernel.stable_kernel_expectation.calls"] == len(inner)
+
+
+def test_bench_tracer_reports_constrained_fit_evaluations(monkeypatch):
+    # mc-study's per-layer figure for the restricted fits of a replication:
+    # it holds only while _replicate calls fit_constrained through the
+    # montecarlo module global and fit_constrained calls evaluate
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    model = make_model("dar", p=1, q=1)
+    scenario = lqmle.Scenario(
+        model=model,
+        theta0=(1.0, 0.5, 0.3, 0.5),
+        dist=logistic(),
+        nobs=100,
+        reps=3,
+        seed=5,
+        constraint=(((1.0, 1.0, 1.0, 1.0),), (2.3,)),
+    )
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        lqmle.run_scenario(scenario, max_failure_fraction=1.0)
+    finally:
+        tracer.uninstall()
+    cfits = [s for s in tracer.spans if s.name == "estimation.fit_constrained.dar"]
+    assert cfits
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["estimation.fit_constrained.evaluate_calls"] > 0
+    assert metrics["estimation.fit.evaluate_calls"] > 0
