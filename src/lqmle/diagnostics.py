@@ -25,9 +25,7 @@ __all__ = [
 
 
 _HILL_GRID = (0.25, 0.5, 0.75, 1.0, 1.5, 2.0)  # hill_sweep's multiples of the default k
-# draws and seed of the Lyapunov exponent under the residual law
-_LYAPUNOV_DRAWS = 100_000
-_LYAPUNOV_SEED = 0
+_HIST_BINS = 30  # bins of the residual histogram
 
 
 def default_tail_fraction(n: int) -> int:
@@ -105,7 +103,7 @@ class ResidualSummary:
         return fields_dict(self)
 
 
-def summarize_residuals(residuals, bins: int = 30) -> ResidualSummary:
+def summarize_residuals(residuals) -> ResidualSummary:
     x = np.asarray(residuals, dtype=float).ravel()
     n = x.size
     if n == 0:
@@ -113,7 +111,7 @@ def summarize_residuals(residuals, bins: int = 30) -> ResidualSummary:
     kern = scale_kernel(x)
     se = float(np.std(kern, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
     quarts = tuple(float(q) for q in np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0]))
-    counts, edges = np.histogram(x, bins=bins)
+    counts, edges = np.histogram(x, bins=_HIST_BINS)
     return ResidualSummary(
         nobs=n,
         kernel_mean=float(np.mean(kern)),
@@ -161,9 +159,7 @@ def residual_diagnostics(model, fit, hill_k: int | None = None) -> DiagnosticsRe
     except DegenerateTail:
         hill = None
     try:
-        lyap, lyap_se = lyapunov_exponent(
-            model, fit.theta, empirical(resid), draws=_LYAPUNOV_DRAWS, seed=_LYAPUNOV_SEED
-        )
+        lyap, lyap_se = lyapunov_exponent(model, fit.theta, empirical(resid))
     except ValueError:
         lyap, lyap_se = None, None
     return DiagnosticsReport(

@@ -24,9 +24,9 @@ cheap data-driven ``start_values`` and, for a multistart fit, one point
 of each group of its ``start_candidates``, groups of points aimed at
 the kinds of basin the model can have; the point with the highest
 criterion value in its group runs, found by one order-0 evaluation
-each.  A restricted fit that is given the unrestricted estimate starts
-next to its optimum: theta_hat projected into the box on the plane
-runs first, ahead of the start values.
+each.  A restricted fit starts next to its optimum: the unrestricted
+estimate theta_hat projected into the box on the plane runs first,
+ahead of the start values.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput):
     """y and ``out`` without their first ``model.presample`` rows.
 
     Those observations condition the criterion: they enter the filter as
-    lags but add no term.
+    lags but add no term.  The curvature weighs the dropped rows by zero.
     """
     k = model.presample
     if k == 0:
@@ -128,18 +128,22 @@ def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput):
         raise ShapeMismatch(
             f"{model.name} conditions on its first {k} observations; the series has {y.size}"
         )
-    if out.curvature is not None:
-        raise NotImplementedError(
-            f"{model.name}: dropping the first rows of a contracted second derivative"
-        )
     dg, ds2 = out.dmean, out.dsigma2
-    return y[k:], FilterOutput(
+    kept = FilterOutput(
         out.mean[k:],
         out.sigma2[k:],
         out.sigma[k:],
         None if dg is None else dg[k:],
         None if ds2 is None else ds2[k:],
     )
+    if out.curvature is not None:
+        full, pad = out.curvature, np.zeros(k)
+
+        def curvature(w_g, w_s):
+            return full(*(None if w is None else np.concatenate((pad, w)) for w in (w_g, w_s)))
+
+        kept.curvature = curvature
+    return y[k:], kept
 
 
 def evaluate(
@@ -237,9 +241,9 @@ class FitOptions:
     ``multistart`` adds the best-scoring candidate of each group of the
     model's start candidates to its start values in ``fit``; in
     ``fit_constrained`` it adds the start values to the first start, the
-    projected unrestricted estimate (or the projected box midpoint
-    without one).  ``start`` replaces every start of either.  ``seed``
-    is accepted but read by neither, since no start is drawn at random.
+    projected unrestricted estimate.  ``start`` replaces every start of
+    either.  ``seed`` is accepted but read by neither, since no start is
+    drawn at random.
     """
 
     criterion: str = "logistic"
@@ -408,15 +412,12 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
 
 
 def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
-    """``opts.start`` alone, or the model's start values and, for a
-    multistart fit, the best candidate of each group of its start
-    candidates.
+    """The model's start values and, for a multistart fit, the best
+    candidate of each group of its start candidates.
 
     Each candidate of a group of several costs one order-0 evaluation
     under the fit's own criterion; of equal scores the earlier one wins.
     """
-    if opts.start is not None:
-        return [np.asarray(opts.start, dtype=float)]
     starts = list(model.start_values(y))
     for group in model.start_candidates(y) if opts.multistart else []:
         if len(group) > 1:
@@ -437,7 +438,8 @@ def _beats(loglik: float, best: float) -> bool:
 
 
 def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> FitResult:
-    """Best Newton run over ``starts(series)`` on {base + basis xi}.
+    """Best Newton run over ``starts(series)``, or ``opts.start`` alone, on
+    {base + basis xi}.
 
     With a restriction matrix R the result carries the multiplier
     estimate; without one, the sandwich covariance.
@@ -459,7 +461,8 @@ def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> 
     strays = []
     token = _STRAYS.set(strays)
     try:
-        for n_starts, th0 in enumerate(starts(yv), 1):
+        points = starts(yv) if opts.start is None else [np.asarray(opts.start, dtype=float)]
+        for n_starts, th0 in enumerate(points, 1):
             xi0 = basis.T @ (np.clip(th0, lo, hi) - base)
             res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
             if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
@@ -573,31 +576,24 @@ def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, base) -> np.ndarray:
         return base
 
 
-def _constrained_starts(model: ModelSpec, y, first, opts: FitOptions) -> list[np.ndarray]:
-    if opts.start is not None:
-        return [np.asarray(opts.start, dtype=float)]
-    if not opts.multistart:
-        return [first]
-    return [first, *model.start_values(y)]
-
-
 def fit_constrained(
     model: ModelSpec,
     y,
     R,
     r,
     options: FitOptions | None = None,
-    theta_hat=None,
+    *,
+    theta_hat,
 ) -> FitResult:
     """Maximize subject to R theta = r by Newton in null-space coordinates.
 
     The first start is the unrestricted estimate ``theta_hat`` projected
     into the box on the restriction plane (alternating projection from
     theta_hat), which usually sits a few Newton steps from the
-    restricted optimum; without theta_hat, or when that projection
-    fails, it is the plane's base point, the box midpoint projected the
-    same way.  The model's start values follow, projected onto the
-    plane; with ``multistart=False`` only the first start runs, and
+    restricted optimum; when that projection fails, it is the plane's
+    base point, the box midpoint projected the same way.  The model's
+    start values follow, projected onto the plane; with
+    ``multistart=False`` only the first start runs, and
     ``options.start`` replaces them all.  A theta_hat of the wrong
     length raises ShapeMismatch and a non-finite one NonFiniteObjective,
     before any Newton step.  The Lagrange multiplier estimate is
@@ -608,12 +604,12 @@ def fit_constrained(
     R, r = _check_restriction(R, r, model.dim)
     lo, hi = model.default_bounds()
     base = _feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
-    first = base if theta_hat is None else _warm_start(model, theta_hat, R, r, lo, hi, base)
+    first = _warm_start(model, theta_hat, R, r, lo, hi, base)
     return _fit(
         model,
         y,
         opts,
-        lambda yv: _constrained_starts(model, yv, first, opts),
+        lambda yv: [first, *model.start_values(yv)] if opts.multistart else [first],
         null_space(R),
         base,
         R,

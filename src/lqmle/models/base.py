@@ -231,29 +231,21 @@ def simulate(
     model: ModelSpec,
     theta,
     nobs: int,
-    dist: InnovationDist | None = None,
+    dist: InnovationDist,
     seed=None,
     rng: np.random.Generator | None = None,
     burn: int = 0,
-    innovations=None,
 ) -> np.ndarray:
     """Simulate ``nobs`` observations from the model.
 
-    Innovations are either supplied directly (length nobs + burn) or
-    drawn i.i.d. from ``dist`` using ``rng`` (or a fresh Philox
-    generator built from ``seed``).  The first ``burn`` observations
-    are discarded.
+    The nobs + burn innovations are drawn i.i.d. from ``dist`` using
+    ``rng`` (or a fresh Philox generator built from ``seed``); the first
+    ``burn`` observations are discarded.  ``model.path`` takes given
+    innovations.
     """
     if nobs < 1 or burn < 0:
         raise ShapeMismatch(f"need nobs >= 1 and burn >= 0, got nobs={nobs}, burn={burn}")
-    if innovations is None:
-        if dist is None:
-            raise ValueError("either innovations or dist must be supplied")
-        if rng is None:
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-        innovations = dist.sample(rng, nobs + burn)
-    eta = np.asarray(innovations, dtype=float).ravel()
-    if eta.size != nobs + burn:
-        raise ShapeMismatch(f"need {nobs + burn} innovations, got {eta.size}")
-    y = model.path(theta, eta)
+    if rng is None:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    y = model.path(theta, dist.sample(rng, nobs + burn))
     return y[burn:]

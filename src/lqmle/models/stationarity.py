@@ -17,6 +17,10 @@ from .garch import Garch
 
 __all__ = ["lyapunov_exponent"]
 
+# Monte Carlo draws and seed of the expectation when it has no closed form
+_DRAWS = 100_000
+_SEED = 0
+
 
 def _mc_mean(values: np.ndarray) -> tuple[float, float]:
     if not np.all(np.isfinite(values)):
@@ -29,14 +33,13 @@ def lyapunov_exponent(
     model: ModelSpec,
     theta,
     dist: InnovationDist,
-    draws: int = 100_000,
-    seed: int = 0,
 ) -> tuple[float, float]:
     """Estimate the recursion's top Lyapunov exponent and its MC standard error.
 
     Supported models: DAR(1,1) with E log |ar1 + eta sqrt(alpha1)|, and
     GARCH(1,1) or ARMA(1,1)-GARCH(1,1) with E log (beta1 + alpha1 eta^2)
-    for the volatility recursion.  When the random coefficient vanishes
+    for the volatility recursion, as the mean over ``_DRAWS`` draws from
+    ``dist`` (seed ``_SEED``).  When the random coefficient vanishes
     (alpha1 = 0) the exact degenerate value, log |ar1| or log |beta1|,
     is returned with zero standard error.
     """
@@ -51,8 +54,8 @@ def lyapunov_exponent(
         if fixed == 0.0:
             raise ValueError("degenerate recursion: both coefficients are zero")
         return float(np.log(abs(fixed))), 0.0
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    eta = dist.sample(rng, draws)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_SEED)))
+    eta = dist.sample(rng, _DRAWS)
     if isinstance(model, Dar):
         return _mc_mean(np.log(np.abs(fixed + np.sqrt(alpha1) * eta)))
     return _mc_mean(np.log(fixed + alpha1 * eta * eta))

@@ -8,6 +8,8 @@ import numpy as np
 
 __all__ = ["ParamVector", "as_array"]
 
+_FACE_TOL = 1e-8  # a component this close to a face, relative to max(1, |bound|), is on it
+
 
 @dataclass(frozen=True)
 class ParamVector:
@@ -46,11 +48,12 @@ class ParamVector:
     def array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=float)
 
-    def boundary_active(self, tol: float = 1e-8) -> tuple[bool, ...]:
-        """Which components sit on (or numerically at) a box face."""
+    def boundary_active(self) -> tuple[bool, ...]:
+        """Which components sit within ``_FACE_TOL`` (relative) of a box face."""
         v, lo, hi = self.array, np.asarray(self.lower), np.asarray(self.upper)
-        at = (v - lo <= tol * np.maximum(1.0, np.abs(lo))) | (hi - v <= tol * np.maximum(1.0, np.abs(hi)))
-        return tuple(bool(b) for b in at)
+        near_lo = v - lo <= _FACE_TOL * np.maximum(1.0, np.abs(lo))
+        near_hi = hi - v <= _FACE_TOL * np.maximum(1.0, np.abs(hi))
+        return tuple(bool(b) for b in near_lo | near_hi)
 
     def as_dict(self) -> dict[str, float]:
         return dict(zip(self.names, self.values))

@@ -98,7 +98,7 @@ def test_aic_values():
 def test_summarize_residuals_quartiles_and_histogram():
     rng = np.random.default_rng(11)
     r = rng.logistic(size=500)
-    s = summarize_residuals(r, bins=20)
+    s = summarize_residuals(r)
     assert s.nobs == 500
     assert s.quartiles[0] == pytest.approx(r.min())
     assert s.quartiles[2] == pytest.approx(np.median(r))

@@ -119,10 +119,10 @@ def test_wald_rejects_rank_deficient_rows(dar_fit):
 
 
 def test_lm_statistic_nonnegative_and_recorded(dar_fit):
-    model, y, _ = dar_fit
+    model, y, res = dar_fit
     R = np.array([[1.0, 1.0, 1.0, 1.0]])
     r = np.array([2.3])
-    cfit = fit_constrained(model, y, R, r)
+    cfit = fit_constrained(model, y, R, r, theta_hat=res.theta)
     t = lm_test(cfit, R, r)
     assert t.method == "lm"
     assert t.statistic >= 0
@@ -135,7 +135,7 @@ def test_lm_small_at_binding_optimum(dar_fit):
     # multiplier, so the LM statistic must collapse as well
     model, y, res = dar_fit
     R = np.eye(4)
-    cfit = fit_constrained(model, y, R, res.theta.array)
+    cfit = fit_constrained(model, y, R, res.theta.array, theta_hat=res.theta)
     t = lm_test(cfit, R, res.theta.array)
     assert t.statistic < 1e-4
     assert t.p_value > 0.999
@@ -150,7 +150,7 @@ def test_wald_and_lm_agree_under_the_null():
     R = np.array([[1.0, 1.0, 1.0, 1.0]])
     r = np.array([float((R @ truth)[0])])
     res = fit(model, y)
-    cfit = fit_constrained(model, y, R, r)
+    cfit = fit_constrained(model, y, R, r, theta_hat=res.theta)
     w = wald_test(res, R, r)
     l = lm_test(cfit, R, r)
     assert w.statistic == pytest.approx(l.statistic, abs=max(1.0, 0.5 * w.statistic))
@@ -176,7 +176,7 @@ def test_t_test_value_shifts_the_center(dar_fit):
 def test_deviance_nonnegative_and_additive(dar_fit):
     model, y, res = dar_fit
     R = np.array([[1.0, 1.0, 1.0, 1.0]])
-    cfit = fit_constrained(model, y, R, np.array([2.3]))
+    cfit = fit_constrained(model, y, R, np.array([2.3]), theta_hat=res.theta)
     d = deviance(res, cfit)
     assert d >= 0
     assert d == pytest.approx(2 * (res.loglik - cfit.loglik), abs=1e-12)

@@ -246,11 +246,11 @@ def test_simulate_is_seed_deterministic():
     assert not np.array_equal(a, c)
 
 
-def test_simulate_with_explicit_innovations_is_the_skeleton():
+def test_path_with_zero_innovations_is_the_skeleton():
     # zero innovations turn the path into the deterministic skeleton
     m = make_model("dar", p=1, q=1)
     th = np.array([1.0, 0.5, 1.0, 0.2])
-    y = simulate(m, th, 50, innovations=np.zeros(50))
+    y = m.path(th, np.zeros(50))
     # y_t = 1 + 0.5 y_{t-1} converges to 2
     assert abs(y[-1] - 2.0) < 1e-4
     assert y[0] == 1.0
@@ -285,7 +285,7 @@ def test_simulate_rejects_negative_burn_and_empty_series(nobs, burn):
 
 def test_lyapunov_contractive_dar():
     m = make_model("dar", p=1, q=1)
-    val, se = lyapunov_exponent(m, np.array([0.0, 0.5, 1.0, 0.5]), logistic(), draws=200_000, seed=1)
+    val, se = lyapunov_exponent(m, np.array([0.0, 0.5, 1.0, 0.5]), logistic())
     assert val < 0
     assert 0 < se < 0.01
 
@@ -300,13 +300,13 @@ def test_lyapunov_garch_exact_when_arch_off():
 def test_lyapunov_rejects_degenerate_recursion():
     m = make_model("dar", p=1, q=1)
     with pytest.raises(ValueError):
-        lyapunov_exponent(m, np.array([0.0, 0.0, 1.0, 0.0]), logistic(), draws=1000)
+        lyapunov_exponent(m, np.array([0.0, 0.0, 1.0, 0.0]), logistic())
 
 
 def test_lyapunov_rejects_unsupported_orders():
     m = make_model("dar", p=2, q=1)
     with pytest.raises(ValueError):
-        lyapunov_exponent(m, np.array([0.0, 0.2, 0.1, 1.0, 0.3]), logistic(), draws=1000)
+        lyapunov_exponent(m, np.array([0.0, 0.2, 0.1, 1.0, 0.3]), logistic())
 
 
 def test_lyapunov_arma_garch_exact_when_arch_off():
@@ -316,7 +316,7 @@ def test_lyapunov_arma_garch_exact_when_arch_off():
         (dict(include_intercept=False), [0.4, 0.2, 0.5, 0.0, 0.6]),
     ]:
         m = make_model("arma_garch", **kw)
-        val, se = lyapunov_exponent(m, np.array(theta), logistic(), draws=1000)
+        val, se = lyapunov_exponent(m, np.array(theta), logistic())
         assert val == np.log(0.6)
         assert se == 0.0
 
@@ -454,16 +454,6 @@ def test_higher_order_dar_shapes():
     want_sig2 = 1.0 + 0.1 * lagged(y, 1) ** 2 + 0.05 * lagged(y, 2) ** 2
     np.testing.assert_allclose(out.mean, want_mean, atol=1e-15)
     np.testing.assert_allclose(out.sigma2, want_sig2, atol=1e-15)
-
-
-def test_path_matches_simulate_with_same_innovations():
-    m = make_model("arma_garch")
-    th = np.array([0.1, 0.3, 0.2, 0.5, 0.1, 0.3])
-    rng = np.random.default_rng(17)
-    eta = rng.standard_normal(40)
-    a = m.path(th, eta)
-    b = simulate(m, th, 40, innovations=eta)
-    np.testing.assert_array_equal(a, b)
 
 
 # -- path loops against numpy-scalar oracles ----------------------------------

@@ -11,7 +11,8 @@ from pathlib import Path
 import numpy as np
 
 import lqmle
-import lqmle.cli  # noqa: F401  the tracer wraps cli.main
+import lqmle.cli  # the tracer wraps cli.main
+from lqmle.dataio import write_series
 from lqmle.distributions import logistic
 from lqmle.models import make_model
 
@@ -86,3 +87,27 @@ def test_bench_tracer_reports_constrained_fit_evaluations(monkeypatch):
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["estimation.fit_constrained.evaluate_calls"] > 0
     assert metrics["estimation.fit.evaluate_calls"] > 0
+
+
+def test_bench_tracer_sees_the_restricted_fit_of_lqmle_test(monkeypatch, tmp_path):
+    # fit_constrained's second caller: lqmle test passes the unrestricted
+    # estimate by keyword, and the tracer names the span from the model
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    model = make_model("dar", p=1, q=1)
+    data = tmp_path / "dar.csv"
+    write_series(data, lqmle.simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 100, logistic(), seed=5))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        rc = lqmle.cli.main([
+            "test", "--data", str(data), "--model", "dar", "--order", "1,1",
+            "--restrict", "1,1,1,1=2.3", "--out", str(tmp_path / "test.json"),
+        ])
+    finally:
+        tracer.uninstall()
+    assert rc == 0
+    cfits = [s for s in tracer.spans if s.name == "estimation.fit_constrained.dar"]
+    assert len(cfits) == 1 and cfits[0].parent.name == "cli.main"
+    assert any(c.name.startswith("estimation.evaluate.") for c in cfits[0].children)
+    assert tracing.layer_metrics(tracer.spans)["estimation.fit_constrained.evaluate_calls"] > 0
