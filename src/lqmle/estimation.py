@@ -26,7 +26,10 @@ the kinds of basin the model can have; the point with the highest
 criterion value in its group runs, found by one order-0 evaluation
 each.  A restricted fit starts next to its optimum: the unrestricted
 estimate theta_hat projected into the box on the plane runs first,
-ahead of the start values.
+ahead of the start values.  A model that sets ``interior_warm_start``
+runs theta_hat projected into the box shrunk off its faces alone, and
+the other starts only when that run dies, stops unconverged or ends on
+a box face.
 """
 
 from __future__ import annotations
@@ -232,6 +235,9 @@ def evaluate(
 _STEP_TOL = 1e-8  # Newton stops once every entry of the last or next step is this small
 _SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
 _TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best loglik|
+_BOX_SLACK = 1e-12  # this close to a face a point is on it; this far beyond, outside the box
+_ON_PLANE_TOL = 1e-9  # a start that mapping onto the plane moves less than this lies on it
+_INTERIOR_MARGIN = 0.01  # an interior warm start keeps this share of its scale off each face
 
 
 @dataclass(frozen=True)
@@ -241,9 +247,11 @@ class FitOptions:
     ``multistart`` adds the best-scoring candidate of each group of the
     model's start candidates to its start values in ``fit``; in
     ``fit_constrained`` it adds the start values to the first start, the
-    projected unrestricted estimate.  ``start`` replaces every start of
-    either.  ``seed`` is accepted but read by neither, since no start is
-    drawn at random.
+    projected unrestricted estimate, or for a model with
+    ``interior_warm_start`` lets them follow as a fallback.  Off, the
+    first start runs alone.  ``start`` replaces every start of either.
+    ``seed`` is accepted but read by neither, since no start is drawn at
+    random.
     """
 
     criterion: str = "logistic"
@@ -325,8 +333,8 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
     approached in collapsing half-steps.
     """
 
-    lo_pin, hi_pin = lo + 1e-12, hi - 1e-12  # a point this close sits on the face
-    lo_out, hi_out = lo - 1e-12, hi + 1e-12  # a point beyond these is outside the box
+    lo_pin, hi_pin = lo + _BOX_SLACK, hi - _BOX_SLACK  # a point this close sits on the face
+    lo_out, hi_out = lo - _BOX_SLACK, hi + _BOX_SLACK  # a point beyond these is outside the box
 
     def at(xi, order):
         th = base + basis @ xi
@@ -437,11 +445,37 @@ def _beats(loglik: float, best: float) -> bool:
     return loglik > best + _TIE_TOL * (1.0 + abs(best))
 
 
-def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> FitResult:
+def _plane_coords(th0, basis, base, lo, hi) -> np.ndarray:
+    """xi with base + basis xi the start th0, clipped into the box, on the plane.
+
+    The map onto the plane moves a start that lies on it by rounding
+    only, yet that can carry a coordinate on a face past ``_BOX_SLACK``,
+    where Newton would drop the start.  A least-norm step along the plane
+    puts each such coordinate back where the start had it; a start the
+    map moves further lies off the plane and keeps its mapped point.
+    """
+    th = np.clip(th0, lo, hi)
+    xi = basis.T @ (th - base)
+    fixed = np.zeros(th.size, dtype=bool)
+    for _ in range(th.size):
+        back = base + basis @ xi
+        out = (back < lo - _BOX_SLACK) | (back > hi + _BOX_SLACK)
+        if not out.any() or np.max(np.abs(back - th)) > _ON_PLANE_TOL:
+            break
+        fixed |= out
+        xi = xi + np.linalg.lstsq(basis[fixed], (th - back)[fixed], rcond=None)[0]
+    return xi
+
+
+def _fit(
+    model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None, fallback=None
+) -> FitResult:
     """Best Newton run over ``starts(series)``, or ``opts.start`` alone, on
     {base + basis xi}.
 
-    With a restriction matrix R the result carries the multiplier
+    ``fallback(series)`` gives further starts, run only when every run
+    of ``starts`` died, or the best one stopped unconverged or on a box
+    face.  With a restriction matrix R the result carries the multiplier
     estimate; without one, the sandwich covariance.
     """
     if opts.start is not None and len(opts.start) != model.dim:
@@ -457,16 +491,32 @@ def _fit(model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None) -> 
         )
     lo, hi = model.default_bounds()
     best = None
+    n_starts = 0
+
+    def run(points):
+        nonlocal best, n_starts
+        for th0 in points:
+            n_starts += 1
+            xi0 = _plane_coords(th0, basis, base, lo, hi)
+            res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
+            if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
+                best = res
+
+    def settled():
+        if best is None or not best[2]:
+            return False
+        return not any(model.wrap(np.clip(base + basis @ best[0], lo, hi)).boundary_active())
+
     # trial points that stray where the recursion diverges warn once per fit
     strays = []
     token = _STRAYS.set(strays)
     try:
-        points = starts(yv) if opts.start is None else [np.asarray(opts.start, dtype=float)]
-        for n_starts, th0 in enumerate(points, 1):
-            xi0 = basis.T @ (np.clip(th0, lo, hi) - base)
-            res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
-            if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
-                best = res
+        if opts.start is not None:
+            run([np.asarray(opts.start, dtype=float)])
+        else:
+            run(starts(yv))
+            if fallback is not None and not settled():
+                run(fallback(yv))
     finally:
         _STRAYS.reset(token)
     if strays:
@@ -565,15 +615,23 @@ def _project_into_box(R, r, lo, hi, start=None) -> np.ndarray:
     raise InfeasibleConstraint("no box point satisfies the linear restriction")
 
 
-def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, base) -> np.ndarray:
-    """theta_hat projected into the box on R theta = r; ``base`` if that fails."""
+def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, base, interior=False) -> np.ndarray:
+    """theta_hat projected into the box on R theta = r; ``base`` if that fails.
+
+    With ``interior`` the projection first runs inside the box shrunk by
+    m = 0.01 min(hi - lo, max(|theta_hat|, 1e-3)) per coordinate, so the
+    start sits off every face; when that fails it runs in the box itself.
+    """
     th = model._check_theta(theta_hat)
     if not np.all(np.isfinite(th)):
         raise NonFiniteObjective("theta_hat contains non-finite values")
-    try:
-        return _project_into_box(R, r, lo, hi, start=th)
-    except InfeasibleConstraint:
-        return base
+    m = _INTERIOR_MARGIN * np.minimum(hi - lo, np.maximum(np.abs(th), 1e-3))
+    for box_lo, box_hi in [(lo + m, hi - m), (lo, hi)] if interior else [(lo, hi)]:
+        try:
+            return _project_into_box(R, r, box_lo, box_hi, start=th)
+        except InfeasibleConstraint:
+            pass
+    return base
 
 
 def fit_constrained(
@@ -592,8 +650,12 @@ def fit_constrained(
     theta_hat), which usually sits a few Newton steps from the
     restricted optimum; when that projection fails, it is the plane's
     base point, the box midpoint projected the same way.  The model's
-    start values follow, projected onto the plane; with
-    ``multistart=False`` only the first start runs, and
+    start values follow, projected onto the plane.  A model with
+    ``interior_warm_start`` set instead projects theta_hat into the box
+    shrunk off its faces and runs that start alone; the projection into
+    the full box and the start values follow only when that run dies,
+    stops unconverged or ends on a box face, and the best run of all
+    is kept.  With ``multistart=False`` only the first start runs, and
     ``options.start`` replaces them all.  A theta_hat of the wrong
     length raises ShapeMismatch and a non-finite one NonFiniteObjective,
     before any Newton step.  The Lagrange multiplier estimate is
@@ -604,16 +666,17 @@ def fit_constrained(
     R, r = _check_restriction(R, r, model.dim)
     lo, hi = model.default_bounds()
     base = _feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
-    first = _warm_start(model, theta_hat, R, r, lo, hi, base)
-    return _fit(
-        model,
-        y,
-        opts,
-        lambda yv: [first, *model.start_values(yv)] if opts.multistart else [first],
-        null_space(R),
-        base,
-        R,
-    )
+    warm = _warm_start(model, theta_hat, R, r, lo, hi, base)
+    if model.interior_warm_start:
+        first = _warm_start(model, theta_hat, R, r, lo, hi, base, interior=True)
+        later = [] if np.array_equal(first, warm) else [warm]
+        starts, fallback = (lambda yv: [first]), (lambda yv: [*later, *model.start_values(yv)])
+    else:
+        first = warm
+        starts, fallback = (lambda yv: [warm, *model.start_values(yv)]), None
+    if not opts.multistart:
+        starts, fallback = (lambda yv: [first]), None
+    return _fit(model, y, opts, starts, null_space(R), base, R, fallback)
 
 
 # -- covariance --------------------------------------------------------

@@ -137,9 +137,10 @@ class ModelSpec(abc.ABC):
     """A parametric conditional location-scale model.
 
     A subclass declares ``param_table``, ``filter`` and ``path``, and
-    overrides ``presample``, ``start_values`` and ``start_candidates``
-    where the defaults (no conditioning rows, the template start alone,
-    no candidates) do not fit.  Outside the model, read a parameter by
+    overrides ``presample``, ``interior_warm_start``, ``start_values``
+    and ``start_candidates`` where the defaults (no conditioning rows,
+    every start of a restricted fit run, the template start alone, no
+    candidates) do not fit.  Outside the model, read a parameter by
     name through ``param_names``, not by its position.
     """
 
@@ -148,6 +149,10 @@ class ModelSpec(abc.ABC):
     scale_only: bool = False
     #: Leading observations the criterion conditions on instead of summing.
     presample: int = 0
+    #: True when a restricted fit runs theta_hat projected off the box
+    #: faces alone, with its other starts only as a fallback
+    #: (``estimation.fit_constrained``); False runs them all.
+    interior_warm_start: bool = False
 
     # -- parameter block ------------------------------------------------
 

@@ -11,6 +11,7 @@ byte-for-byte reproducible.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -197,7 +198,9 @@ def run_scenario(
     """Run all replications and aggregate; order- and worker-independent.
 
     Raises ExcessiveFailures when more than ``max_failure_fraction`` of
-    the replications fail to produce a usable fit.
+    the replications fail to produce a usable fit; its message counts
+    the failures by reason, in sorted order, and names an exception by
+    its type.
     """
     start = time.perf_counter()
     tasks = [(scenario, i) for i in range(scenario.reps)]
@@ -212,10 +215,10 @@ def run_scenario(
     good = [rec for rec in records if rec.ok]
     failures = scenario.reps - len(good)
     if failures > max_failure_fraction * scenario.reps or not good:
-        examples = "; ".join(rec.error for rec in records if not rec.ok)
-        raise ExcessiveFailures(
-            f"{failures}/{scenario.reps} replications failed: {examples[:500]}"
-        )
+        # an exception's reason is its type; its message varies with the data
+        reasons = Counter(rec.error.partition(":")[0] for rec in records if not rec.ok)
+        counts = "; ".join(f"{reason} ({n})" for reason, n in sorted(reasons.items()))
+        raise ExcessiveFailures(f"{failures}/{scenario.reps} replications failed: {counts}")
     estimates = np.asarray([rec.theta_hat for rec in good], dtype=float)
     truth = scenario.dgp_theta
     mean_est = estimates.mean(axis=0)

@@ -385,6 +385,9 @@ def test_mc_failed_scenario_reported(tmp_path):
     assert rc == 4
     doc = json.loads(out.read_text())
     assert doc["failed"][0]["label"] == "broken"
+    assert doc["failed"][0]["error"] == (
+        "4/4 replications failed: InfeasibleConstraint (3); estimate on parameter boundary (1)"
+    )
     assert doc["summaries"] == []
 
 

@@ -415,7 +415,8 @@ def test_constrained_fit_runs_only_the_given_start():
     assert cfit.n_starts == 1
     assert cfit.trace[0] == pytest.approx(evaluate(model, y, np.array(start)).loglik, abs=1e-9)
     assert float((R @ cfit.theta.array)[0]) == pytest.approx(2.3, abs=1e-8)
-    assert fit_constrained(model, y, R, r, theta_hat=theta_hat).n_starts == 3
+    # DAR runs its interior warm start alone when that run settles off the faces
+    assert fit_constrained(model, y, R, r, theta_hat=theta_hat).n_starts == 1
 
 
 @pytest.mark.parametrize(
@@ -443,8 +444,14 @@ def test_feasible_theta_hat_is_the_first_start():
     cfit = fit_constrained(model, y, R, r, FitOptions(multistart=False), theta_hat=theta_hat)
     assert cfit.n_starts == 1
     assert cfit.trace[0] == pytest.approx(evaluate(model, y, theta_hat).loglik, abs=1e-9)
-    # the warm start replaces the base point ahead of the start values
-    assert fit_constrained(model, y, R, r, theta_hat=theta_hat).n_starts == 3
+    # theta_hat is inside the shrunk box too, so the interior start is
+    # theta_hat and it settles alone, without the start values
+    np.testing.assert_array_equal(
+        estimation._warm_start(model, theta_hat, R, r, lo, hi, base, interior=True), theta_hat
+    )
+    cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
+    assert cfit.n_starts == 1
+    assert cfit.trace[0] == pytest.approx(evaluate(model, y, theta_hat).loglik, abs=1e-9)
 
 
 def test_warm_start_projects_theta_hat_into_the_box_on_the_plane(monkeypatch):
@@ -475,6 +482,86 @@ def test_warm_start_reaches_the_restricted_optimum_the_base_point_misses():
     warm = fit_constrained(model, y, R, r, theta_hat=fit(model, y).theta)
     assert warm.converged
     assert warm.loglik == pytest.approx(-745.1474206812732, abs=1e-6)
+    # ARMA-GARCH keeps its start values behind the warm start
+    assert not model.interior_warm_start
+    assert warm.n_starts == 1 + len(model.start_values(y))
+
+
+DAR_TEST = (np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3]))
+
+
+def _dar_series(scale, seed, burn):
+    """A DAR(1,1) series at scale theta0; with no burn-in the zero state is prepended."""
+    model = make_model("dar", p=1, q=1)
+    theta = scale * np.array([1.0, 0.5, 0.3, 0.5])
+    y = simulate(model, theta, 400, logistic(), seed=seed, burn=burn)
+    return model, y if burn else np.r_[np.zeros(model.presample), y]
+
+
+def test_warm_start_on_a_face_survives_the_map_onto_the_plane():
+    # the projected theta_hat sits exactly on alpha0's face; mapped onto
+    # the plane and back it came 1.07e-12 below the face, past Newton's
+    # slack, and the start died without a word
+    model, y = _dar_series(1.5, 1493, 100)
+    R, r = DAR_TEST
+    lo, hi = model.default_bounds()
+    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    theta_hat = fit(model, y).theta
+    assert not any(theta_hat.boundary_active())
+    warm = estimation._warm_start(model, theta_hat, R, r, lo, hi, base)
+    assert warm[2] == lo[2]
+    cfit = fit_constrained(model, y, R, r, FitOptions(start=tuple(warm)), theta_hat=theta_hat)
+    assert cfit.converged
+    assert cfit.loglik == pytest.approx(-2454.817403823664, abs=1e-6)
+
+
+def test_interior_start_reaches_the_optimum_a_clipped_warm_start_misses():
+    # the warm start clips alpha0 onto its face, and Newton from it stops
+    # at a point on that face; the interior start alone reaches the optimum
+    # the start values found behind it
+    model, y = _dar_series(1.5, 1006, 100)
+    R, r = DAR_TEST
+    lo, hi = model.default_bounds()
+    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
+    theta_hat = fit(model, y).theta
+    warm = estimation._warm_start(model, theta_hat, R, r, lo, hi, base)
+    assert warm[2] == lo[2]
+    warm_alone = fit_constrained(model, y, R, r, FitOptions(start=tuple(warm)), theta_hat=theta_hat)
+    assert warm_alone.boundary[2]
+    cfit = fit_constrained(model, y, R, r, FitOptions(multistart=False), theta_hat=theta_hat)
+    assert (cfit.n_starts, cfit.converged) == (1, True)
+    assert not any(cfit.boundary)
+    assert cfit.loglik == pytest.approx(-2525.7272275112, abs=1e-6)
+    assert cfit.loglik > warm_alone.loglik + 1.0
+
+
+def test_interior_run_on_a_face_falls_back_to_the_other_starts():
+    # theta_hat is on the alpha0 floor; the interior start alone ends on
+    # that face, so the projected warm start and the start values run too
+    model, y = _dar_series(1.5, 1539, 0)
+    R, r = DAR_TEST
+    theta_hat = fit(model, y).theta
+    assert theta_hat.boundary_active()[2]
+    alone = fit_constrained(model, y, R, r, FitOptions(multistart=False), theta_hat=theta_hat)
+    assert (alone.n_starts, alone.converged, alone.boundary[2]) == (1, True, True)
+    assert alone.loglik == pytest.approx(-2951.7127, abs=1e-4)
+    cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
+    assert cfit.n_starts == 2 + len(model.start_values(y))
+    assert cfit.converged and not any(cfit.boundary)
+    assert cfit.loglik == pytest.approx(-2936.8848, abs=1e-4)
+
+
+def test_dar_restricted_fit_at_theta0_is_one_short_run(monkeypatch):
+    model, y = _dar_series(1.0, 2000, 0)
+    R, r = DAR_TEST
+    theta_hat = fit(model, y).theta
+    calls = []
+    real = estimation.evaluate
+    monkeypatch.setattr(estimation, "evaluate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
+    assert cfit.converged
+    assert cfit.n_starts == 1
+    assert len(calls) <= 8
 
 
 def test_earlier_start_wins_a_tie(monkeypatch):

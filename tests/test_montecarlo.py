@@ -16,8 +16,10 @@ from lqmle.distributions import logistic, student_t
 from lqmle.errors import ExcessiveFailures, NonFiniteObjective
 from lqmle.estimation import fit, kernel_moments
 from lqmle.models import make_model, simulate
+from lqmle import montecarlo
 from lqmle.montecarlo import (
     _BLOCK,
+    RepRecord,
     Scenario,
     normality_sample,
     population_information,
@@ -183,8 +185,44 @@ def test_no_usable_replication_fails_at_any_tolerance():
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ExcessiveFailures, match="4/4"):
+        with pytest.raises(ExcessiveFailures) as caught:
             run_scenario(sc, max_failure_fraction=1.0)
+    assert str(caught.value) == (
+        "4/4 replications failed: InfeasibleConstraint (3); estimate on parameter boundary (1)"
+    )
+
+
+def test_excessive_failures_are_counted_by_reason(monkeypatch):
+    # messages of one exception type differ with the data; they count
+    # as one reason, and the reasons come in sorted order, not rep order
+    errors = [
+        "fit did not converge",
+        "SingularInformation: information matrix is not positive definite (eigenvalues -1e-3 .. 2)",
+        "",
+        "estimate on parameter boundary",
+        "SingularInformation: information matrix is numerically singular (eigenvalues 1e-17 .. 3)",
+        "fit did not converge",
+    ]
+
+    def replicate(args):
+        _, i = args
+        return RepRecord(index=i, ok=not errors[i], theta_hat=(1.0, 0.1, 0.3), error=errors[i])
+
+    monkeypatch.setattr(montecarlo, "_replicate", replicate)
+    sc = Scenario(
+        model=make_model("garch", p=1, q=1),
+        theta0=(1.0, 0.1, 0.3),
+        dist=logistic(),
+        nobs=120,
+        reps=6,
+        seed=5,
+    )
+    with pytest.raises(ExcessiveFailures) as caught:
+        run_scenario(sc)
+    assert str(caught.value) == (
+        "5/6 replications failed: SingularInformation (2); "
+        "estimate on parameter boundary (1); fit did not converge (2)"
+    )
 
 
 def test_boundary_estimates_count_as_failures():
