@@ -9,13 +9,13 @@ analytically from the filter's derivative blocks; the Gaussian
 criterion (classical QMLE) shares the same plumbing with its own
 per-observation weights.
 
-Every fit maximizes the criterion over the plane {base + basis xi}
-intersected with the model's parameter box.  The unrestricted fit takes
-basis = I and base = 0; a fit under R theta = r takes an orthonormal
-basis of the null space of R and a feasible base point.  Both run one
-working-set Newton ascent: a ridged Newton direction tangent to the
-binding box faces, a ratio test that stops the step at the first face
-it meets, and Armijo backtracking, so the criterion value never
+Every fit maximizes the criterion inside the model's parameter box, a
+fit under R theta = r also on that plane, by one working-set Newton
+ascent on theta: steps run along the identity for the unrestricted fit
+and along an orthonormal basis of the null space of R, from starts on
+the plane, for a restricted one.  A step is a ridged Newton direction
+tangent to the binding box faces, cut by a ratio test at the first face
+it meets, with Armijo backtracking, so the criterion value never
 decreases along accepted steps.
 
 The criterion's consistency rests on its global maximum, so a fit runs
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
@@ -236,7 +235,7 @@ _STEP_TOL = 1e-8  # Newton stops once every entry of the last or next step is th
 _SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
 _TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best loglik|
 _BOX_SLACK = 1e-12  # this close to a face a point is on it; this far beyond, outside the box
-_ON_PLANE_TOL = 1e-9  # a start that mapping onto the plane moves less than this lies on it
+_PLANE_TOL = 1e-11  # a point with |R theta - r| below this times 1 + max|r| lies on the plane
 _INTERIOR_MARGIN = 0.01  # an interior warm start keeps this share of its scale off each face
 
 
@@ -322,22 +321,24 @@ def _solve_ascent(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
     return score / scale
 
 
-def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
-    """Working-set Newton ascent over {base + basis xi} inside the box.
+def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
+    """Working-set Newton ascent inside the box from th0 along ``basis``.
 
-    Returns (xi, parts, converged, iterations, trace), or None for a
-    dead start.  Box faces are not handled by clipping, because a
-    clipped trial would leave a restriction plane.  Binding faces
-    instead join a working set and steps move tangent to them, with a
-    ratio test so a blocking face is reached exactly rather than
-    approached in collapsing half-steps.
+    Returns (theta, parts, converged, iterations, trace), or None for a
+    dead start.  The iterate is theta itself.  A step adds basis delta,
+    with delta the Newton direction of the reduced system (basis' score,
+    basis' H basis), so with basis spanning the null space of R every
+    iterate keeps R theta where th0 has it.  Box faces are not handled
+    by clipping, because a clipped trial would leave a restriction
+    plane.  Binding faces instead join a working set and steps move
+    tangent to them, with a ratio test so a blocking face is reached
+    exactly rather than approached in collapsing half-steps.
     """
 
     lo_pin, hi_pin = lo + _BOX_SLACK, hi - _BOX_SLACK  # a point this close sits on the face
     lo_out, hi_out = lo - _BOX_SLACK, hi + _BOX_SLACK  # a point beyond these is outside the box
 
-    def at(xi, order):
-        th = base + basis @ xi
+    def at(th, order):
         if np.any(th < lo_out) or np.any(th > hi_out):
             return None
         return evaluate(model, y, th, order=order, criterion=opts.criterion)
@@ -346,14 +347,14 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
     tangents = {}
 
     def face_directions(mask):
-        """Orthonormal xi-directions tangent to the box faces flagged in mask."""
+        """Orthonormal directions, in basis coordinates, tangent to the faces flagged in mask."""
         key = mask.tobytes()
         if key not in tangents:
             tangents[key] = null_space(basis[mask, :]) if mask.any() else np.eye(basis.shape[1])
         return tangents[key]
 
-    xi = np.asarray(xi0, dtype=float)
-    parts = at(xi, 2)
+    th = np.asarray(th0, dtype=float)
+    parts = at(th, 2)
     if parts is None or not np.isfinite(parts.loglik):
         return None
     trace = [parts.loglik]
@@ -361,13 +362,12 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
     converged = False
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
-        th = base + basis @ xi
         level = _SCORE_TOL * (1.0 + abs(parts.loglik))
         working = ((th <= lo_pin) & (parts.score < 0.0)) | ((th >= hi_pin) & (parts.score > 0.0))
-        s_xi = basis.T @ parts.score
-        h_xi = basis.T @ parts.hess @ basis
+        s_red = basis.T @ parts.score
+        h_red = basis.T @ parts.hess @ basis
         dirs = face_directions(working)
-        sp = float(np.max(np.abs(dirs.T @ s_xi), initial=0.0))
+        sp = float(np.max(np.abs(dirs.T @ s_red), initial=0.0))
         if sp <= level and last_step <= _STEP_TOL:
             converged = True
             break
@@ -378,7 +378,7 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
             if dirs.shape[1] == 0:
                 delta = None
                 break
-            delta = dirs @ _solve_ascent(dirs.T @ h_xi @ dirs, dirs.T @ s_xi)
+            delta = dirs @ _solve_ascent(dirs.T @ h_red @ dirs, dirs.T @ s_red)
             dth = basis @ delta
             moving = ~working & (np.abs(dth) >= 1e-16)
             room = np.full(th.size, np.inf)
@@ -401,10 +401,10 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
         accepted = False
         alpha = alpha_cap
         while alpha >= 1e-14:
-            trial = xi + alpha * delta
+            trial = th + alpha * dth
             cand = at(trial, 2 if alpha == alpha_cap else 0)
             if cand is not None and np.isfinite(cand.loglik):
-                gain = float(s_xi @ (alpha * delta))
+                gain = float(s_red @ (alpha * delta))
                 if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
                     accepted = True
                     break
@@ -413,10 +413,10 @@ def _newton(model, y, basis, base, lo, hi, xi0, opts: FitOptions):
             converged = sp <= level
             break
         last_step = float(np.max(np.abs(alpha * delta)))
-        xi = trial
-        parts = cand if cand.hess is not None else at(xi, 2)
+        th = trial
+        parts = cand if cand.hess is not None else at(th, 2)
         trace.append(parts.loglik)
-    return xi, parts, converged, iterations, trace
+    return th, parts, converged, iterations, trace
 
 
 def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
@@ -445,38 +445,18 @@ def _beats(loglik: float, best: float) -> bool:
     return loglik > best + _TIE_TOL * (1.0 + abs(best))
 
 
-def _plane_coords(th0, basis, base, lo, hi) -> np.ndarray:
-    """xi with base + basis xi the start th0, clipped into the box, on the plane.
-
-    The map onto the plane moves a start that lies on it by rounding
-    only, yet that can carry a coordinate on a face past ``_BOX_SLACK``,
-    where Newton would drop the start.  A least-norm step along the plane
-    puts each such coordinate back where the start had it; a start the
-    map moves further lies off the plane and keeps its mapped point.
-    """
-    th = np.clip(th0, lo, hi)
-    xi = basis.T @ (th - base)
-    fixed = np.zeros(th.size, dtype=bool)
-    for _ in range(th.size):
-        back = base + basis @ xi
-        out = (back < lo - _BOX_SLACK) | (back > hi + _BOX_SLACK)
-        if not out.any() or np.max(np.abs(back - th)) > _ON_PLANE_TOL:
-            break
-        fixed |= out
-        xi = xi + np.linalg.lstsq(basis[fixed], (th - back)[fixed], rcond=None)[0]
-    return xi
-
-
 def _fit(
-    model: ModelSpec, y, opts: FitOptions, starts, basis, base, R=None, fallback=None
+    model: ModelSpec, y, opts: FitOptions, starts, R=None, r=None, fallback=None
 ) -> FitResult:
-    """Best Newton run over ``starts(series)``, or ``opts.start`` alone, on
-    {base + basis xi}.
+    """Best Newton run over ``starts(series)``, or ``opts.start`` alone,
+    inside the box and, with a restriction, on R theta = r.
 
-    ``fallback(series)`` gives further starts, run only when every run
-    of ``starts`` died, or the best one stopped unconverged or on a box
-    face.  With a restriction matrix R the result carries the multiplier
-    estimate; without one, the sandwich covariance.
+    Each start is clipped into the box, and one that lies off the plane
+    is projected onto it once.  ``fallback(series)`` gives further
+    starts, run only when every run of ``starts`` died, or the best one
+    stopped unconverged or on a box face.  With a restriction the result
+    carries the multiplier estimate; without one, the sandwich
+    covariance.
     """
     if opts.start is not None and len(opts.start) != model.dim:
         raise ShapeMismatch(
@@ -490,6 +470,7 @@ def _fit(
             f"need at least {10 * model.dim} observations for a {model.dim}-parameter fit"
         )
     lo, hi = model.default_bounds()
+    basis = np.eye(model.dim) if R is None else null_space(R)
     best = None
     n_starts = 0
 
@@ -497,15 +478,17 @@ def _fit(
         nonlocal best, n_starts
         for th0 in points:
             n_starts += 1
-            xi0 = _plane_coords(th0, basis, base, lo, hi)
-            res = _newton(model, yv, basis, base, lo, hi, xi0, opts)
+            th = np.clip(th0, lo, hi)
+            if R is not None:
+                th = _onto_plane(R, r, th)
+            res = _newton(model, yv, basis, lo, hi, th, opts)
             if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
                 best = res
 
     def settled():
         if best is None or not best[2]:
             return False
-        return not any(model.wrap(np.clip(base + basis @ best[0], lo, hi)).boundary_active())
+        return not any(model.wrap(np.clip(best[0], lo, hi)).boundary_active())
 
     # trial points that stray where the recursion diverges warn once per fit
     strays = []
@@ -524,8 +507,8 @@ def _fit(
         warnings.warn(msg, NonstationaryRegionWarning, stacklevel=3)
     if best is None:
         raise NonFiniteObjective("criterion was non-finite at every starting point")
-    xi, parts, converged, iterations, trace = best
-    theta = model.wrap(np.clip(base + basis @ xi, lo, hi))
+    th, parts, converged, iterations, trace = best
+    theta = model.wrap(np.clip(th, lo, hi))
     a_hat, b_hat = parts.info_hessian, parts.info_opg
     cov = se = multiplier = None
     if R is None:
@@ -566,14 +549,7 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
     replaces them all.  The fit draws no random numbers.
     """
     opts = options or FitOptions()
-    return _fit(
-        model,
-        y,
-        opts,
-        lambda yv: _build_starts(model, yv, opts),
-        np.eye(model.dim),
-        np.zeros(model.dim),
-    )
+    return _fit(model, y, opts, lambda yv: _build_starts(model, yv, opts))
 
 
 def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -590,37 +566,38 @@ def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
     return R, r
 
 
-# a Monte Carlo study refits under one restriction thousands of times
-@lru_cache(maxsize=256)
-def _feasible_point(*blobs: bytes) -> np.ndarray:
-    """Read-only box point on R theta = r from the bytes of (R, r, lo, hi); cached."""
-    R, r, lo, hi = (np.frombuffer(b) for b in blobs)
-    return _project_into_box(R.reshape(r.size, lo.size), r, lo, hi)
+def _onto_plane(R, r, th) -> np.ndarray:
+    """th itself when it lies on R theta = r, else its orthogonal projection onto it."""
+    gap = R @ th - r
+    if np.max(np.abs(gap)) <= _PLANE_TOL * (1.0 + np.max(np.abs(r))):
+        return th
+    return th - R.T @ np.linalg.solve(R @ R.T, gap)
 
 
 def _project_into_box(R, r, lo, hi, start=None) -> np.ndarray:
-    """Read-only box point on R theta = r by alternating projection.
+    """Box point on R theta = r by alternating projection.
 
     Starts from ``start`` clipped to the box, or from the box midpoint;
     a start already in the box and on the plane is returned as it is.
     """
     th = np.clip(0.5 * (lo + hi) if start is None else start, lo, hi)
-    gram = R @ R.T
-    tol = 1e-11 * (1.0 + np.max(np.abs(r)))
     for _ in range(500):
-        if np.max(np.abs(R @ th - r)) <= tol:
-            th.setflags(write=False)
+        on = _onto_plane(R, r, th)
+        if on is th:
             return th
-        th = np.clip(th - R.T @ np.linalg.solve(gram, R @ th - r), lo, hi)
+        th = np.clip(on, lo, hi)
     raise InfeasibleConstraint("no box point satisfies the linear restriction")
 
 
-def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, base, interior=False) -> np.ndarray:
-    """theta_hat projected into the box on R theta = r; ``base`` if that fails.
+def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, interior=False) -> np.ndarray:
+    """theta_hat projected into the box on R theta = r.
 
     With ``interior`` the projection first runs inside the box shrunk by
     m = 0.01 min(hi - lo, max(|theta_hat|, 1e-3)) per coordinate, so the
     start sits off every face; when that fails it runs in the box itself.
+    When every projection of theta_hat fails, the box midpoint is
+    projected instead, and InfeasibleConstraint is raised if that fails
+    too.
     """
     th = model._check_theta(theta_hat)
     if not np.all(np.isfinite(th)):
@@ -631,7 +608,7 @@ def _warm_start(model: ModelSpec, theta_hat, R, r, lo, hi, base, interior=False)
             return _project_into_box(R, r, box_lo, box_hi, start=th)
         except InfeasibleConstraint:
             pass
-    return base
+    return _project_into_box(R, r, lo, hi)
 
 
 def fit_constrained(
@@ -643,14 +620,16 @@ def fit_constrained(
     *,
     theta_hat,
 ) -> FitResult:
-    """Maximize subject to R theta = r by Newton in null-space coordinates.
+    """Maximize subject to R theta = r by Newton along the plane.
 
-    The first start is the unrestricted estimate ``theta_hat`` projected
-    into the box on the restriction plane (alternating projection from
-    theta_hat), which usually sits a few Newton steps from the
-    restricted optimum; when that projection fails, it is the plane's
-    base point, the box midpoint projected the same way.  The model's
-    start values follow, projected onto the plane.  A model with
+    Newton steps along an orthonormal basis of the null space of R from
+    starts on the plane, so every iterate stays on it.  The first start
+    is the unrestricted estimate ``theta_hat`` projected into the box on
+    the restriction plane (alternating projection from theta_hat), which
+    usually sits a few Newton steps from the restricted optimum; when
+    that projection fails, it is the box midpoint projected the same
+    way, and InfeasibleConstraint is raised when that fails too.  The
+    model's start values follow, projected onto the plane.  A model with
     ``interior_warm_start`` set instead projects theta_hat into the box
     shrunk off its faces and runs that start alone; the projection into
     the full box and the start values follow only when that run dies,
@@ -665,10 +644,9 @@ def fit_constrained(
     opts = options or FitOptions()
     R, r = _check_restriction(R, r, model.dim)
     lo, hi = model.default_bounds()
-    base = _feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
-    warm = _warm_start(model, theta_hat, R, r, lo, hi, base)
+    warm = _warm_start(model, theta_hat, R, r, lo, hi)
     if model.interior_warm_start:
-        first = _warm_start(model, theta_hat, R, r, lo, hi, base, interior=True)
+        first = _warm_start(model, theta_hat, R, r, lo, hi, interior=True)
         later = [] if np.array_equal(first, warm) else [warm]
         starts, fallback = (lambda yv: [first]), (lambda yv: [*later, *model.start_values(yv)])
     else:
@@ -676,7 +654,7 @@ def fit_constrained(
         starts, fallback = (lambda yv: [warm, *model.start_values(yv)]), None
     if not opts.multistart:
         starts, fallback = (lambda yv: [first]), None
-    return _fit(model, y, opts, starts, null_space(R), base, R, fallback)
+    return _fit(model, y, opts, starts, R, r, fallback)
 
 
 # -- covariance --------------------------------------------------------

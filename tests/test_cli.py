@@ -267,6 +267,24 @@ def test_test_without_multistart_runs_the_warm_start(tmp_path):
     assert docs[1]["loglik_restricted"] == pytest.approx(-1191.7638, abs=1e-4)
 
 
+def test_test_with_an_unconverged_fit_exits_5_with_its_report(tmp_path, capsys):
+    model = lqmle.make_model("dar", p=1, q=1)
+    theta0 = np.array([1.0, 0.5, 0.3, 0.5])
+    y = lqmle.simulate(model, theta0, 400, lqmle.logistic(), seed=5, burn=100)
+    data = tmp_path / "s5.csv"
+    np.savetxt(data, y, fmt="%.17g")
+    out = tmp_path / "test.json"
+    rc = main([
+        "test", "--data", str(data), "--model", "dar", "--order", "1,1",
+        "--restrict", "1,1,1,1=2.3", "--max-iter", "1", "--out", str(out),
+    ])
+    assert rc == 5
+    assert "a fit did not converge; report written anyway" in capsys.readouterr().err
+    doc = json.loads(out.read_text())
+    for t in doc["tests"]:
+        assert 0 <= t["p_value"] <= 1
+
+
 def test_restriction_dimension_mismatch(dar_csv, tmp_path):
     rc = main([
         "test", "--data", str(dar_csv), "--model", "dar", "--order", "1,1",

@@ -9,7 +9,6 @@ case where the two coincide.
 import math
 import tracemalloc
 import warnings
-from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -438,16 +437,15 @@ def test_feasible_theta_hat_is_the_first_start():
     y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 600, logistic(), seed=23)
     R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
     lo, hi = model.default_bounds()
-    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
     theta_hat = np.array([0.8, 0.4, 0.7, 0.4])
-    np.testing.assert_array_equal(estimation._warm_start(model, theta_hat, R, r, lo, hi, base), theta_hat)
+    np.testing.assert_array_equal(estimation._warm_start(model, theta_hat, R, r, lo, hi), theta_hat)
     cfit = fit_constrained(model, y, R, r, FitOptions(multistart=False), theta_hat=theta_hat)
     assert cfit.n_starts == 1
     assert cfit.trace[0] == pytest.approx(evaluate(model, y, theta_hat).loglik, abs=1e-9)
     # theta_hat is inside the shrunk box too, so the interior start is
     # theta_hat and it settles alone, without the start values
     np.testing.assert_array_equal(
-        estimation._warm_start(model, theta_hat, R, r, lo, hi, base, interior=True), theta_hat
+        estimation._warm_start(model, theta_hat, R, r, lo, hi, interior=True), theta_hat
     )
     cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
     assert cfit.n_starts == 1
@@ -458,23 +456,37 @@ def test_warm_start_projects_theta_hat_into_the_box_on_the_plane(monkeypatch):
     model = make_model("dar", p=1, q=1)
     R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
     lo, hi = model.default_bounds()
-    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
-    warm = estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi, base)
+    midpoint = estimation._project_into_box(R, r, lo, hi)
+    warm = estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi)
     assert float((R @ warm)[0]) == pytest.approx(2.3, abs=1e-10)
     assert np.all((lo <= warm) & (warm <= hi))
-    assert np.max(np.abs(warm - base)) > 1.0  # not the base point
+    assert np.max(np.abs(warm - midpoint)) > 1.0  # not the midpoint projection
 
-    def stuck(R, r, lo, hi, start=None):  # a projection that fails falls back to the base point
-        raise InfeasibleConstraint("no box point satisfies the linear restriction")
+    project = estimation._project_into_box
+
+    def stuck(R, r, lo, hi, start=None):  # only the projections of theta_hat fail
+        if start is not None:
+            raise InfeasibleConstraint("no box point satisfies the linear restriction")
+        return project(R, r, lo, hi)
 
     monkeypatch.setattr(estimation, "_project_into_box", stuck)
-    assert estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi, base) is base
+    for interior in (False, True):
+        got = estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi, interior)
+        np.testing.assert_array_equal(got, midpoint)
+
+    def infeasible(R, r, lo, hi, start=None):  # every projection fails
+        raise InfeasibleConstraint("no box point satisfies the linear restriction")
+
+    monkeypatch.setattr(estimation, "_project_into_box", infeasible)
+    with pytest.raises(InfeasibleConstraint):
+        estimation._warm_start(model, (1.1, 0.45, 0.26, 0.53), R, r, lo, hi)
 
 
 def test_warm_start_reaches_the_restricted_optimum_the_base_point_misses():
-    # ARMA-GARCH at 1.3 theta0: a fit that started from the plane's base
-    # point stopped after one iteration more than 1000 below the optimum;
-    # from the unrestricted estimate it converges in a few steps
+    # ARMA-GARCH at 1.3 theta0: a fit that started from the box midpoint
+    # projected onto the plane stopped after one iteration more than 1000
+    # below the optimum; from the unrestricted estimate it converges in a
+    # few steps
     model = make_model("arma_garch", include_intercept=False)
     theta0 = 1.3 * np.array([0.3, 0.2, 0.2, 0.1, 0.3])
     y = simulate(model, theta0, 400, logistic(), seed=1027, burn=100)
@@ -499,16 +511,15 @@ def _dar_series(scale, seed, burn):
 
 
 def test_warm_start_on_a_face_survives_the_map_onto_the_plane():
-    # the projected theta_hat sits exactly on alpha0's face; mapped onto
-    # the plane and back it came 1.07e-12 below the face, past Newton's
-    # slack, and the start died without a word
+    # the projected theta_hat sits exactly on alpha0's face and must start
+    # Newton there: 1.07e-12 past the face, beyond Newton's slack, the
+    # start would die without a word
     model, y = _dar_series(1.5, 1493, 100)
     R, r = DAR_TEST
     lo, hi = model.default_bounds()
-    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
     theta_hat = fit(model, y).theta
     assert not any(theta_hat.boundary_active())
-    warm = estimation._warm_start(model, theta_hat, R, r, lo, hi, base)
+    warm = estimation._warm_start(model, theta_hat, R, r, lo, hi)
     assert warm[2] == lo[2]
     cfit = fit_constrained(model, y, R, r, FitOptions(start=tuple(warm)), theta_hat=theta_hat)
     assert cfit.converged
@@ -522,9 +533,8 @@ def test_interior_start_reaches_the_optimum_a_clipped_warm_start_misses():
     model, y = _dar_series(1.5, 1006, 100)
     R, r = DAR_TEST
     lo, hi = model.default_bounds()
-    base = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
     theta_hat = fit(model, y).theta
-    warm = estimation._warm_start(model, theta_hat, R, r, lo, hi, base)
+    warm = estimation._warm_start(model, theta_hat, R, r, lo, hi)
     assert warm[2] == lo[2]
     warm_alone = fit_constrained(model, y, R, r, FitOptions(start=tuple(warm)), theta_hat=theta_hat)
     assert warm_alone.boundary[2]
@@ -549,6 +559,21 @@ def test_interior_run_on_a_face_falls_back_to_the_other_starts():
     assert cfit.n_starts == 2 + len(model.start_values(y))
     assert cfit.converged and not any(cfit.boundary)
     assert cfit.loglik == pytest.approx(-2936.8848, abs=1e-4)
+
+
+def test_unconverged_interior_run_falls_back_to_the_other_starts():
+    # with one Newton iteration the interior start stops unconverged, so
+    # the two start values run too (the projected warm start is the
+    # interior start here); with the default budget it settles alone
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=5, burn=100)
+    R, r = DAR_TEST
+    theta_hat = fit(model, y).theta
+    short = fit_constrained(model, y, R, r, FitOptions(max_iter=1), theta_hat=theta_hat)
+    assert len(model.start_values(y)) == 2
+    assert (short.converged, short.n_starts) == (False, 3)
+    cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
+    assert (cfit.converged, cfit.n_starts) == (True, 1)
 
 
 def test_dar_restricted_fit_at_theta0_is_one_short_run(monkeypatch):
@@ -583,9 +608,7 @@ def test_earlier_start_wins_a_tie(monkeypatch):
 
         monkeypatch.setattr(estimation, "_newton", recording)
         starts = [model.start_values(y)[0], first.theta.array]
-        got = estimation._fit(
-            model, y, FitOptions(), lambda yv: starts, np.eye(model.dim), np.zeros(model.dim)
-        )
+        got = estimation._fit(model, y, FitOptions(), lambda yv: starts)
         assert len(calls) == 2
         assert got.loglik == calls[winner][1].loglik
         assert got.iterations == calls[winner][3]
@@ -650,41 +673,6 @@ def test_fit_result_covariance_is_consistent():
     np.testing.assert_allclose(res.se, np.sqrt(np.diag(res.cov)), atol=1e-12)
 
 
-def test_feasible_point_is_projected_once_per_restriction(monkeypatch):
-    # the base point depends only on (R, r) and the box, so refits under
-    # one restriction reuse it; the cached point is read-only and holds
-    # the same bits as a fresh projection.  Only projections from the box
-    # midpoint are counted: each fit also projects its theta_hat
-    project = estimation._project_into_box
-    calls = []
-
-    def counting(*args, start=None):
-        if start is None:
-            calls.append(args)
-        return project(*args, start=start)
-
-    monkeypatch.setattr(estimation, "_project_into_box", counting)
-    monkeypatch.setattr(
-        estimation, "_feasible_point", lru_cache(maxsize=256)(estimation._feasible_point.__wrapped__)
-    )
-    model = make_model("dar", p=1, q=1)
-    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=23)
-    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
-    theta_hat = np.array([1.0, 0.5, 0.3, 0.5])
-    first = fit_constrained(model, y, R, r, theta_hat=theta_hat)
-    again = fit_constrained(model, y, R, r, theta_hat=theta_hat)
-    assert len(calls) == 1
-    np.testing.assert_array_equal(first.theta.array, again.theta.array)
-    assert (first.loglik, first.iterations) == (again.loglik, again.iterations)
-    fit_constrained(model, y, R, np.array([2.0]), theta_hat=theta_hat)
-    assert len(calls) == 2
-    lo, hi = model.default_bounds()
-    point = estimation._feasible_point(*(a.tobytes() for a in (R, r, lo, hi)))
-    assert len(calls) == 2
-    assert not point.flags.writeable
-    np.testing.assert_array_equal(point, project(R, r, lo, hi))
-
-
 def test_fit_reports_nonstationary_trials_once():
     # from this start, optimizer trials of the GARCH(1,2) fit cross
     # beta1 + beta2 >= 1 twice; the fit warns once, with the count, at the caller
@@ -733,7 +721,7 @@ def test_gaussian_fit_screens_candidates_by_the_gaussian_criterion(monkeypatch):
     ran = []
 
     def recording(*args):
-        ran.append(args[6].copy())
+        ran.append(args[5].copy())  # the start th0
         return real(*args)
 
     monkeypatch.setattr(estimation, "_newton", recording)

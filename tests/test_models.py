@@ -11,7 +11,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
-from lqmle.distributions import logistic, normal
+from lqmle.distributions import empirical, logistic, normal
 from lqmle.errors import ShapeMismatch
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
@@ -295,6 +295,15 @@ def test_lyapunov_garch_exact_when_arch_off():
     val, se = lyapunov_exponent(m, np.array([1.0, 0.0, 0.4]), logistic())
     assert val == pytest.approx(np.log(0.4), abs=1e-14)
     assert se == 0.0
+
+
+def test_lyapunov_garch_is_the_mean_log_volatility_coefficient():
+    # every draw of a one-point law is 1.5, so beta1 + alpha1 eta^2 = 0.95
+    # on each; the mean over the draws only rounds
+    m = make_model("garch", p=1, q=1)
+    val, se = lyapunov_exponent(m, np.array([1.0, 0.2, 0.5]), empirical([1.5]))
+    assert val == pytest.approx(np.log(0.95), rel=1e-12)
+    assert se < 1e-12
 
 
 def test_lyapunov_rejects_degenerate_recursion():

@@ -5,6 +5,7 @@ are spawned from the scenario seed, aggregation is order-independent, and
 the worker count must never leak into the numbers.
 """
 
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -223,6 +224,29 @@ def test_excessive_failures_are_counted_by_reason(monkeypatch):
         "5/6 replications failed: SingularInformation (2); "
         "estimate on parameter boundary (1); fit did not converge (2)"
     )
+
+
+def test_unconverged_constrained_fit_fails_its_replication(monkeypatch):
+    # the first restricted fit of the study stops unconverged: its
+    # replication keeps the Wald p-value, has no LM p-value and fails
+    clean = run_scenario(_dar_scenario())
+    real = montecarlo.fit_constrained
+    calls = []
+
+    def stalled(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append(res)
+        return dataclasses.replace(res, converged=False) if len(calls) == 1 else res
+
+    monkeypatch.setattr(montecarlo, "fit_constrained", stalled)
+    s = run_scenario(_dar_scenario(), keep_records=True)
+    bad = [rec for rec in s.records if not rec.ok]
+    assert len(bad) == 1
+    rec = bad[0]
+    assert rec.error == "constrained fit did not converge"
+    assert rec.converged and rec.wald_p is not None and rec.lm_p is None
+    assert s.failures == clean.failures + 1
+    assert s.reps_used == clean.reps_used - 1
 
 
 def test_boundary_estimates_count_as_failures():
