@@ -25,8 +25,15 @@ from . import kernel
 from .dataio import read_series, write_series
 from .diagnostics import hill_sweep, residual_diagnostics
 from .distributions import InnovationDist, empirical
-from .errors import DataFormatError, ExcessiveFailures, LqmleError, ShapeMismatch, SingularInformation
-from .estimation import FitOptions, evaluate, fit, fit_constrained
+from .errors import (
+    DataFormatError,
+    ExcessiveFailures,
+    LqmleError,
+    NonFiniteObjective,
+    ShapeMismatch,
+    SingularInformation,
+)
+from .estimation import FitOptions, _check_restriction, evaluate, fit, fit_constrained
 from .inference import deviance, lm_test, t_test, wald_test
 from .models import MODEL_REGISTRY, ModelSpec, make_model, simulate
 from .montecarlo import _CRITERION, Scenario, run_scenario
@@ -94,12 +101,24 @@ def _positive_float(text: str) -> float:
 _positive_float.__name__ = "float"
 
 
+def _floats(text: str) -> tuple[float, ...]:
+    """argparse type: comma-separated finite numbers, else a usage error naming the flag."""
+    try:
+        values = tuple(float(tok) for tok in text.split(","))
+        if np.all(np.isfinite(values)):
+            return values
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be comma-separated finite numbers, got {text!r}")
+
+
 def _add_fit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--criterion", default="lqmle", choices=sorted(_CRITERION))
-    p.add_argument("--start", default=None, help="comma-separated starting values")
+    p.add_argument("--start", type=_floats, default=None, help="comma-separated starting values")
     p.add_argument(
         "--no-multistart",
-        action="store_true",
+        dest="multistart",
+        action="store_false",
         help="fit from the model's start values alone, without its screened start "
         "candidates; a restricted fit runs only its first start, the unrestricted "
         "estimate projected onto the restriction",
@@ -218,21 +237,16 @@ def _model_block(model) -> dict:
     return {"name": model.name, "param_names": list(model.param_names)}
 
 
-def _model_options(args) -> dict:
-    return {
-        "model": args.model,
-        "order": args.order,
-        "no_intercept": args.no_intercept,
-    }
+# Parsed arguments a manifest leaves out: the subcommand's handler and
+# name, the report path, inputs recorded by their digest, the seed
+# (recorded apart) and the worker count, which must not change a byte.
+_UNRECORDED = ("func", "command", "out", "data", "config", "dist_data", "seed", "workers")
 
 
-def _data_options(args) -> dict:
-    return {
-        "column": args.column,
-        "delim": args.delim,
-        "header": args.header,
-        "diff": args.diff,
-    }
+def _manifest(args, input_path, seed) -> dict:
+    """The manifest of a run: every parsed option but the unrecorded ones."""
+    options = {key: value for key, value in vars(args).items() if key not in _UNRECORDED}
+    return make_manifest(args.command, options, input_path=input_path, seed=seed)
 
 
 def _read_data(args) -> np.ndarray:
@@ -247,16 +261,8 @@ def _read_data(args) -> np.ndarray:
     )
 
 
-def _parse_floats(text: str, what: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(tok) for tok in text.split(","))
-    except ValueError:
-        raise _UsageError(f"{what} must be comma-separated numbers, got {text!r}") from None
-
-
-def _parse_point(text: str, flag: str, model: ModelSpec) -> tuple[float, ...]:
-    """One value per model parameter from a comma-separated flag."""
-    point = _parse_floats(text, flag)
+def _parse_point(point: tuple[float, ...], flag: str, model: ModelSpec) -> tuple[float, ...]:
+    """The values of a point flag, one per model parameter, else a usage error."""
     if len(point) != model.dim:
         raise _UsageError(
             f"{flag} has {len(point)} values; {model.name} needs {model.dim} "
@@ -287,7 +293,7 @@ def _fit_options(args, model: ModelSpec) -> FitOptions:
     return FitOptions(
         criterion=_CRITERION[args.criterion],
         max_iter=args.max_iter,
-        multistart=not args.no_multistart,
+        multistart=args.multistart,
         start=start,
     )
 
@@ -340,23 +346,11 @@ def _cmd_fit(args) -> int:
     opts = _fit_options(args, model)
     result = fit(model, y, opts)
     report = residual_diagnostics(model, result, hill_k=args.hill_k)
-    residuals_path = None
     if args.residuals is not None:
         write_series(args.residuals, result.residuals)
-        residuals_path = str(args.residuals)
-    options = {
-        **_model_options(args),
-        **_data_options(args),
-        "criterion": args.criterion,
-        "start": list(opts.start) if opts.start else None,
-        "multistart": opts.multistart,
-        "max_iter": opts.max_iter,
-        "hill_k": args.hill_k,
-        "residuals": residuals_path,
-    }
     doc = {
         "schema": "lqmle.fit/1",
-        "manifest": make_manifest("fit", options, input_path=args.data, seed=args.seed),
+        "manifest": _manifest(args, input_path=args.data, seed=args.seed),
         "model": _model_block(model),
         "nobs": int(result.nobs),
         "criterion": result.criterion,
@@ -370,7 +364,7 @@ def _cmd_fit(args) -> int:
             "n_starts": int(result.n_starts),
         },
         "diagnostics": report.as_dict(),
-        "residuals_path": residuals_path,
+        "residuals_path": args.residuals,
     }
     dump_json(doc, args.out)
     if not result.converged:
@@ -388,24 +382,19 @@ def _cmd_simulate(args) -> int:
     dist = _flag_dist(args)
     seed = _resolve_seed(args.seed)
     try:
-        y = simulate(model, np.asarray(theta), args.n, dist, seed=seed, burn=args.burn)
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = simulate(model, np.asarray(theta), args.n, dist, seed=seed, burn=args.burn)
     except ShapeMismatch as exc:
         raise _UsageError(str(exc)) from None
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise NonFiniteObjective(
+            f"simulated series is not finite from observation {int(np.argmax(bad))} on"
+        )
     write_series(args.out, y)
-    options = {
-        **_model_options(args),
-        "theta": list(theta),
-        "dist": args.dist,
-        "dist_scale": args.dist_scale,
-        "nu": args.nu,
-        "alpha": args.alpha,
-        "n": args.n,
-        "burn": args.burn,
-        "out": str(args.out),
-    }
     doc = {
         "schema": "lqmle.simulate/1",
-        "manifest": make_manifest("simulate", options, input_path=args.dist_data, seed=seed),
+        "manifest": _manifest(args, input_path=args.dist_data, seed=seed),
         "nobs": int(args.n),
         "output": str(args.out),
         "output_sha256": sha256_file(args.out),
@@ -419,12 +408,6 @@ def _cmd_simulate(args) -> int:
 # -- mc ---------------------------------------------------------------------
 
 
-_SCENARIO_KEYS = (
-    "model", "dist", "theta0", "nobs", "reps", "estimator", "burn",
-    "constraint", "alternative_scale", "level", "label", "seed",
-)
-
-
 def _check_keys(mapping: dict, known, where: str = "") -> None:
     """DataFormatError naming every key of ``mapping`` outside ``known``."""
     unknown = [key for key in mapping if key not in known]
@@ -434,17 +417,43 @@ def _check_keys(mapping: dict, known, where: str = "") -> None:
         )
 
 
+def _constraint(c):
+    """(R, r) as float tuples from a {R, r} mapping, or None."""
+    if c is None:
+        return None
+    if not isinstance(c, dict):
+        raise ValueError(f"constraint must be a mapping {{R, r}}, got {c!r}")
+    _check_keys(c, ("R", "r"), "constraint: ")
+    return tuple(tuple(map(float, row)) for row in c["R"]), tuple(map(float, c["r"]))
+
+
+# Scenario keys of an mc config, in the order messages list them, and the
+# converter of each value to its Scenario field.
+_SCENARIO_KEYS = {
+    "model": _build_model,
+    "dist": _build_dist,
+    "theta0": lambda v: tuple(map(float, v)),
+    "nobs": int,
+    "reps": int,
+    "estimator": str,
+    "burn": int,
+    "constraint": _constraint,
+    "alternative_scale": float,
+    "level": float,
+    "label": str,
+    "seed": lambda v: v if v is None else int(v),
+}
+
+
 def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
     """Scenarios from the ``scenarios`` list of a loaded config.
 
-    Each entry is a mapping with the keys model (a _build_model spec),
-    dist (a _build_dist spec), theta0, nobs and reps, and optionally
-    estimator (lqmle or gqmle, default lqmle), burn (default 0),
-    constraint ({R, r}: test R theta = r), alternative_scale (data drawn
-    at this multiple of theta0, default 1), level (test level, default
-    0.05), label and seed (default: derived from the master seed).  Any
-    other key, of the scenario, its dist or its constraint mapping, is a
-    DataFormatError naming it.
+    Each entry is a mapping from Scenario's field names to values:
+    model is a _build_model spec, dist a _build_dist spec and constraint
+    a mapping {R, r} (test R theta = r).  A key left out takes
+    Scenario's default, and a seed left out or null is derived from the
+    master seed.  Any other key, of the scenario, its dist or its
+    constraint mapping, is a DataFormatError naming it.
     """
     scenarios = []
     for i, raw in enumerate(config["scenarios"]):
@@ -452,35 +461,11 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a mapping, got {raw!r}")
             _check_keys(raw, _SCENARIO_KEYS)
-            seed = raw.get("seed")
-            if seed is None:
+            fields = {key: convert(raw[key]) for key, convert in _SCENARIO_KEYS.items() if key in raw}
+            if fields.get("seed") is None:
                 child = np.random.SeedSequence(master_seed, spawn_key=(1000 + i,))
-                seed = int(child.generate_state(1, np.uint64)[0])
-            constraint = None
-            if raw.get("constraint") is not None:
-                c = raw["constraint"]
-                if not isinstance(c, dict):
-                    raise ValueError(f"constraint must be a mapping {{R, r}}, got {c!r}")
-                _check_keys(c, ("R", "r"), "constraint: ")
-                rows = tuple(tuple(float(v) for v in row) for row in c["R"])
-                rhs = tuple(float(v) for v in c["r"])
-                constraint = (rows, rhs)
-            scenarios.append(
-                Scenario(
-                    model=_build_model(raw["model"]),
-                    theta0=tuple(float(v) for v in raw["theta0"]),
-                    dist=_build_dist(raw["dist"]),
-                    nobs=int(raw["nobs"]),
-                    reps=int(raw["reps"]),
-                    seed=int(seed),
-                    estimator=raw.get("estimator", "lqmle"),
-                    burn=int(raw.get("burn", 0)),
-                    constraint=constraint,
-                    alternative_scale=float(raw.get("alternative_scale", 1.0)),
-                    level=float(raw.get("level", 0.05)),
-                    label=str(raw.get("label", "")),
-                )
-            )
+                fields["seed"] = int(child.generate_state(1, np.uint64)[0])
+            scenarios.append(Scenario(**fields))
         except (KeyError, TypeError, ValueError) as exc:
             raise DataFormatError(f"{path}: scenario {i}: {exc}") from None
     if not scenarios:
@@ -534,7 +519,7 @@ def _cmd_mc(args) -> int:
         summaries.append(summary.as_dict())
     doc = {
         "schema": "lqmle.mc/1",
-        "manifest": make_manifest("mc", {}, input_path=args.config, seed=seed),
+        "manifest": _manifest(args, input_path=args.config, seed=seed),
         "summaries": summaries,
         "failed": failed,
     }
@@ -549,19 +534,20 @@ def _cmd_mc(args) -> int:
 
 
 def _parse_restrictions(texts, dim: int):
+    """(R, r) from --restrict entries 'c1,...,cd=r' of finite numbers, else a usage error."""
     rows, rhs = [], []
     for text in texts:
-        if "=" not in text:
-            raise _UsageError(f"restriction {text!r} must look like c1,...,cd=r")
-        left, right = text.rsplit("=", 1)
-        row = _parse_floats(left, "--restrict row")
+        left, _, right = text.rpartition("=")
+        try:
+            row, (value,) = _floats(left), _floats(right)
+        except (argparse.ArgumentTypeError, ValueError):
+            raise _UsageError(
+                f"restriction {text!r} must look like c1,...,cd=r with finite numbers"
+            ) from None
         if len(row) != dim:
             raise _UsageError(f"restriction row has {len(row)} coefficients, model has {dim}")
         rows.append(row)
-        try:
-            rhs.append(float(right))
-        except ValueError:
-            raise _UsageError(f"restriction value {right!r} is not a number") from None
+        rhs.append(value)
     return np.asarray(rows), np.asarray(rhs)
 
 
@@ -585,19 +571,13 @@ def _cmd_test(args) -> int:
     model = _flag_model(args)
     y = _read_data(args)
     opts = _fit_options(args, model)
-    R, r = _parse_restrictions(args.restrict, model.dim)
+    R, r = _check_restriction(*_parse_restrictions(args.restrict, model.dim), model.dim)
     result = fit(model, y, opts)
     cfit = fit_constrained(model, y, R, r, opts, theta_hat=result.theta)
     tests = [_restriction_test("wald", wald_test, result, R, r), _restriction_test("lm", lm_test, cfit, R, r)]
-    options = {
-        **_model_options(args),
-        **_data_options(args),
-        "criterion": args.criterion,
-        "restrict": list(args.restrict),
-    }
     doc = {
         "schema": "lqmle.test/1",
-        "manifest": make_manifest("test", options, input_path=args.data, seed=args.seed),
+        "manifest": _manifest(args, input_path=args.data, seed=args.seed),
         "model": _model_block(model),
         "nobs": int(result.nobs),
         "restriction": {"R": R.tolist(), "r": r.tolist()},
@@ -622,10 +602,9 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    options = {"family": args.family, "nu": args.nu, "tol": args.tol}
     doc = {
         "schema": "lqmle.calibrate/1",
-        "manifest": make_manifest("calibrate", options, input_path=None, seed=None),
+        "manifest": _manifest(args, input_path=None, seed=None),
         "family": args.family,
     }
     if args.family == "stable":
@@ -656,15 +635,9 @@ def _cmd_diagnose(args) -> int:
     )
     diag = residual_diagnostics(model, shim, hill_k=args.hill_k).as_dict()
     diag["hill_sweep"] = hill_sweep(parts.residuals)
-    options = {
-        **_model_options(args),
-        **_data_options(args),
-        "theta": list(theta),
-        "hill_k": args.hill_k,
-    }
     doc = {
         "schema": "lqmle.diagnose/1",
-        "manifest": make_manifest("diagnose", options, input_path=args.data, seed=None),
+        "manifest": _manifest(args, input_path=args.data, seed=None),
         "model": _model_block(model),
         "theta": list(theta),
         "nobs": int(parts.nobs),
@@ -713,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="generate a series from a model")
     _add_model_args(p)
     _add_dist_args(p)
-    p.add_argument("--theta", required=True, help="comma-separated parameter values")
+    p.add_argument("--theta", type=_floats, required=True, help="comma-separated parameter values")
     p.add_argument("--n", type=int, required=True, help="series length")
     p.add_argument("--burn", type=int, default=0)
     p.add_argument("--seed", type=_int_at_least(0), default=None)
@@ -754,7 +727,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="residual and tail diagnostics at given parameters")
     _add_data_args(p)
     _add_model_args(p)
-    p.add_argument("--theta", required=True, help="comma-separated parameter values")
+    p.add_argument("--theta", type=_floats, required=True, help="comma-separated parameter values")
     p.add_argument("--hill-k", type=_int_at_least(2), help="order statistics for the Hill index")
     p.add_argument("--out", default=None, help="report path (default stdout)")
     p.set_defaults(func=_cmd_diagnose)

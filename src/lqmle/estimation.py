@@ -553,7 +553,7 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
 
 
 def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """R as a full-row-rank (q, dim) matrix and r as a length-q vector."""
+    """R as a full-row-rank (q, dim) matrix and r as a length-q vector, both finite."""
     R = np.atleast_2d(np.asarray(R, dtype=float))
     r = np.atleast_1d(np.asarray(r, dtype=float))
     q, d = R.shape
@@ -561,6 +561,8 @@ def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
         raise RankDeficientConstraint(
             f"restriction shapes {R.shape}, {r.shape} do not match dim {dim}"
         )
+    if not (np.all(np.isfinite(R)) and np.all(np.isfinite(r))):
+        raise InfeasibleConstraint("restriction R theta = r has a non-finite entry")
     if np.linalg.matrix_rank(R) < q:
         raise RankDeficientConstraint("restriction matrix is not full row rank")
     return R, r

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import InnovationDist
 from .errors import ExcessiveFailures, LqmleError, NonFiniteObjective
-from .estimation import FitOptions, KernelMoments, _kernel_sums, fit, fit_constrained, sandwich_cov
+from .estimation import FitOptions, KernelMoments, _check_restriction, _kernel_sums, fit, fit_constrained, sandwich_cov
 from .inference import lm_test, wald_test
 from .models.base import ModelSpec, simulate
 from .reports import fields_dict
@@ -53,6 +53,11 @@ class Scenario:
     p-values; its restricted fit starts from its unrestricted estimate.  Power studies set ``alternative_scale`` away from 1: the
     data are generated at alternative_scale * theta0 while the tests
     keep the null encoded by (R, r).
+
+    Construction refuses a level outside (0, 1), a theta0 or
+    alternative_scale that is not finite, and a restriction that is not
+    finite, does not match the model or lacks full row rank, so a bad
+    cell fails before any replication runs.
     """
 
     model: ModelSpec
@@ -82,8 +87,16 @@ class Scenario:
             raise ValueError(
                 f"nobs={self.nobs} too small for {len(self.theta0)} parameters"
             )
-        if not self.alternative_scale > 0.0:
-            raise ValueError("alternative_scale must be positive")
+        if not np.all(np.isfinite(self.theta0)):
+            raise ValueError(f"theta0 must be finite, got {list(self.theta0)}")
+        if not (np.isfinite(self.alternative_scale) and self.alternative_scale > 0.0):
+            raise ValueError(
+                f"alternative_scale must be finite and positive, got {self.alternative_scale}"
+            )
+        if not 0.0 < self.level < 1.0:
+            raise ValueError(f"level must lie strictly between 0 and 1, got {self.level}")
+        if self.constraint is not None:
+            _check_restriction(*self.constraint, self.model.dim)
 
     @property
     def dgp_theta(self) -> np.ndarray:

@@ -2,9 +2,14 @@
 
 Every command that produces a result document embeds a manifest with
 the command name, its fully resolved options, a content digest of the
-input file, the seed, and the package version.  Documents contain no
-wall-clock information, so re-running the same manifest reproduces the
-bytes exactly; timing goes to stderr instead.
+input file, the seed, and the package version.  The options are every
+parsed argument except: the report path, which names where the bytes
+go and not what they hold; input files (the series, the mc config, the
+empirical draws), which the digest records by content; the seed, which
+has its own entry; and the mc worker count, which must not change a
+byte.  Documents contain no wall-clock information, so re-running the
+same manifest reproduces the bytes exactly; timing goes to stderr
+instead.
 """
 
 from __future__ import annotations
@@ -37,16 +42,11 @@ def sha256_file(path) -> str:
 def make_manifest(command: str, options: dict, input_path=None, seed=None) -> dict:
     from . import __version__
 
-    opts = {}
-    for key, value in sorted(options.items()):
-        if isinstance(value, Path):
-            value = str(value)
-        opts[key] = value
     return {
         "tool": TOOL_NAME,
         "version": __version__,
         "command": command,
-        "options": opts,
+        "options": dict(options),
         "input_sha256": sha256_file(input_path) if input_path else None,
         "seed": seed,
     }

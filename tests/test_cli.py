@@ -5,18 +5,20 @@ against the JSON reports and the documented exit codes.  Seeds are always
 passed explicitly so reruns must be byte identical.
 """
 
+import argparse
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import lqmle
-from lqmle.cli import main
+from lqmle.cli import _UNRECORDED, build_parser, main
 
 SIM = [
     "simulate",
@@ -90,6 +92,62 @@ def test_fit_rerun_is_byte_identical(dar_csv, tmp_path):
         assert rc == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_fit_manifest_records_the_same_option_keys(dar_csv, tmp_path):
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(dar_csv), "--model", "dar", "--out", str(out)]) == 0
+    assert set(json.loads(out.read_text())["manifest"]["options"]) == {
+        "model", "order", "no_intercept", "column", "delim", "header", "diff",
+        "criterion", "start", "multistart", "max_iter", "hill_k", "residuals",
+    }
+
+
+@pytest.mark.parametrize(
+    "flags,key",
+    [
+        (["--max-iter", "1"], "max_iter"),
+        (["--start", "1,0.5,0.3,0.5"], "start"),
+        (["--no-multistart"], "multistart"),
+    ],
+)
+def test_test_manifest_records_the_fit_flags(dar_csv, tmp_path, flags, key):
+    options = []
+    for extra in ([], flags):
+        out = tmp_path / f"test{len(extra)}.json"
+        rc = main([
+            "test", "--data", str(dar_csv), "--model", "dar", "--order", "1,1",
+            "--restrict", "1,1,1,1=2.3", *extra, "--out", str(out),
+        ])
+        assert rc in (0, 5)
+        options.append(json.loads(out.read_text())["manifest"]["options"])
+    assert [k for k in options[0] if options[0][k] != options[1][k]] == [key]
+
+
+def test_every_unrecorded_name_is_a_parsed_argument():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {action.dest for p in sub.choices.values() for action in p._actions}
+    assert set(_UNRECORDED) - {"func", "command"} <= dests
+
+
+@pytest.mark.parametrize("value", ["nan,0.5,0.3,0.5", "1,0.5,inf,0.5", "1,x,0.3,0.5"])
+@pytest.mark.parametrize(
+    "command,flag,extra",
+    [
+        ("fit", "--start", []),
+        ("test", "--start", ["--restrict", "1,1,1,1=2.3"]),
+        ("diagnose", "--theta", []),
+        ("simulate", "--theta", ["--n", "30"]),
+    ],
+)
+def test_point_flags_must_be_finite_numbers(dar_csv, tmp_path, capsys, command, flag, extra, value):
+    out = tmp_path / "x.out"
+    data = [] if command == "simulate" else ["--data", str(dar_csv)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *data, "--model", "dar", flag, value, *extra, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"argument {flag}: must be comma-separated finite numbers, got {value!r}" in capsys.readouterr().err
 
 
 def test_fit_residuals_output(dar_csv, tmp_path):
@@ -300,6 +358,30 @@ def test_infeasible_restriction_is_numeric_error(dar_csv, tmp_path):
         "--out", str(tmp_path / "t.json"),
     ])
     assert rc == 4
+
+
+@pytest.mark.parametrize("entry", ["1,nan,1,1=2", "1,1,1,1=inf", "1,1,1,1", "1,1,1,1=2,3"])
+def test_restrict_entries_must_be_finite_numbers(dar_csv, tmp_path, capsys, monkeypatch, entry):
+    monkeypatch.setattr("lqmle.cli.fit", lambda *a, **k: pytest.fail("the fit ran"))
+    out = tmp_path / "t.json"
+    rc = main([
+        "test", "--data", str(dar_csv), "--model", "dar", "--restrict", entry, "--out", str(out),
+    ])
+    assert rc == 2
+    assert not out.exists()
+    assert f"restriction {entry!r} must look like c1,...,cd=r with finite numbers" in capsys.readouterr().err
+
+
+def test_rank_deficient_restriction_exits_4_before_the_fit(dar_csv, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("lqmle.cli.fit", lambda *a, **k: pytest.fail("the fit ran"))
+    out = tmp_path / "t.json"
+    rc = main([
+        "test", "--data", str(dar_csv), "--model", "dar", "--restrict", "1,1,1,1=2",
+        "--restrict", "2,2,2,2=4", "--out", str(out),
+    ])
+    assert rc == 4
+    assert not out.exists()
+    assert "RankDeficientConstraint: restriction matrix is not full row rank" in capsys.readouterr().err
 
 
 def test_calibrate_student_t(tmp_path):
@@ -630,11 +712,40 @@ SCENARIO = (
             "scenario 0: constraint must be a mapping {R, r}, got [1, 1]",
         ),
         (SCENARIO + "    dist: {family: t, nu: 3, scale: 0.5}\n", 0, ""),
+        (SCENARIO + "    dist: logistic\n    level: 1.5\n", 3, "level must lie strictly between 0 and 1, got 1.5"),
+        (SCENARIO + "    dist: logistic\n    level: 0\n", 3, "level must lie strictly between 0 and 1, got 0.0"),
+        (
+            SCENARIO.replace("[1.0, 0.5, 0.3, 0.5]", "[.nan, 0.5, 0.3, 0.5]") + "    dist: logistic\n",
+            3,
+            "scenario 0: theta0 must be finite, got [nan, 0.5, 0.3, 0.5]",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    alternative_scale: .inf\n",
+            3,
+            "alternative_scale must be finite and positive, got inf",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    constraint: {R: [[1, 1, 1]], r: [2.3]}\n",
+            3,
+            "scenario 0: restriction shapes (1, 3), (1,) do not match dim 4",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    constraint: {R: [[1, 1, 1, 1], [2, 2, 2, 2]], r: [2, 4]}\n",
+            3,
+            "scenario 0: restriction matrix is not full row rank",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    constraint: {R: [[1, 1, 1, 1]], r: [.nan]}\n",
+            3,
+            "scenario 0: restriction R theta = r has a non-finite entry",
+        ),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
          "misspelt-scenario-key", "misspelt-dist-key", "unknown-constraint-key",
-         "constraint-not-mapping", "dist-mapping"],
+         "constraint-not-mapping", "dist-mapping", "level-above-1", "level-0", "nan-theta0",
+         "infinite-alternative-scale", "short-restriction-row", "rank-deficient-restriction",
+         "nan-restriction-value"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"
@@ -675,6 +786,18 @@ def test_simulate_flags_fail_cleanly(tmp_path, capsys, argv, message):
     assert not out.exists()
     assert not out.with_name("y.csv.manifest.json").exists()
     assert message in capsys.readouterr().err
+
+
+def test_simulate_writes_no_non_finite_series(tmp_path, capsys):
+    out = tmp_path / "y.csv"
+    argv = ["simulate", "--model", "dar", "--theta", "1,0.5,-3,0.5", "--n", "5", "--seed", "1"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == 4
+    assert not out.exists()
+    assert not out.with_name("y.csv.manifest.json").exists()
+    err = capsys.readouterr().err
+    assert "NonFiniteObjective: simulated series is not finite from observation 0 on" in err
 
 
 def test_simulate_manifest_digests_empirical_draws(tmp_path):

@@ -7,7 +7,7 @@ import pytest
 import scipy.stats
 
 from lqmle.distributions import logistic
-from lqmle.errors import RankDeficientConstraint
+from lqmle.errors import InfeasibleConstraint, RankDeficientConstraint
 from lqmle.estimation import fit, fit_constrained
 from lqmle.inference import (
     chisq_sf,
@@ -116,6 +116,13 @@ def test_wald_rejects_rank_deficient_rows(dar_fit):
     R = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
     with pytest.raises(RankDeficientConstraint):
         wald_test(res, R, np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("R,r", [([[1.0, np.nan, 0.0, 0.0]], [1.0]), ([[1.0, 0.0, 0.0, 0.0]], [np.inf])])
+def test_wald_rejects_non_finite_restrictions(dar_fit, R, r):
+    _, _, res = dar_fit
+    with pytest.raises(InfeasibleConstraint, match="non-finite entry"):
+        wald_test(res, np.array(R), np.array(r))
 
 
 def test_lm_statistic_nonnegative_and_recorded(dar_fit):
