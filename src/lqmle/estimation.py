@@ -19,12 +19,14 @@ it meets, with Armijo backtracking, so the criterion value never
 decreases along accepted steps.
 
 The criterion's consistency rests on its global maximum, so a fit runs
-Newton from several starts and keeps the best optimum: the model's
-cheap data-driven ``start_values`` and, for a multistart fit, one point
-of each group of its ``start_candidates``, groups of points aimed at
-the kinds of basin the model can have; the point with the highest
-criterion value in its group runs, found by one order-0 evaluation
-each.  A restricted fit starts next to its optimum: the unrestricted
+Newton from several starts and keeps the best optimum: the template of
+the model's parameter table, its cheap data-driven ``start_values``
+and, for a multistart fit, one point of each group of its
+``start_candidates``, groups of points aimed at the kinds of basin the
+model can have; the point with the highest criterion value in its group
+runs, found by one order-0 evaluation each.  The model proposes these
+points for a series the fit has accepted; the fit clips them into the
+box.  A restricted fit starts next to its optimum: the unrestricted
 estimate theta_hat projected into the box on the plane runs first,
 ahead of the start values.  A model that sets ``interior_warm_start``
 runs theta_hat projected into the box shrunk off its faces alone, and
@@ -419,15 +421,22 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
     return th, parts, converged, iterations, trace
 
 
+def _start_values(model: ModelSpec, y) -> list[np.ndarray]:
+    """The template start, then the model's start values for the accepted series y."""
+    return [model._template_values(), *model.start_values(y)]
+
+
 def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
-    """The model's start values and, for a multistart fit, the best
-    candidate of each group of its start candidates.
+    """The start values and, for a multistart fit, the best candidate
+    of each group of the model's start candidates, clipped into the box.
 
     Each candidate of a group of several costs one order-0 evaluation
     under the fit's own criterion; of equal scores the earlier one wins.
     """
-    starts = list(model.start_values(y))
+    starts = _start_values(model, y)
+    lo, hi = model.default_bounds()
     for group in model.start_candidates(y) if opts.multistart else []:
+        group = [np.clip(c, lo, hi) for c in group]
         if len(group) > 1:
             scores = [evaluate(model, y, c, criterion=opts.criterion).loglik for c in group]
             group = [group[int(np.argmax(scores))]]
@@ -543,10 +552,11 @@ def _fit(
 def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
     """Maximize the criterion over the model's box; best of several starts.
 
-    Newton runs from each of ``model.start_values(y)`` and, unless
-    ``options.multistart`` is off, from the best-scoring candidate of
-    each group of ``model.start_candidates(y)``; ``options.start``
-    replaces them all.  The fit draws no random numbers.
+    Newton runs from the template start, each of
+    ``model.start_values(y)`` and, unless ``options.multistart`` is off,
+    from the best-scoring candidate of each group of
+    ``model.start_candidates(y)``; ``options.start`` replaces them all.
+    The fit draws no random numbers.
     """
     opts = options or FitOptions()
     return _fit(model, y, opts, lambda yv: _build_starts(model, yv, opts))
@@ -631,7 +641,8 @@ def fit_constrained(
     usually sits a few Newton steps from the restricted optimum; when
     that projection fails, it is the box midpoint projected the same
     way, and InfeasibleConstraint is raised when that fails too.  The
-    model's start values follow, projected onto the plane.  A model with
+    template start and the model's start values follow, clipped into
+    the box and projected onto the plane.  A model with
     ``interior_warm_start`` set instead projects theta_hat into the box
     shrunk off its faces and runs that start alone; the projection into
     the full box and the start values follow only when that run dies,
@@ -650,10 +661,10 @@ def fit_constrained(
     if model.interior_warm_start:
         first = _warm_start(model, theta_hat, R, r, lo, hi, interior=True)
         later = [] if np.array_equal(first, warm) else [warm]
-        starts, fallback = (lambda yv: [first]), (lambda yv: [*later, *model.start_values(yv)])
+        starts, fallback = (lambda yv: [first]), (lambda yv: [*later, *_start_values(model, yv)])
     else:
         first = warm
-        starts, fallback = (lambda yv: [warm, *model.start_values(yv)]), None
+        starts, fallback = (lambda yv: [warm, *_start_values(model, yv)]), None
     if not opts.multistart:
         starts, fallback = (lambda yv: [first]), None
     return _fit(model, y, opts, starts, R, r, fallback)
@@ -713,10 +724,10 @@ def kernel_moments(eta) -> KernelMoments:
 
 
 def _scale_only_pieces(model: ModelSpec, y, theta):
-    if not model.scale_only:
-        raise NotScaleOnly(f"model {model.name!r} has a conditional mean part")
     yv = model._check_series(y)
     yv, out = _conditioned(model, yv, model.filter(yv, theta, order=1))
+    if out.dmean is not None:
+        raise NotScaleOnly(f"model {model.name!r} has a conditional mean part")
     w = out.dsigma2 / out.sigma2[:, None]
     omega = w.T @ w / yv.size
     eta = (yv - out.mean) / out.sigma

@@ -22,12 +22,7 @@ __all__ = [
     "make_model",
 ]
 
-MODEL_REGISTRY = {
-    "dar": Dar,
-    "garch": Garch,
-    "arma_garch": ArmaGarch,
-    "expar": Expar,
-}
+MODEL_REGISTRY = {cls.name: cls for cls in (Dar, Garch, ArmaGarch, Expar)}
 
 
 def make_model(name: str, **kwargs) -> ModelSpec:

@@ -149,11 +149,8 @@ class ArmaGarch(ModelSpec):
         return _float_path(_arma_garch_loop, np.asarray(self._unpack(th)), innovations)
 
     def _mean_start(self, y: np.ndarray):
-        """Least-squares AR(1) mean coefficients and the median squared
-        residual (at least 1e-3), or None for a series of 8 or fewer."""
+        """Least-squares AR(1) mean coefficients and the median squared residual, at least 1e-3."""
         n = y.size
-        if n <= 8:
-            return None
         cols = [np.ones(n), lagged(y, 1)] if self.include_intercept else [lagged(y, 1)]
         x = np.column_stack(cols)
         coef, *_ = np.linalg.lstsq(x, y, rcond=None)
@@ -161,24 +158,13 @@ class ArmaGarch(ModelSpec):
         return coef, max(float(np.median(resid * resid)), 1e-3)
 
     def start_values(self, y) -> list[np.ndarray]:
-        y = self._check_series(y)
-        starts = [self._template_values()]
-        mean_start = self._mean_start(y)
-        if mean_start is not None:
-            coef, s = mean_start
-            lo, hi = self.default_bounds()
-            starts.append(np.clip(np.r_[coef, 0.0, 0.6 * s, 0.1, 0.3], lo, hi))
-        return starts
+        coef, s = self._mean_start(y)
+        return [np.r_[coef, 0.0, 0.6 * s, 0.1, 0.3]]
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
         """The GARCH(1,1) candidates on the mean part of the data start."""
-        mean_start = self._mean_start(self._check_series(y))
-        if mean_start is None:
-            return []
-        coef, s = mean_start
-        lo, hi = self.default_bounds()
-        groups = _garch_candidates(s / 0.6, 1, 1)
-        return [[np.clip(np.r_[coef, 0.0, c], lo, hi) for c in group] for group in groups]
+        coef, s = self._mean_start(y)
+        return [[np.r_[coef, 0.0, c] for c in group] for group in _garch_candidates(s / 0.6, 1, 1)]
 
 
 def _arma_garch_loop(eta, y, sqrt, th):

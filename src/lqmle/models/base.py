@@ -24,9 +24,9 @@ A model declares ``param_table`` (one (name, lower, upper, template)
 row per parameter), ``filter`` and ``path``, and where needed
 ``presample``, ``start_values`` and ``start_candidates``; names,
 dimension, bounds and the template start all derive from the table.
-Every fit runs Newton from each of ``start_values``; a multistart fit
-also runs it from one point of each group of ``start_candidates``, the
-one with the highest criterion value.
+The start methods propose raw points, possibly outside the box, for a
+series the fit has accepted; the fit adds the template start and clips
+every point into the box (``estimation``).
 """
 
 from __future__ import annotations
@@ -139,14 +139,12 @@ class ModelSpec(abc.ABC):
     A subclass declares ``param_table``, ``filter`` and ``path``, and
     overrides ``presample``, ``interior_warm_start``, ``start_values``
     and ``start_candidates`` where the defaults (no conditioning rows,
-    every start of a restricted fit run, the template start alone, no
-    candidates) do not fit.  Outside the model, read a parameter by
-    name through ``param_names``, not by its position.
+    every start of a restricted fit run, no start proposals) do not
+    fit.  Outside the model, read a parameter by name through
+    ``param_names``, not by its position.
     """
 
     name: str = "model"
-    #: True when the conditional mean is identically zero.
-    scale_only: bool = False
     #: Leading observations the criterion conditions on instead of summing.
     presample: int = 0
     #: True when a restricted fit runs theta_hat projected off the box
@@ -217,17 +215,21 @@ class ModelSpec(abc.ABC):
         """Generate y from given standardized innovations, zero initial state."""
 
     def start_values(self, y) -> list[np.ndarray]:
-        """Cheap data-driven starting points; every fit runs Newton from each."""
-        return [self._template_values()]
+        """Cheap data-driven starting points; every fit runs Newton from each.
+
+        y is finite with at least 10 dim observations.  The points may lie
+        outside the box: the fit clips them and runs the template first.
+        """
+        return []
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
-        """Groups of points inside the box and the stationary region.
+        """Groups of raw points, for an accepted series as in ``start_values``.
 
-        A multistart fit runs Newton from one point of each group: the
-        one with the highest criterion value, found by one evaluation
-        per point (a group of one is not scored).  A group holds the
-        points that compete for one kind of basin, so a model can offer
-        a grid over each at little cost.
+        A multistart fit clips each point into the box and runs Newton
+        from one point of each group: the one with the highest criterion
+        value, found by one evaluation per point (a group of one is not
+        scored).  A group holds the points that compete for one kind of
+        basin, so a model can offer a grid over each at little cost.
         """
         return []
 

@@ -31,19 +31,19 @@ class Dar(ModelSpec):
     derivative blocks are linear in the data, so second derivatives
     vanish identically and the order-2 filter leaves ``curvature`` None.
     q = 0 (constant scale) and p = 0 (constant mean) are allowed as
-    degenerate orders.  The start values are the template and a
-    self-weighted least-squares fit scaled to the criterion's
-    normalization (``start_values``); DAR has no start candidates.
+    degenerate orders.  The start value is a self-weighted least-squares
+    fit scaled to the criterion's normalization (``start_values``); DAR
+    has no start candidates.
 
     A restricted DAR fit runs its interior warm start alone
     (``interior_warm_start``), its other starts only as a fallback.
     Under R = [1, 1, 1, 1], r = 2.3 at theta0 = (1, .5, .3, .5), n = 400,
-    logistic, that ended no lower than the warm start followed by both
-    start values in any of 3900 fits (1.0, 1.3 and 1.5 theta0 with
+    logistic, that ended no lower than the warm start followed by the
+    template and the data start in any of 3900 fits (1.0, 1.3 and 1.5 theta0 with
     burn-in 100, seeds 1000-1599 and 1700-1899; 1.1, 1.3 and 1.5 theta0
     from the zero state, seeds 1400-1899); the fallback ran in 24 of
     them.  At theta0 a fit took 4.1 ``evaluate`` calls instead of 19.6.
-    The start values had won only where the plain projection clipped
+    Those two starts had won only where the plain projection clipped
     alpha0 onto its face.
     """
 
@@ -105,7 +105,7 @@ class Dar(ModelSpec):
         return _float_path(_dar_loop, self._check_theta(theta), innovations, self.p, self.q)
 
     def start_values(self, y) -> list[np.ndarray]:
-        """The template, then a self-weighted least-squares start.
+        """A self-weighted least-squares start, run after the template start.
 
         At the designs of interest y can have infinite variance, and
         ordinary least squares then lets a few large lags set the
@@ -119,29 +119,24 @@ class Dar(ModelSpec):
         kernel, the criterion's own scale normalization; when that root
         cannot be bracketed the scale is kept as fitted.
         """
-        y = self._check_series(y)
-        starts = [self._template_values()]
         n, k = y.size, self.presample
-        if n - k > self.p + self.q + 4:
-            # regress on the rows the criterion scores, whose lags are all observed
-            x = np.column_stack([np.ones(n)] + [lagged(y, i) for i in range(1, self.p + 1)])[k:]
-            z = np.column_stack([np.ones(n)] + [lagged(y * y, j) for j in range(1, self.q + 1)])[k:]
-            w = 1.0 / z.sum(axis=1)  # z's rows are (1, y_{t-1}^2, ..., y_{t-q}^2)
-            coef, *_ = np.linalg.lstsq(x * w[:, None], y[k:] * w, rcond=None)
-            resid = y[k:] - x @ coef
-            acoef, *_ = np.linalg.lstsq(z * w[:, None], resid * resid * w, rcond=None)
-            acoef[0] = max(acoef[0], 1e-3)
-            acoef[1:] = np.clip(acoef[1:], 0.0, None)
-            u = resid / np.sqrt(z @ acoef)
-            try:
-                acoef *= _find_root(
-                    lambda c: 1.0 - np.mean(scale_kernel(u / np.sqrt(c))), 0.25, 4.0, 1e-8, grow=True
-                )
-            except BracketFailure:
-                pass
-            lo, hi = self.default_bounds()
-            starts.append(np.clip(np.r_[coef, acoef], lo, hi))
-        return starts
+        # regress on the rows the criterion scores, whose lags are all observed
+        x = np.column_stack([np.ones(n)] + [lagged(y, i) for i in range(1, self.p + 1)])[k:]
+        z = np.column_stack([np.ones(n)] + [lagged(y * y, j) for j in range(1, self.q + 1)])[k:]
+        w = 1.0 / z.sum(axis=1)  # z's rows are (1, y_{t-1}^2, ..., y_{t-q}^2)
+        coef, *_ = np.linalg.lstsq(x * w[:, None], y[k:] * w, rcond=None)
+        resid = y[k:] - x @ coef
+        acoef, *_ = np.linalg.lstsq(z * w[:, None], resid * resid * w, rcond=None)
+        acoef[0] = max(acoef[0], 1e-3)
+        acoef[1:] = np.clip(acoef[1:], 0.0, None)
+        u = resid / np.sqrt(z @ acoef)
+        try:
+            acoef *= _find_root(
+                lambda c: 1.0 - np.mean(scale_kernel(u / np.sqrt(c))), 0.25, 4.0, 1e-8, grow=True
+            )
+        except BracketFailure:
+            pass
+        return [np.r_[coef, acoef]]
 
 
 def _dar_loop(eta, y, sqrt, th, p, q):

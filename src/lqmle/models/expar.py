@@ -13,6 +13,7 @@ __all__ = ["Expar"]
 
 # decays of the candidate grid: eight per decade over [1e-4, 100]
 _DECAYS = np.logspace(-4.0, 2.0, 49)
+_COEF_BOUND = 5.0  # every ar and nl coefficient lies in [-5, 5]
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,8 @@ class Expar(ModelSpec):
     @property
     def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
         return (
-            *((f"ar{i}", -5.0, 5.0, 0.0) for i in range(1, self.p + 1)),
-            *((f"nl{i}", -5.0, 5.0, 0.0) for i in range(1, self.p + 1)),
+            *((f"ar{i}", -_COEF_BOUND, _COEF_BOUND, 0.0) for i in range(1, self.p + 1)),
+            *((f"nl{i}", -_COEF_BOUND, _COEF_BOUND, 0.0) for i in range(1, self.p + 1)),
             ("decay", 1e-6, 100.0, 1.0),
         )
 
@@ -95,23 +96,16 @@ class Expar(ModelSpec):
             y[t] = g + eta[t]
         return y
 
-    def _lags(self, y: np.ndarray) -> np.ndarray | None:
-        """Columns y_{t-1}, ..., y_{t-p}, or None for a series too short to fit (ar, nl)."""
-        if y.size <= 2 * self.p + 4:
-            return None
+    def _lags(self, y: np.ndarray) -> np.ndarray:
+        """Columns y_{t-1}, ..., y_{t-p}."""
         return np.column_stack([lagged(y, i) for i in range(1, self.p + 1)])
 
     def start_values(self, y) -> list[np.ndarray]:
-        y = self._check_series(y)
-        starts = [self._template_values()]
         ylags = self._lags(y)
-        if ylags is not None:
-            env = np.exp(-(ylags[:, 0] ** 2))
-            x = np.column_stack([ylags, env[:, None] * ylags])
-            coef, *_ = np.linalg.lstsq(x, y, rcond=None)
-            lo, hi = self.default_bounds()
-            starts.append(np.clip(np.r_[coef, 1.0], lo, hi))
-        return starts
+        env = np.exp(-(ylags[:, 0] ** 2))
+        x = np.column_stack([ylags, env[:, None] * ylags])
+        coef, *_ = np.linalg.lstsq(x, y, rcond=None)
+        return [np.r_[coef, 1.0]]
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
         """One group: the peaks of the profile criterion over a log grid of decays.
@@ -124,10 +118,7 @@ class Expar(ModelSpec):
         decays run at once, and every sum over t is a product with the
         lags or their outer products.
         """
-        y = self._check_series(y)
         ylags = self._lags(y)
-        if ylags is None:
-            return []
         n, p = ylags.shape
         env = np.exp(-np.outer(_DECAYS, ylags[:, 0] ** 2))  # (k, n)
         env_sq = env * env
@@ -155,8 +146,7 @@ class Expar(ModelSpec):
         for _ in range(4):
             t = np.tanh(0.5 * residuals(coef))  # minus d log f / d residual
             coef = coef + solve(gram(0.5 * (1.0 - t * t)), cross(t))
-        lo, hi = self.default_bounds()
-        coef = np.clip(coef, lo[:-1], hi[:-1])
+        coef = np.clip(coef, -_COEF_BOUND, _COEF_BOUND)
         profile = logistic_logpdf(residuals(coef)).sum(axis=1)
         padded = np.r_[-np.inf, profile, -np.inf]
         peaks = (profile > padded[:-2]) & (profile >= padded[2:])  # one per plateau

@@ -62,7 +62,6 @@ class Garch(ModelSpec):
             raise ValueError("need p >= 1 and q >= 0")
 
     name = "garch"
-    scale_only = True
 
     @property
     def param_table(self) -> tuple[tuple[str, float, float, float], ...]:
@@ -125,21 +124,14 @@ class Garch(ModelSpec):
         return _float_path(_garch_loop, self._check_theta(theta), innovations, self.p, self.q)
 
     def start_values(self, y) -> list[np.ndarray]:
-        y = self._check_series(y)
-        template = self._template_values()
-        starts = [template]
         scale = float(np.median(y * y))
-        if np.isfinite(scale) and scale > 0:
-            lo, hi = self.default_bounds()
-            starts.append(np.clip(np.r_[0.6 * scale, template[1:]], lo, hi))
-        return starts
+        if not (np.isfinite(scale) and scale > 0):
+            return []
+        return [np.r_[0.6 * scale, self._template_values()[1:]]]
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
-        y = self._check_series(y)
-        lo, hi = self.default_bounds()
         scale = float(np.median(y * y)) / 0.6  # a median square understates the variance
-        groups = _garch_candidates(scale, self.p, self.q)
-        return [[np.clip(c, lo, hi) for c in group] for group in groups]
+        return _garch_candidates(scale, self.p, self.q)
 
 
 def _garch_loop(eta, y, sqrt, th, p, q):

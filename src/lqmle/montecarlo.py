@@ -55,7 +55,8 @@ class Scenario:
     keep the null encoded by (R, r).
 
     Construction refuses a level outside (0, 1), a theta0 or
-    alternative_scale that is not finite, and a restriction that is not
+    alternative_scale that is not finite or puts alternative_scale *
+    theta0 outside the model's box, and a restriction that is not
     finite, does not match the model or lacks full row rank, so a bad
     cell fails before any replication runs.
     """
@@ -93,6 +94,7 @@ class Scenario:
             raise ValueError(
                 f"alternative_scale must be finite and positive, got {self.alternative_scale}"
             )
+        self.model.wrap(self.dgp_theta)
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie strictly between 0 and 1, got {self.level}")
         if self.constraint is not None:

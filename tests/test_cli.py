@@ -725,6 +725,16 @@ SCENARIO = (
             "alternative_scale must be finite and positive, got inf",
         ),
         (
+            SCENARIO.replace("[1.0, 0.5, 0.3, 0.5]", "[1, 0.5, -3, 0.5]") + "    dist: logistic\n",
+            3,
+            "scenario 0: parameters outside box bounds: ['alpha0']",
+        ),
+        (
+            SCENARIO + "    dist: logistic\n    alternative_scale: 20\n",
+            3,
+            "scenario 0: parameters outside box bounds: ['const', 'ar1']",
+        ),
+        (
             SCENARIO + "    dist: logistic\n    constraint: {R: [[1, 1, 1]], r: [2.3]}\n",
             3,
             "scenario 0: restriction shapes (1, 3), (1,) do not match dim 4",
@@ -744,7 +754,8 @@ SCENARIO = (
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
          "misspelt-scenario-key", "misspelt-dist-key", "unknown-constraint-key",
          "constraint-not-mapping", "dist-mapping", "level-above-1", "level-0", "nan-theta0",
-         "infinite-alternative-scale", "short-restriction-row", "rank-deficient-restriction",
+         "infinite-alternative-scale", "theta0-outside-box", "alternative-outside-box",
+         "short-restriction-row", "rank-deficient-restriction",
          "nan-restriction-value"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):

@@ -267,6 +267,26 @@ def test_fit_requires_enough_observations():
         fit(model, np.ones(30))
 
 
+@pytest.mark.parametrize(
+    "name,kw,theta0,R,r",
+    [
+        ("dar", dict(p=1, q=1), (1.0, 0.5, 0.3, 0.5), [[1.0, 1.0, 1.0, 1.0]], [2.3]),
+        ("arma_garch", dict(), (0.5, 0.3, 0.2, 0.2, 0.1, 0.3), [[0.0, 1.0, 1.0, 0.0, 0.0, 0.0]], [0.5]),
+    ],
+    ids=["dar", "arma_garch"],
+)
+def test_fit_needs_ten_observations_per_parameter(name, kw, theta0, R, r):
+    # the start proposals are asked only for a series of at least 10 dim
+    # observations; one fewer fails before any of them is formed
+    model = make_model(name, **kw)
+    n = 10 * model.dim
+    y = simulate(model, np.array(theta0), n, logistic(), seed=3, burn=100)
+    for run in (lambda y: fit(model, y), lambda y: fit_constrained(model, y, R, r, theta_hat=theta0)):
+        with pytest.raises(ValueError, match=f"need at least {n} observations"):
+            run(y[1:])
+        assert np.isfinite(run(y).loglik)
+
+
 def test_residual_kernel_mean_is_one_at_optimum():
     # the scale score equation forces mean h(residual) = 1 exactly at any
     # interior optimum with a free scale intercept
@@ -494,9 +514,9 @@ def test_warm_start_reaches_the_restricted_optimum_the_base_point_misses():
     warm = fit_constrained(model, y, R, r, theta_hat=fit(model, y).theta)
     assert warm.converged
     assert warm.loglik == pytest.approx(-745.1474206812732, abs=1e-6)
-    # ARMA-GARCH keeps its start values behind the warm start
+    # ARMA-GARCH keeps the template and its start values behind the warm start
     assert not model.interior_warm_start
-    assert warm.n_starts == 1 + len(model.start_values(y))
+    assert warm.n_starts == 1 + 1 + len(model.start_values(y))
 
 
 DAR_TEST = (np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3]))
@@ -547,7 +567,8 @@ def test_interior_start_reaches_the_optimum_a_clipped_warm_start_misses():
 
 def test_interior_run_on_a_face_falls_back_to_the_other_starts():
     # theta_hat is on the alpha0 floor; the interior start alone ends on
-    # that face, so the projected warm start and the start values run too
+    # that face, so the projected warm start, the template and the start
+    # values run too
     model, y = _dar_series(1.5, 1539, 0)
     R, r = DAR_TEST
     theta_hat = fit(model, y).theta
@@ -556,22 +577,22 @@ def test_interior_run_on_a_face_falls_back_to_the_other_starts():
     assert (alone.n_starts, alone.converged, alone.boundary[2]) == (1, True, True)
     assert alone.loglik == pytest.approx(-2951.7127, abs=1e-4)
     cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
-    assert cfit.n_starts == 2 + len(model.start_values(y))
+    assert cfit.n_starts == 2 + 1 + len(model.start_values(y))
     assert cfit.converged and not any(cfit.boundary)
     assert cfit.loglik == pytest.approx(-2936.8848, abs=1e-4)
 
 
 def test_unconverged_interior_run_falls_back_to_the_other_starts():
     # with one Newton iteration the interior start stops unconverged, so
-    # the two start values run too (the projected warm start is the
-    # interior start here); with the default budget it settles alone
+    # the template and the data start run too (the projected warm start
+    # is the interior start here); with the default budget it settles alone
     model = make_model("dar", p=1, q=1)
     y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, logistic(), seed=5, burn=100)
     R, r = DAR_TEST
     theta_hat = fit(model, y).theta
     short = fit_constrained(model, y, R, r, FitOptions(max_iter=1), theta_hat=theta_hat)
-    assert len(model.start_values(y)) == 2
-    assert (short.converged, short.n_starts) == (False, 3)
+    assert len(model.start_values(y)) == 1
+    assert (short.converged, short.n_starts) == (False, 1 + 1 + 1)
     cfit = fit_constrained(model, y, R, r, theta_hat=theta_hat)
     assert (cfit.converged, cfit.n_starts) == (True, 1)
 
@@ -607,7 +628,7 @@ def test_earlier_start_wins_a_tie(monkeypatch):
             return res
 
         monkeypatch.setattr(estimation, "_newton", recording)
-        starts = [model.start_values(y)[0], first.theta.array]
+        starts = [model._template_values(), first.theta.array]
         got = estimation._fit(model, y, FitOptions(), lambda yv: starts)
         assert len(calls) == 2
         assert got.loglik == calls[winner][1].loglik
@@ -700,10 +721,10 @@ def test_fit_reports_nonstationary_trials_once():
 def test_multistart_runs_start_values_and_screened_candidates(name, kw, theta0):
     model = make_model(name, **kw)
     y = simulate(model, np.array(theta0), 400, logistic(), seed=6, burn=100)
-    # one Newton run per group of candidates
-    want = len(model.start_values(y)) + len(model.start_candidates(y))
+    # the template, the start values and one Newton run per group of candidates
+    want = 1 + len(model.start_values(y)) + len(model.start_candidates(y))
     assert fit(model, y).n_starts == want
-    assert fit(model, y, FitOptions(multistart=False)).n_starts == len(model.start_values(y))
+    assert fit(model, y, FitOptions(multistart=False)).n_starts == 1 + len(model.start_values(y))
 
 
 def test_gaussian_fit_screens_candidates_by_the_gaussian_criterion(monkeypatch):
@@ -726,7 +747,7 @@ def test_gaussian_fit_screens_candidates_by_the_gaussian_criterion(monkeypatch):
 
     monkeypatch.setattr(estimation, "_newton", recording)
     fit(model, y, FitOptions(criterion="gaussian"))
-    n_values = len(model.start_values(y))
+    n_values = 1 + len(model.start_values(y))  # the template, then the start values
     assert len(ran) == n_values + 2
     np.testing.assert_array_equal(ran[n_values], best("gaussian"))
 

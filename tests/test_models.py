@@ -11,8 +11,10 @@ import pytest
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
+from lqmle import estimation
 from lqmle.distributions import empirical, logistic, normal
 from lqmle.errors import ShapeMismatch
+from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
 from lqmle.models.base import FilterOutput, _floor_sigma2
@@ -22,7 +24,8 @@ Y3 = np.array([1.0, 2.0, 3.0])
 
 
 def test_registry_contents():
-    assert set(MODEL_REGISTRY) == {"arma_garch", "dar", "expar", "garch"}
+    assert list(MODEL_REGISTRY) == ["dar", "garch", "arma_garch", "expar"]
+    assert all(cls.name == key for key, cls in MODEL_REGISTRY.items())
     with pytest.raises(ValueError):
         make_model("arch")
 
@@ -388,9 +391,18 @@ def test_parameter_tables_match_golden(name, kw, rows):
     assert [tuple(row) for row in m.param_table] == rows
 
 
-def test_start_values_land_inside_bounds():
-    # every start value and start candidate must be admissible, and the
+def test_start_values_land_inside_bounds(monkeypatch):
+    # every start the fit runs (the template, the start values and the
+    # best clipped candidate of each group) must be admissible, and the
     # GARCH-type candidates must lie in the stationary region
+    ran = []
+    real = estimation._newton
+
+    def recording(*args):
+        ran.append(args[5].copy())  # the start th0
+        return real(*args)
+
+    monkeypatch.setattr(estimation, "_newton", recording)
     rng = np.random.default_rng(8)
     z = rng.standard_normal(80)
     for name, kw in [
@@ -411,11 +423,14 @@ def test_start_values_land_inside_bounds():
             starts = m.start_values(y)
             groups = m.start_candidates(y)
             candidates = [c for group in groups for c in group]
-            assert len(starts) >= 1, name
             assert (len(groups) > 0) == (name != "dar"), name
             assert all(groups), name
+            ran.clear()
+            fit(m, y)
+            assert len(ran) == 1 + len(starts) + len(groups), name
             for start in [*starts, *candidates]:
                 assert start.shape == (m.dim,), name
+            for start in ran:
                 assert np.all((lo <= start) & (start <= hi)), (name, start)
             if name in ("garch", "arma_garch"):
                 for c in candidates:
@@ -440,17 +455,11 @@ def test_dar_data_start_regresses_on_the_scored_rows():
     acoef = np.r_[max(acoef[0], 1e-3), max(acoef[1], 0.0)]
     u = resid / np.sqrt(z @ acoef)
     c = brentq(lambda c: np.mean(u / np.sqrt(c) * np.tanh(0.5 * u / np.sqrt(c))) - 1.0, 1e-6, 1e6, xtol=1e-14)
-    want = np.clip(np.r_[coef, c * acoef], *m.default_bounds())
-    got = m.start_values(y)[1]
+    want = np.r_[coef, c * acoef]
+    got = m.start_values(y)[0]
     np.testing.assert_allclose(got, want, rtol=1e-7)
     s2 = got[3] + got[4] * y[t - 1] ** 2
     assert np.mean(scale_kernel(resid / np.sqrt(s2))) == pytest.approx(1.0, abs=1e-7)
-
-
-def test_start_candidates_of_a_short_series_are_empty():
-    y = np.arange(1.0, 7.0)
-    assert make_model("expar", p=1).start_candidates(y) == []
-    assert make_model("arma_garch").start_candidates(y) == []
 
 
 def test_higher_order_dar_shapes():
