@@ -29,7 +29,6 @@ from .errors import (
     DataFormatError,
     ExcessiveFailures,
     LqmleError,
-    NonFiniteObjective,
     ShapeMismatch,
     SingularInformation,
 )
@@ -137,22 +136,21 @@ _ORDER_KEYS = {"dar": ("p", "q"), "garch": ("p", "q"), "expar": ("p",), "arma_ga
 
 
 def _build_model(spec) -> ModelSpec:
-    """Model from a registry name or a mapping {name, order, intercept, ...}.
+    """Model from a registry name or a mapping {name, order, intercept}.
 
     ``order`` (a list of integers, one integer or "P,Q" text) fills P,Q
     of dar and garch or P of expar; ``intercept`` (arma_garch only) keeps
-    or drops the mean intercept; any other key goes to the constructor.
-    Raises ValueError naming the bad key.
+    or drops the mean intercept.  Raises ValueError (DataFormatError for
+    an unknown key) naming the bad key or value.
     """
     if isinstance(spec, str):
         spec = {"name": spec}
     if not isinstance(spec, dict):
         raise ValueError(f"model must be a name or a mapping, got {spec!r}")
-    kwargs = dict(spec)
-    name = kwargs.pop("name", None)
+    _check_keys(spec, ("name", "order", "intercept"), "model: ")
+    name, order, kwargs = spec.get("name"), spec.get("order"), {}
     if name not in MODEL_REGISTRY:
         raise ValueError(f"model name {name!r} is not one of {sorted(MODEL_REGISTRY)}")
-    order = kwargs.pop("order", None)
     if order is not None:
         entries = order if isinstance(order, (list, tuple)) else str(order).split(",")
         try:
@@ -166,11 +164,11 @@ def _build_model(spec) -> ModelSpec:
         elif len(order) != len(keys):
             raise ValueError(f"{name} takes order {','.join(keys).upper()}, got {order}")
         else:
-            kwargs.update(zip(keys, order))
-    if "intercept" in kwargs:
+            kwargs = dict(zip(keys, order))
+    if "intercept" in spec:
         if name != "arma_garch":
             raise ValueError(f"intercept applies to arma_garch only, not {name}")
-        kwargs["include_intercept"] = bool(kwargs.pop("intercept"))
+        kwargs["include_intercept"] = bool(spec["intercept"])
     return make_model(name, **kwargs)
 
 
@@ -382,15 +380,9 @@ def _cmd_simulate(args) -> int:
     dist = _flag_dist(args)
     seed = _resolve_seed(args.seed)
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = simulate(model, np.asarray(theta), args.n, dist, seed=seed, burn=args.burn)
+        y = simulate(model, np.asarray(theta), args.n, dist, seed=seed, burn=args.burn)
     except ShapeMismatch as exc:
         raise _UsageError(str(exc)) from None
-    bad = ~np.isfinite(y)
-    if bad.any():
-        raise NonFiniteObjective(
-            f"simulated series is not finite from observation {int(np.argmax(bad))} on"
-        )
     write_series(args.out, y)
     doc = {
         "schema": "lqmle.simulate/1",

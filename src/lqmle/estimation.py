@@ -499,16 +499,18 @@ def _fit(
             return False
         return not any(model.wrap(np.clip(best[0], lo, hi)).boundary_active())
 
-    # trial points that stray where the recursion diverges warn once per fit
+    # trial points that stray where the recursion diverges warn once per fit;
+    # an overflow ends as a dead trial, a -inf loglik or an unconverged run
     strays = []
     token = _STRAYS.set(strays)
     try:
-        if opts.start is not None:
-            run([np.asarray(opts.start, dtype=float)])
-        else:
-            run(starts(yv))
-            if fallback is not None and not settled():
-                run(fallback(yv))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if opts.start is not None:
+                run([np.asarray(opts.start, dtype=float)])
+            else:
+                run(starts(yv))
+                if fallback is not None and not settled():
+                    run(fallback(yv))
     finally:
         _STRAYS.reset(token)
     if strays:

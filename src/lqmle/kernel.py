@@ -74,22 +74,23 @@ def scale_kernel(x):
     return out if out.ndim else float(out)
 
 
+def _integral(f, a: float, b: float, what: str) -> float:
+    """int_a^b f asked to _QUAD_TOL / 10; an error estimate above
+    max(2 _QUAD_TOL, 1e-9 max(1, |value|)) is a QuadratureFailure naming ``what``."""
+    eps = _QUAD_TOL / 10.0
+    val, abserr = quad(f, a, b, epsabs=eps, epsrel=1e-11, limit=400)
+    if abserr > max(20.0 * eps, 1e-9 * max(1.0, abs(val))):
+        raise QuadratureFailure(f"{what} quadrature error {abserr:.2e} exceeds tolerance")
+    return val
+
+
 def _expectation_by_quadrature(dist: InnovationDist) -> float:
     # E[k(cX)] = c E|X| - 4c * int_0^U x F(-cx) p(x) dx, using
     # k(y) = |y| - 2|y| (1 - F(|y|)) and symmetry of p.  The correction
     # integrand decays like exp(-cx) so a finite upper limit suffices.
     c = dist.scale
     upper = min(dist.base_support_end(), 800.0 / c)
-    eps = _QUAD_TOL / 10.0
-
-    def integrand(x):
-        return x * logistic_cdf(-c * x) * dist.base_pdf(x)
-
-    val, abserr = quad(integrand, 0.0, upper, epsabs=eps, epsrel=1e-11, limit=400)
-    if abserr > max(20.0 * eps, 1e-9 * max(1.0, abs(val))):
-        raise QuadratureFailure(
-            f"scale functional quadrature error {abserr:.2e} exceeds tolerance"
-        )
+    val = _integral(lambda x: x * logistic_cdf(-c * x) * dist.base_pdf(x), 0.0, upper, "scale functional")
     return c * dist.base_mean_abs() - 4.0 * c * val
 
 
@@ -120,15 +121,10 @@ def stable_kernel_expectation(index: float, scale: float = 1.0) -> float:
         raise NonIntegrableError(
             "stable index must lie in (1, 2] so that E|X| is finite"
         )
-    eps = _QUAD_TOL / 10.0
-    val, abserr = quad(
+    val = _integral(
         lambda t: _kernel_correction_transform(t) * math.exp(-((scale * t) ** index)),
-        0.0, math.inf, epsabs=eps, epsrel=1e-11, limit=400,
+        0.0, math.inf, "stable kernel expectation",
     )
-    if abserr > max(20.0 * eps, 1e-9 * max(1.0, abs(val))):
-        raise QuadratureFailure(
-            f"stable kernel expectation quadrature error {abserr:.2e} exceeds tolerance"
-        )
     return scale * (2.0 / math.pi) * math.gamma(1.0 - 1.0 / index) + val / math.pi
 
 

@@ -41,7 +41,7 @@ import numpy as np
 from scipy.signal import lfilter
 
 from ..distributions import InnovationDist
-from ..errors import ShapeMismatch
+from ..errors import NonFiniteObjective, ShapeMismatch
 from ..params import ParamVector, as_array
 
 __all__ = ["SCALE_FLOOR", "FilterOutput", "ModelSpec", "lagged", "simulate"]
@@ -234,25 +234,34 @@ class ModelSpec(abc.ABC):
         return []
 
 
+def _require_finite(bad: np.ndarray, offset: int, what: str) -> None:
+    """NonFiniteObjective naming ``what`` and the first flagged row, counted from offset."""
+    if bad.any():
+        t = offset + int(np.argmax(bad))
+        raise NonFiniteObjective(f"{what} is not finite from observation {t} on")
+
+
 def simulate(
     model: ModelSpec,
     theta,
     nobs: int,
     dist: InnovationDist,
     seed=None,
-    rng: np.random.Generator | None = None,
     burn: int = 0,
 ) -> np.ndarray:
-    """Simulate ``nobs`` observations from the model.
+    """A finite series of ``nobs`` observations from the model.
 
-    The nobs + burn innovations are drawn i.i.d. from ``dist`` using
-    ``rng`` (or a fresh Philox generator built from ``seed``); the first
-    ``burn`` observations are discarded.  ``model.path`` takes given
-    innovations.
+    The nobs + burn innovations are drawn i.i.d. from ``dist`` by a
+    Philox generator seeded with ``seed``: an int, a SeedSequence (a
+    spawned child, say) or None for fresh entropy.  ``model.path`` runs
+    them from the zero state; the first ``burn`` observations are
+    discarded.  A kept observation that is not finite (theta explosive
+    under this law) raises NonFiniteObjective naming the first one.
     """
     if nobs < 1 or burn < 0:
         raise ShapeMismatch(f"need nobs >= 1 and burn >= 0, got nobs={nobs}, burn={burn}")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    y = model.path(theta, dist.sample(rng, nobs + burn))
-    return y[burn:]
+    eta = dist.sample(np.random.Generator(np.random.Philox(seed)), nobs + burn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = model.path(theta, eta)[burn:]
+    _require_finite(~np.isfinite(y), 0, "simulated series")
+    return y

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -141,12 +140,15 @@ class Dar(ModelSpec):
 
 def _dar_loop(eta, y, sqrt, th, p, q):
     c, ar, w, arch = th[0], th[1 : p + 1], th[p + 1], th[p + 2 :]
-    steps = enumerate(eta)
-    first_order = p == q == 1
-    # newest lag first; zip stops at the lags that exist so far.  DAR(1,1)
-    # leaves after the first step and keeps its lag in a local
+    if p == q == 1:
+        # DAR(1,1) keeps its lag in a local, zero before the path
+        (a,), (b,), y1 = ar, arch, 0.0
+        for t, e in enumerate(eta):
+            y[t] = y1 = c + a * y1 + sqrt(w + b * y1 ** 2) * e
+        return
+    # newest lag first; zip stops at the lags that exist so far
     lags, squares = deque(maxlen=p), deque(maxlen=q)
-    for t, e in islice(steps, 1) if first_order else steps:
+    for t, e in enumerate(eta):
         g = c
         for a, v in zip(ar, lags):
             g += a * v
@@ -156,7 +158,3 @@ def _dar_loop(eta, y, sqrt, th, p, q):
         y[t] = v = g + sqrt(s2) * e
         lags.appendleft(v)
         squares.appendleft(v ** 2)
-    if first_order and lags:
-        (a,), (b,), (y1,) = ar, arch, lags
-        for t, e in steps:
-            y[t] = y1 = c + a * y1 + sqrt(w + b * y1 ** 2) * e

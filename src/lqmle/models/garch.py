@@ -5,7 +5,6 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 from scipy.signal import lfilter
@@ -136,12 +135,16 @@ class Garch(ModelSpec):
 
 def _garch_loop(eta, y, sqrt, th, p, q):
     w, alpha, beta = th[0], th[1 : p + 1], th[p + 1 :]
-    steps = enumerate(eta)
-    first_order = p == q == 1
-    # newest lag first; zip stops at the lags that exist so far.
-    # GARCH(1,1) leaves after the first step and keeps its lags in locals
+    if p == q == 1:
+        # GARCH(1,1) keeps its lags in locals, zero before the path
+        (a,), (b,), y1, s2 = alpha, beta, 0.0, 0.0
+        for t, e in enumerate(eta):
+            s2 = w + a * y1 ** 2 + b * s2
+            y[t] = y1 = sqrt(s2) * e
+        return
+    # newest lag first; zip stops at the lags that exist so far
     squares, variances = deque(maxlen=p), deque(maxlen=q)
-    for t, e in islice(steps, 1) if first_order else steps:
+    for t, e in enumerate(eta):
         s2 = w
         for a, v2 in zip(alpha, squares):
             s2 += a * v2
@@ -150,8 +153,3 @@ def _garch_loop(eta, y, sqrt, th, p, q):
         y[t] = v = sqrt(s2) * e
         squares.appendleft(v ** 2)
         variances.appendleft(s2)
-    if first_order and variances:
-        (a,), (b,), y1 = alpha, beta, v
-        for t, e in steps:
-            s2 = w + a * y1 ** 2 + b * s2
-            y[t] = y1 = sqrt(s2) * e

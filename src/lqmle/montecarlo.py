@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distributions import InnovationDist
-from .errors import ExcessiveFailures, LqmleError, NonFiniteObjective
+from .errors import ExcessiveFailures, LqmleError
 from .estimation import FitOptions, KernelMoments, _check_restriction, _kernel_sums, fit, fit_constrained, sandwich_cov
 from .inference import lm_test, wald_test
-from .models.base import ModelSpec, simulate
+from .models.base import ModelSpec, _require_finite, simulate
 from .reports import fields_dict
 
 __all__ = [
@@ -50,15 +50,17 @@ class Scenario:
 
     When ``constraint`` is set to (R, r) each replication also runs the
     Wald and multiplier tests of R theta = r and records their
-    p-values; its restricted fit starts from its unrestricted estimate.  Power studies set ``alternative_scale`` away from 1: the
-    data are generated at alternative_scale * theta0 while the tests
-    keep the null encoded by (R, r).
+    p-values; its restricted fit starts from its unrestricted estimate.
+    Power studies set ``alternative_scale`` away from 1: the data are
+    generated at alternative_scale * theta0 while the tests keep the
+    null encoded by (R, r).
 
     Construction refuses a level outside (0, 1), a theta0 or
     alternative_scale that is not finite or puts alternative_scale *
     theta0 outside the model's box, and a restriction that is not
     finite, does not match the model or lacks full row rank, so a bad
-    cell fails before any replication runs.
+    cell fails before any replication runs.  A replication whose path
+    diverges (theta0 explosive under the law) fails, by NonFiniteObjective.
     """
 
     model: ModelSpec
@@ -122,22 +124,14 @@ class RepRecord:
 
 def _replicate(args: tuple[Scenario, int]) -> RepRecord:
     scenario, index = args
-    rng = np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(scenario.seed, spawn_key=(index,)))
-    )
-    y = simulate(
-        scenario.model,
-        scenario.dgp_theta,
-        scenario.nobs,
-        scenario.dist,
-        rng=rng,
-        burn=scenario.burn,
-    )
-    if scenario.burn == 0:
-        y = np.r_[np.zeros(scenario.model.presample), y]
     opts = FitOptions(criterion=scenario.criterion)
     rec = RepRecord(index=index, ok=False)
     try:
+        # a divergent path raises NonFiniteObjective here: a counted failure
+        seed = np.random.SeedSequence(scenario.seed, spawn_key=(index,))
+        y = simulate(scenario.model, scenario.dgp_theta, scenario.nobs, scenario.dist, seed=seed, burn=scenario.burn)
+        if scenario.burn == 0:
+            y = np.r_[np.zeros(scenario.model.presample), y]
         res = fit(scenario.model, y, opts)
         rec.theta_hat = tuple(float(v) for v in res.theta.values)
         rec.converged = res.converged
@@ -332,7 +326,7 @@ def population_information(
     ms = mg = sums = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         y = model.path(th, eta)
-        _require_finite(~np.isfinite(y), 0, "path")
+        _require_finite(~np.isfinite(y), 0, "population path at theta0")
         for start in range(burn, nobs + burn, _BLOCK):
             stop = min(start + _BLOCK, nobs + burn)
             out = model.filter(y[start - burn : stop], th, order=1)
@@ -349,7 +343,7 @@ def population_information(
                 mg = mg + dg.T @ dg
             if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(mg))):
                 rows = np.column_stack([q * q for q in (w, dg) if q is not None])
-                _require_finite(~np.isfinite(rows).all(axis=1), start, "filter")
+                _require_finite(~np.isfinite(rows).all(axis=1), start, "population filter at theta0")
             sums = sums + _kernel_sums(eta[start:stop])
     ms = ms / (4.0 * nobs)
     mg = mg / nobs
@@ -357,12 +351,3 @@ def population_information(
     a0 = (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg
     b0 = mom.m2 * ms + mom.t2 * mg
     return a0, b0
-
-
-def _require_finite(bad: np.ndarray, offset: int, what: str) -> None:
-    """NonFiniteObjective naming the first flagged row, counted from offset."""
-    if bad.any():
-        t = offset + int(np.argmax(bad))
-        raise NonFiniteObjective(
-            f"population {what} at theta0 is not finite from observation {t} on"
-        )

@@ -274,6 +274,35 @@ def test_missing_data_file(tmp_path):
     assert not out.exists()
 
 
+def test_fit_selects_a_column_by_index(dar_csv, tmp_path):
+    two = tmp_path / "two.csv"
+    two.write_text("".join(f"0.0,{line}\n" for line in dar_csv.read_text().split()))
+    docs = []
+    for data, flags in ((dar_csv, []), (two, ["--column", "1"])):
+        out = tmp_path / f"fit{len(flags)}.json"
+        assert main(["fit", "--data", str(data), "--model", "dar", *flags, "--out", str(out)]) == 0
+        docs.append(json.loads(out.read_text()))
+    for key in ("estimates", "loglik", "convergence"):
+        assert docs[1][key] == docs[0][key]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--column", "b"], "column selection by name requires a header row"),
+        (["--column", "c", "--header"], "no column named 'c'; have ['a', 'b']"),
+    ],
+    ids=["name-without-header", "unknown-header-column"],
+)
+def test_bad_column_selection_exits_3(dar_csv, tmp_path, capsys, flags, message):
+    data = tmp_path / "ab.csv"
+    data.write_text("a,b\n" + "".join(f"0.0,{line}\n" for line in dar_csv.read_text().split()))
+    out = tmp_path / "fit.json"
+    assert main(["fit", "--data", str(data), "--model", "dar", *flags, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert message in capsys.readouterr().err
+
+
 def test_corrupt_data_file(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("1.0\nnope\n")
@@ -308,8 +337,8 @@ def test_test_without_multistart_runs_the_warm_start(tmp_path):
     # far below the restricted optimum; the unrestricted estimate projected
     # onto the restriction reaches it in a few Newton steps
     model = lqmle.make_model("dar", p=1, q=1)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(5, spawn_key=(4,))))
-    y = lqmle.simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, lqmle.logistic(), rng=rng)
+    seed = np.random.SeedSequence(5, spawn_key=(4,))
+    y = lqmle.simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 400, lqmle.logistic(), seed=seed)
     data = tmp_path / "rep4.csv"
     np.savetxt(data, np.r_[0.0, y], fmt="%.17g")
     docs = {}
@@ -491,6 +520,26 @@ def test_mc_failed_scenario_reported(tmp_path):
     assert doc["summaries"] == []
 
 
+def test_mc_with_an_explosive_theta0_exits_4_with_its_report(tmp_path):
+    # DAR(1,1) in its box but explosive under the logistic law: diverging
+    # paths and overflowing fits are counted failures, not warnings
+    cfg = tmp_path / "mc.yaml"
+    cfg.write_text(
+        "seed: 3\n"
+        "scenarios:\n"
+        "  - model: {name: dar, order: [1, 1]}\n"
+        "    theta0: [0.1, 3.0, 0.3, 40.0]\n"
+        "    dist: logistic\n"
+        "    nobs: 200\n"
+        "    reps: 4\n"
+    )
+    out = tmp_path / "mc.json"
+    assert main(["mc", str(cfg), "--out", str(out)]) == 4
+    doc = json.loads(out.read_text())
+    assert doc["summaries"] == []
+    assert doc["failed"][0]["error"].startswith("4/4 replications failed: NonFiniteObjective (")
+
+
 def test_mc_rejects_malformed_config(tmp_path):
     cfg = tmp_path / "mc.yaml"
     cfg.write_text("scenarios: {not: a list\n")
@@ -637,6 +686,13 @@ def test_render_unknown_schema(tmp_path):
     assert main(["render", str(doc)]) == 3
 
 
+def test_render_invalid_json(tmp_path, capsys):
+    doc = tmp_path / "cut.json"
+    doc.write_text('{"schema": "lqmle.fit/1",')
+    assert main(["render", str(doc)]) == 3
+    assert f"{doc}: not valid JSON" in capsys.readouterr().err
+
+
 def _run_module(*args):
     # ``python -m lqmle`` from a checkout, without the installed console script
     src = str(Path(lqmle.__file__).resolve().parents[1])
@@ -749,6 +805,39 @@ SCENARIO = (
             3,
             "scenario 0: restriction R theta = r has a non-finite entry",
         ),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "{name: dar, foo: 1}") + "    dist: logistic\n",
+            3,
+            "scenario 0: model: unknown key(s) 'foo'; known keys are name, order, intercept",
+        ),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "{name: garch, p: 1, q: 2}")
+            + "    dist: logistic\n",
+            3,
+            "scenario 0: model: unknown key(s) 'p', 'q'; known keys are name, order, intercept",
+        ),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "[dar]") + "    dist: logistic\n",
+            3,
+            "scenario 0: model must be a name or a mapping, got ['dar']",
+        ),
+        (
+            SCENARIO + "    dist: [logistic]\n",
+            3,
+            "scenario 0: dist must be a family name or a mapping, got ['logistic']",
+        ),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "{name: arma_garch, order: [2, 1]}")
+            + "    dist: logistic\n",
+            3,
+            "scenario 0: arma_garch supports only order 1,1",
+        ),
+        (
+            SCENARIO.replace("order: [1, 1]", "order: [1]") + "    dist: logistic\n",
+            3,
+            "scenario 0: dar takes order P,Q, got [1]",
+        ),
+        ("scenarios: []\n", 3, "no scenarios defined"),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
@@ -756,7 +845,8 @@ SCENARIO = (
          "constraint-not-mapping", "dist-mapping", "level-above-1", "level-0", "nan-theta0",
          "infinite-alternative-scale", "theta0-outside-box", "alternative-outside-box",
          "short-restriction-row", "rank-deficient-restriction",
-         "nan-restriction-value"],
+         "nan-restriction-value", "unknown-model-key", "order-as-model-keys", "model-list",
+         "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"
@@ -768,6 +858,7 @@ def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
 
 
 DAR_SIM = ["simulate", "--model", "dar", "--theta", "1.0,0.5,0.3,0.5", "--seed", "1"]
+AG_SIM = ["--model", "arma_garch", "--theta", "0.1,0.3,0.2,0.2,0.1,0.3", "--n", "30"]
 
 
 @pytest.mark.parametrize(
@@ -786,10 +877,12 @@ DAR_SIM = ["simulate", "--model", "dar", "--theta", "1.0,0.5,0.3,0.5", "--seed",
         (DAR_SIM[1:] + ["--n", "30", "--dist", "stable"], "family stable needs alpha"),
         (DAR_SIM[1:] + ["--n", "30", "--dist", "empirical"], "family empirical needs data"),
         (DAR_SIM[1:] + ["--n", "30", "--order", "1,2,3"], "dar takes order P,Q"),
+        (AG_SIM + ["--order", "2,1"], "arma_garch supports only order 1,1"),
+        (AG_SIM + ["--order", "1,x"], "order must be comma-separated integers, got '1,x'"),
     ],
     ids=["no-intercept-dar", "no-intercept-garch", "no-intercept-expar", "negative-burn",
          "zero-n", "negative-n", "t-without-nu", "stable-without-alpha",
-         "empirical-without-data", "dar-order-3"],
+         "empirical-without-data", "dar-order-3", "arma_garch-order-2-1", "arma_garch-order-1-x"],
 )
 def test_simulate_flags_fail_cleanly(tmp_path, capsys, argv, message):
     out = tmp_path / "y.csv"

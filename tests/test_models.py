@@ -13,7 +13,7 @@ from scipy.signal import lfilter
 
 from lqmle import estimation
 from lqmle.distributions import empirical, logistic, normal
-from lqmle.errors import ShapeMismatch
+from lqmle.errors import NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
@@ -276,6 +276,25 @@ def test_simulate_burn_drops_transient():
     full = simulate(m, th, 60, logistic(), seed=4, burn=0)
     burned = simulate(m, th, 50, logistic(), seed=4, burn=10)
     np.testing.assert_array_equal(full[10:], burned)
+
+
+def test_simulate_seeds_alike_from_an_int_and_its_seed_sequence():
+    m = make_model("garch", p=1, q=1)
+    th = np.array([1.0, 0.1, 0.3])
+    a = simulate(m, th, 50, logistic(), seed=4)
+    b = simulate(m, th, 50, logistic(), seed=np.random.SeedSequence(4))
+    np.testing.assert_array_equal(a, b)
+    child = simulate(m, th, 50, logistic(), seed=np.random.SeedSequence(4, spawn_key=(0,)))
+    assert not np.array_equal(a, child)
+
+
+@pytest.mark.parametrize("burn", [0, 100])
+def test_simulate_refuses_a_divergent_path_without_warnings(burn):
+    # DAR(1,1) in its box but explosive under the logistic law: the
+    # path overflows; pytest runs with warnings as errors
+    m = make_model("dar", p=1, q=1)
+    with pytest.raises(NonFiniteObjective, match="simulated series is not finite from observation"):
+        simulate(m, np.array([0.1, 3.0, 0.3, 40.0]), 400, logistic(), seed=2, burn=burn)
 
 
 @pytest.mark.parametrize("nobs,burn", [(30, -1), (0, 0), (-5, 0)])

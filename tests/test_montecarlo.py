@@ -130,10 +130,8 @@ def test_replications_condition_on_what_is_known_of_the_start(burn):
     sc = _dar_scenario(reps=2, burn=burn, constraint=None)
     s = run_scenario(sc, keep_records=True)
     for rec in s.records:
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(sc.seed, spawn_key=(rec.index,)))
-        )
-        y = simulate(sc.model, sc.dgp_theta, sc.nobs, sc.dist, rng=rng, burn=burn)
+        seed = np.random.SeedSequence(sc.seed, spawn_key=(rec.index,))
+        y = simulate(sc.model, sc.dgp_theta, sc.nobs, sc.dist, seed=seed, burn=burn)
         padded = np.r_[np.zeros(sc.model.presample), y]
         fits = {z: fit(sc.model, padded if z else y).theta.array for z in (True, False)}
         np.testing.assert_array_equal(rec.theta_hat, fits[burn == 0])
@@ -267,6 +265,33 @@ def test_boundary_estimates_count_as_failures():
     assert s.failures > 0
     assert any("boundary" in r.error for r in bad)
     assert s.reps_used == s.reps - s.failures
+
+
+def test_explosive_theta0_fails_replications_by_reason_without_warnings():
+    # in the box but explosive under the logistic law: two paths overflow,
+    # and the other two, finite with |y| near 1e150, fit onto a box face.
+    # Tier-1 turns warnings into errors, so an overflow warning in the
+    # path or the fit would end the run instead of counting the failure
+    sc = Scenario(
+        model=make_model("dar", p=1, q=1),
+        theta0=(0.1, 3.0, 0.3, 40.0),
+        dist=logistic(),
+        nobs=200,
+        reps=4,
+        seed=12345,
+    )
+    with pytest.raises(ExcessiveFailures) as exc:
+        run_scenario(sc, max_failure_fraction=1.0)
+    assert str(exc.value) == (
+        "4/4 replications failed: NonFiniteObjective (2); estimate on parameter boundary (2)"
+    )
+    errors = [montecarlo._replicate((sc, i)).error for i in range(sc.reps)]
+    diverged = [e for e in errors if e.startswith("NonFiniteObjective")]
+    assert len(diverged) == 2
+    assert all(
+        e.startswith("NonFiniteObjective: simulated series is not finite from observation ")
+        for e in diverged
+    )
 
 
 def test_gqmle_estimator_differs_from_lqmle():
