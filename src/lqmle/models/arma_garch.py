@@ -5,10 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import InvertibilityError
-from .base import FilterOutput, ModelSpec, _adjoint, _filter_columns, _float_path, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _adjoint, _all_pole, _float_path, _floor_sigma2, lagged
 from .garch import _garch_candidates
 
 __all__ = ["ArmaGarch"]
@@ -35,9 +34,10 @@ class ArmaGarch(ModelSpec):
     initial conditions: e_t = y_t - const - ar1 y_{t-1} - ma1 e_{t-1},
     which requires |ma1| < 1.  The conditional mean is g_t = y_t - e_t.
     Derivatives of e_t and sigma2_t with respect to every parameter
-    follow the same first-order recursions and are propagated with the
-    corresponding IIR filters, including the cross terms that the
-    squared-residual feedback induces between mean and scale blocks.
+    follow the same first-order recursions and are propagated by the
+    corresponding banded triangular solves, including the cross terms
+    that the squared-residual feedback induces between mean and scale
+    blocks.
 
     With ``include_intercept=False`` the const term is dropped and the
     parameter vector has five entries.
@@ -73,10 +73,10 @@ class ArmaGarch(ModelSpec):
         gj_den = np.array([1.0, -beta1])
 
         ylag = lagged(y, 1)
-        e = lfilter([1.0], ma_den, y - const - ar1 * ylag)
+        e = _all_pole(ma_den, y - const - ar1 * ylag)
         elag = lagged(e, 1)
         drive = alpha0 + alpha1 * elag * elag
-        sigma2_raw = lfilter([1.0], gj_den, drive)
+        sigma2_raw = _all_pole(gj_den, drive)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma)
@@ -92,7 +92,7 @@ class ArmaGarch(ModelSpec):
             col += 1
         de_drives[:, col] = -ylag
         de_drives[:, col + 1] = -elag
-        de = _filter_columns(ma_den, de_drives)
+        de = _all_pole(ma_den, de_drives)
         dem = lagged(de, 1)
 
         # scale derivatives: direct part then beta feedback
@@ -101,7 +101,7 @@ class ArmaGarch(ModelSpec):
         ds_drives[:, m] = 1.0
         ds_drives[:, m + 1] = elag * elag
         ds_drives[:, m + 2] = lagged(sigma2_raw, 1)
-        dsigma2 = _filter_columns(gj_den, ds_drives)
+        dsigma2 = _all_pole(gj_den, ds_drives)
         dmean = np.zeros((n, d), order="F")
         np.negative(de, out=dmean[:, :m])
         out.dmean = dmean
@@ -114,7 +114,7 @@ class ArmaGarch(ModelSpec):
         i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
         d2e_drives = -dem
         d2e_drives[:, i_ma] *= 2.0
-        block = _filter_columns(ma_den, d2e_drives)
+        block = _all_pole(ma_den, d2e_drives)
 
         def curvature(wg, ws):
             # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'

@@ -38,7 +38,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
+from scipy.linalg.lapack import dtbtrs
 
 from ..distributions import InnovationDist
 from ..errors import NonFiniteObjective, ShapeMismatch
@@ -59,23 +59,25 @@ def lagged(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _all_pole(den: np.ndarray, x: np.ndarray, trans: str = "N") -> np.ndarray:
+    """L^-1 x, or L^-T x with trans="T", for L the all-pole filter matrix of den.
+
+    L is unit lower-triangular banded Toeplitz, L[t, t-k] = den[k] with
+    den[0] = 1, so L v = x is the recursion
+    v_t = x_t - sum_{k>=1} den[k] v_{t-k} from zero pre-sample values.
+    One banded LAPACK solve runs every column of a 1-D or column-major
+    (n, m) x; the result has the shape of x and is column-major.
+    """
+    n = x.shape[0]
+    # the band, row k holding den[k], is column-major as LAPACK stores it
+    band = np.repeat(den[None, :], n, axis=0).T
+    v, _ = dtbtrs(band, x.reshape(n, -1), uplo="L", trans=trans, diag="U")
+    return v.reshape(x.shape, order="F")
+
+
 def _adjoint(den: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """L^-T w for L^-1 the all-pole filter ``lfilter([1], den, .)``.
-
-    The filter is lower-triangular Toeplitz, so its transpose runs the
-    same recursion backward in time; sum_t w_t (L^-1 x)_t then equals
-    _adjoint(den, w) @ x for any drive x, one pass for every drive.
-    """
-    return lfilter([1.0], den, w[::-1])[::-1]
-
-
-def _filter_columns(den: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``lfilter([1], den, x, axis=0)`` of a column-major x, column-major.
-
-    The filter runs along the contiguous rows of x.T, which gives the
-    same bits as axis=0 without striding across rows.
-    """
-    return lfilter([1.0], den, x.T).T
+    """L^-T w: sum_t w_t (L^-1 x)_t equals _adjoint(den, w) @ x for any drive x."""
+    return _all_pole(den, w, trans="T")
 
 
 @dataclass

@@ -7,10 +7,9 @@ from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from ..errors import NonstationaryRegionWarning
-from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _filter_columns, _float_path, _floor_sigma2, lagged
+from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _all_pole, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Garch"]
 
@@ -48,8 +47,8 @@ class Garch(ModelSpec):
 
     started from zero pre-sample values (so sigma2_1 = alpha0).  The
     recursion and its parameter derivatives are linear constant-
-    coefficient difference equations in the beta lags, evaluated with a
-    direct-form IIR filter.  The conditional mean is identically zero,
+    coefficient difference equations in the beta lags, each run as one
+    banded triangular solve.  The conditional mean is identically zero,
     so the filter leaves ``dmean`` None.
     """
 
@@ -89,7 +88,7 @@ class Garch(ModelSpec):
 
         y2lags = np.column_stack([lagged(y * y, i) for i in range(1, self.p + 1)])
         drive = alpha0 + y2lags @ alpha
-        sigma2_raw = lfilter([1.0], den, drive)
+        sigma2_raw = _all_pole(den, drive)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
@@ -100,7 +99,7 @@ class Garch(ModelSpec):
             v[:, 1 : self.p + 1] = y2lags
             for j in range(1, self.q + 1):
                 v[j:, self.p + j] = sigma2_raw[:-j]
-            dsigma2 = _filter_columns(den, v)
+            dsigma2 = _all_pole(den, v)
             out.dsigma2 = dsigma2
         if order >= 2:
 

@@ -55,12 +55,13 @@ class Scenario:
     generated at alternative_scale * theta0 while the tests keep the
     null encoded by (R, r).
 
-    Construction refuses a level outside (0, 1), a theta0 or
-    alternative_scale that is not finite or puts alternative_scale *
-    theta0 outside the model's box, and a restriction that is not
-    finite, does not match the model or lacks full row rank, so a bad
-    cell fails before any replication runs.  A replication whose path
-    diverges (theta0 explosive under the law) fails, by NonFiniteObjective.
+    Construction refuses a negative seed, a level outside (0, 1), a
+    theta0 or alternative_scale that is not finite or puts
+    alternative_scale * theta0 outside the model's box, and a
+    restriction that is not finite, does not match the model or lacks
+    full row rank, so a bad cell fails before any replication runs.  A
+    replication whose path diverges (theta0 explosive under the law)
+    fails, by NonFiniteObjective.
     """
 
     model: ModelSpec
@@ -86,6 +87,8 @@ class Scenario:
             )
         if self.reps < 1 or self.nobs < 1 or self.burn < 0:
             raise ValueError("reps and nobs must be positive and burn nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.nobs < 10 * len(self.theta0):
             raise ValueError(
                 f"nobs={self.nobs} too small for {len(self.theta0)} parameters"

@@ -693,17 +693,33 @@ def test_render_invalid_json(tmp_path, capsys):
     assert f"{doc}: not valid JSON" in capsys.readouterr().err
 
 
-def _run_module(*args):
-    # ``python -m lqmle`` from a checkout, without the installed console script
+def _run_python(*args):
+    # a fresh interpreter that imports lqmle from this checkout
     src = str(Path(lqmle.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "lqmle", *args],
+        [sys.executable, *args],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
         timeout=120,
     )
+
+
+def _run_module(*args):
+    # ``python -m lqmle`` without the installed console script
+    return _run_python("-m", "lqmle", *args)
+
+
+def test_import_loads_neither_scipy_signal_nor_scipy_stats():
+    # together they were about 40% of the package's import time
+    proc = _run_python(
+        "-c",
+        "import lqmle, lqmle.cli, sys; "
+        "print(sorted({'scipy.signal', 'scipy.stats'} & set(sys.modules)))",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_module_entry_point_runs_the_cli(tmp_path):
@@ -838,6 +854,11 @@ SCENARIO = (
             "scenario 0: dar takes order P,Q, got [1]",
         ),
         ("scenarios: []\n", 3, "no scenarios defined"),
+        (
+            SCENARIO.replace("seed: 5", "seed: -1") + "    dist: logistic\n",
+            3,
+            "scenario 0: seed must be a nonnegative integer, got -1",
+        ),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
@@ -846,7 +867,7 @@ SCENARIO = (
          "infinite-alternative-scale", "theta0-outside-box", "alternative-outside-box",
          "short-restriction-row", "rank-deficient-restriction",
          "nan-restriction-value", "unknown-model-key", "order-as-model-keys", "model-list",
-         "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios"],
+         "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios", "negative-seed"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"

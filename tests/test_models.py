@@ -17,7 +17,7 @@ from lqmle.errors import NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
-from lqmle.models.base import FilterOutput, _floor_sigma2
+from lqmle.models.base import FilterOutput, _adjoint, _all_pole, _floor_sigma2
 from lqmle.models.stationarity import lyapunov_exponent
 
 Y3 = np.array([1.0, 2.0, 3.0])
@@ -599,14 +599,16 @@ def test_path_of_a_few_steps_matches_oracle(name, kw, theta, n):
 def _arma_garch_order2_oracle(m, y, th):
     # the order-2 ARMA-GARCH filter as first vectorized: the sigma2 drives
     # filled into an (n, d, d) array, then copied out on the upper triangle;
-    # returns the order-1 output with the (n, d, d) blocks d2 g and d2 sigma2
+    # returns the order-1 output with the (n, d, d) blocks d2 g and d2 sigma2.
+    # Its filters are the package's banded solve, which
+    # test_all_pole_matches_lfilter checks against scipy's filter
     n, d, mm = y.size, m.dim, m._nmean
     const, ar1, ma1, alpha0, alpha1, beta1 = m._unpack(th)
     ma_den, gj_den = np.array([1.0, ma1]), np.array([1.0, -beta1])
     ylag = lagged(y, 1)
-    e = lfilter([1.0], ma_den, y - const - ar1 * ylag)
+    e = _all_pole(ma_den, y - const - ar1 * ylag)
     elag = lagged(e, 1)
-    sigma2_raw = lfilter([1.0], gj_den, alpha0 + alpha1 * elag * elag)
+    sigma2_raw = _all_pole(gj_den, alpha0 + alpha1 * elag * elag)
     sigma2, sigma = _floor_sigma2(sigma2_raw)
     de = np.zeros((n, d))
     de_drives = np.empty((n, mm))
@@ -616,19 +618,19 @@ def _arma_garch_order2_oracle(m, y, th):
         col += 1
     de_drives[:, col] = -ylag
     de_drives[:, col + 1] = -elag
-    de[:, :mm] = lfilter([1.0], ma_den, de_drives, axis=0)
+    de[:, :mm] = _all_pole(ma_den, de_drives)
     delag = lagged(de, 1)
     ds_drives = np.zeros((n, d))
     ds_drives[:, :mm] = 2.0 * alpha1 * elag[:, None] * delag[:, :mm]
     ds_drives[:, mm] = 1.0
     ds_drives[:, mm + 1] = elag * elag
     ds_drives[:, mm + 2] = lagged(sigma2_raw, 1)
-    dsigma2 = lfilter([1.0], gj_den, ds_drives, axis=0)
+    dsigma2 = _all_pole(gj_den, ds_drives)
     i_ma = mm - 1
     d2e = np.zeros((n, d, d))
     d2e_drives = -delag[:, :mm].copy()
     d2e_drives[:, i_ma] *= 2.0
-    block = lfilter([1.0], ma_den, d2e_drives, axis=0)
+    block = _all_pole(ma_den, d2e_drives)
     d2e[:, i_ma, :mm] = block
     d2e[:, :mm, i_ma] = block
     i_a1, i_b1 = mm + 1, mm + 2
@@ -642,7 +644,7 @@ def _arma_garch_order2_oracle(m, y, th):
     w[:, :, i_b1] += ds2lag
     w[:, i_b1, i_b1] += ds2lag[:, i_b1]
     k, l = zip(*[(k, l) for k in range(d) for l in range(k, d)])
-    filtered = lfilter([1.0], gj_den, w[:, k, l], axis=0)
+    filtered = _all_pole(gj_den, w[:, k, l])
     d2sigma2 = np.empty((n, d, d))
     d2sigma2[:, k, l] = filtered
     d2sigma2[:, l, k] = filtered
@@ -671,3 +673,37 @@ def test_arma_garch_order2_filter_matches_oracle_bit_for_bit(intercept):
         contracted = np.einsum("t,tkl->kl", wg, d2mean) + np.einsum("t,tkl->kl", ws, d2sigma2)
         err = np.max(np.abs(got.curvature(wg, ws) - contracted))
         assert err <= 1e-12 * np.max(np.abs(contracted))
+
+
+# all-pole denominators: ARMA-GARCH's MA inversion at both ends of the
+# box, a persistent GARCH(1,1) beta and a GARCH(2,2) beta pair
+ALL_POLE_DENS = {
+    "ma1=+0.999": [1.0, 0.999],
+    "ma1=-0.999": [1.0, -0.999],
+    "beta=0.9": [1.0, -0.9],
+    "garch22": [1.0, -0.5, -0.3],
+}
+
+
+@pytest.mark.parametrize("cols", [None, 3], ids=["1-d", "columns"])
+@pytest.mark.parametrize("n", [1, 2, 400, 70_000])
+@pytest.mark.parametrize("den", list(ALL_POLE_DENS.values()), ids=list(ALL_POLE_DENS))
+def test_all_pole_matches_lfilter(den, n, cols):
+    # the banded solve against scipy's direct-form filter, forward and
+    # (time-reversed) adjoint, to a few ulp of the largest value
+    den = np.asarray(den)
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n if cols is None else (n, cols))
+    if cols is not None:
+        x = np.asfortranarray(x)
+    for trans, want in [
+        ("N", lfilter([1.0], den, x, axis=0)),
+        ("T", lfilter([1.0], den, x[::-1], axis=0)[::-1]),
+    ]:
+        got = _all_pole(den, x, trans=trans)
+        assert got.shape == x.shape and got.flags.f_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    w = rng.standard_normal(n)
+    for v in x.reshape(n, -1).T:
+        lv = _all_pole(den, v)
+        assert abs(w @ lv - _adjoint(den, w) @ v) <= 1e-12 * (np.abs(w) @ np.abs(lv))
