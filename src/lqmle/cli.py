@@ -57,7 +57,7 @@ class _UsageError(Exception):
 def _add_data_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True, help="delimited text file with the series")
     p.add_argument("--column", default=None, help="column index or header name")
-    p.add_argument("--delim", default=",", help="field delimiter (default comma)")
+    p.add_argument("--delim", type=_one_char, default=",", help="field delimiter, one character (default comma)")
     p.add_argument("--header", action="store_true", help="first row holds column names")
     p.add_argument("--diff", action="store_true", help="first-difference the series")
 
@@ -98,6 +98,13 @@ def _positive_float(text: str) -> float:
 
 
 _positive_float.__name__ = "float"
+
+
+def _one_char(text: str) -> str:
+    """argparse type: exactly one character, else a usage error naming the flag."""
+    if len(text) != 1:
+        raise argparse.ArgumentTypeError(f"must be exactly one character, got {text!r}")
+    return text
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -419,21 +426,32 @@ def _constraint(c):
     return tuple(tuple(map(float, row)) for row in c["R"]), tuple(map(float, c["r"]))
 
 
+def _integer(key: str):
+    """Converter of ``key``'s value to int: a bool or a non-integral number is refused by name."""
+
+    def convert(v) -> int:
+        if isinstance(v, bool) or not (isinstance(v, int) or isinstance(v, float) and v.is_integer()):
+            raise ValueError(f"{key} must be an integer, got {v!r}")
+        return int(v)
+
+    return convert
+
+
 # Scenario keys of an mc config, in the order messages list them, and the
 # converter of each value to its Scenario field.
 _SCENARIO_KEYS = {
     "model": _build_model,
     "dist": _build_dist,
     "theta0": lambda v: tuple(map(float, v)),
-    "nobs": int,
-    "reps": int,
+    "nobs": _integer("nobs"),
+    "reps": _integer("reps"),
     "estimator": str,
-    "burn": int,
+    "burn": _integer("burn"),
     "constraint": _constraint,
     "alternative_scale": float,
     "level": float,
     "label": str,
-    "seed": lambda v: v if v is None else int(v),
+    "seed": lambda v: v if v is None else _integer("seed")(v),
 }
 
 
@@ -554,7 +572,6 @@ def _restriction_test(method: str, test, fitted, R, r) -> dict:
             "statistic": None,
             "df": len(r),
             "p_value": None,
-            "constraint": {"R": R.tolist(), "r": r.tolist()},
             "error": f"{type(exc).__name__}: {exc}",
         }
 

@@ -22,16 +22,16 @@ def read_series(
     """Load one numeric column; non-numeric cells fail with their line number.
 
     ``column`` selects by zero-based index, or by name when ``header``
-    is set; the default is the first column.  ``diff`` returns first
-    differences (one observation shorter), for series recorded in
-    levels.
+    is set; the default is the first column, and a negative index is a
+    DataFormatError.  ``diff`` returns first differences (one
+    observation shorter), for series recorded in levels.
     """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.reader(fh, delimiter=delimiter)
         rows = list(reader)
     lineno = 0
-    col_idx = 0
+    col_idx = 0 if column is None else column
     if header:
         if not rows:
             raise DataFormatError(f"{path}: empty file")
@@ -42,12 +42,11 @@ def read_series(
             if column not in head:
                 raise DataFormatError(f"{path}: no column named {column!r}; have {head}")
             col_idx = head.index(column)
-        elif column is not None:
-            col_idx = int(column)
     elif isinstance(column, str):
         raise DataFormatError("column selection by name requires a header row")
-    elif column is not None:
-        col_idx = int(column)
+    col_idx = int(col_idx)
+    if col_idx < 0:
+        raise DataFormatError(f"{path}: column index must be zero or more, got {col_idx}")
 
     values = []
     for offset, row in enumerate(rows, start=lineno + 1):

@@ -1,13 +1,13 @@
 """Quasi-likelihood evaluation and Newton optimization.
 
-The logistic criterion for a conditional location-scale model is
+The criterion for a conditional location-scale model is
 
     L(theta) = sum_t [ -log sigma_t + log f((y_t - g_t) / sigma_t) ],
 
-with f the standard logistic density.  Score and Hessian are assembled
-analytically from the filter's derivative blocks; the Gaussian
-criterion (classical QMLE) shares the same plumbing with its own
-per-observation weights.
+with f the standard logistic density (the LQMLE) or the standard normal
+one (the classical Gaussian QMLE), which differ only in psi = -(log f)'.
+Score and Hessian are assembled once, analytically, from the filter's
+derivative blocks and weights written in psi and psi'.
 
 Every fit maximizes the criterion inside the model's parameter box, a
 fit under R theta = r also on that plane, by one working-set Newton
@@ -52,7 +52,7 @@ from .errors import (
     ShapeMismatch,
     SingularInformation,
 )
-from .kernel import logistic_logpdf
+from .kernel import logistic_logpdf, logistic_psi
 from .models.base import _STRAYS, FilterOutput, ModelSpec, _clamp_count
 from .params import ParamVector, as_array
 
@@ -112,11 +112,11 @@ class CriterionParts:
         return rows.T @ rows / self.nobs
 
 
-def _logistic_weights(x: np.ndarray):
-    t = np.tanh(0.5 * x)  # 2 F(x) - 1
-    fx = 0.25 * (1.0 - t * t)
-    u = x * t
-    return t, fx, u
+# each criterion's log f, up to a constant, and its pair (psi, psi') for psi = -(log f)'
+_CRITERIA = {
+    "logistic": (logistic_logpdf, logistic_psi),
+    "gaussian": (lambda x: -0.5 * x * x, lambda x: (x, 1.0)),
+}
 
 
 def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput):
@@ -168,11 +168,18 @@ def evaluate(
     Order 1 adds the score (``score_rows`` is formed when read), order 2
     the Hessian of the summed criterion.  Both are sums over t of the
     filter's column-major derivative blocks times per-observation
-    weights, and only the weights of the blocks the filter returns are
-    computed.  The criterion's weights on d2 g_t and d2 sigma2_t are
-    minus its score weights a and b, so the second-derivative term is
+    weights in x = (y_t - g_t) / sigma_t and the criterion's psi(x) and
+    psi'(x): a = psi / sigma on d g_t, b = (x psi - 1) / (2 sigma^2) on
+    d sigma2_t, and psi' / sigma^2, (3 x psi - 2 + x^2 psi') / (4 sigma^4)
+    and (psi + x psi') / (2 sigma^3) on their products; only the weights
+    of the blocks the filter returns are computed.  The weights on d2 g_t
+    and d2 sigma2_t are minus a and b, so the second-derivative term is
     subtracted as one ``curvature(a, b)`` and no (n, d, d) array is built.
     """
+    try:
+        logpdf, psi_pair = _CRITERIA[criterion]
+    except KeyError:
+        raise ValueError(f"unknown criterion {criterion!r}") from None
     th = as_array(theta)
     yv = np.asarray(y, dtype=float).ravel()
     yv, out = _conditioned(model, yv, model.filter(yv, th, order=order))
@@ -180,12 +187,7 @@ def evaluate(
     x = (yv - out.mean) / sig
     n = yv.size
 
-    if criterion == "logistic":
-        ll = float(np.sum(-0.5 * np.log(sig2) + logistic_logpdf(x)))
-    elif criterion == "gaussian":
-        ll = float(np.sum(-0.5 * np.log(sig2) - 0.5 * x * x))
-    else:
-        raise ValueError(f"unknown criterion {criterion!r}")
+    ll = float(np.sum(-0.5 * np.log(sig2) + logpdf(x)))
     if not np.isfinite(ll):
         ll = -np.inf
     parts = CriterionParts(loglik=ll, nobs=n, clamped=_clamp_count(sig2), residuals=x)
@@ -193,16 +195,15 @@ def evaluate(
         return parts
 
     dg, ds2 = out.dmean, out.dsigma2
-    logistic = criterion == "logistic"
-    if logistic:
-        t, fx, u = _logistic_weights(x)
+    psi, dpsi = psi_pair(x)
     inv_s2 = 1.0 / sig2
     a = b = None  # weights on dmean and dsigma2
     if dg is not None:
         inv_s = 1.0 / sig
-        a = (t if logistic else x) * inv_s
+        a = psi * inv_s
     if ds2 is not None:
-        b = 0.5 * ((u - 1.0) if logistic else (x * x - 1.0)) * inv_s2
+        u = x * psi
+        b = 0.5 * (u - 1.0) * inv_s2
     parts.terms = ((dg, a), (ds2, b))
     parts.score = sum(weight @ block for block, weight in parts.terms if block is not None)
     if order == 1:
@@ -212,16 +213,12 @@ def evaluate(
     # then negated once; the filter contracts its own second derivatives
     neg_hess = np.zeros((th.size, th.size))
     if dg is not None:
-        c_gg = 2.0 * fx * inv_s2 if logistic else inv_s2
-        neg_hess += (dg * c_gg[:, None]).T @ dg
+        neg_hess += (dg * (dpsi * inv_s2)[:, None]).T @ dg
     if ds2 is not None:
-        if logistic:
-            c_ss = (3.0 * u - 2.0 + 2.0 * x * x * fx) * (0.25 * inv_s2 * inv_s2)
-        else:
-            c_ss = (2.0 * x * x - 1.0) * (0.5 * inv_s2 * inv_s2)
+        c_ss = (3.0 * u - 2.0 + x * x * dpsi) * (0.25 * inv_s2 * inv_s2)
         neg_hess += (ds2 * c_ss[:, None]).T @ ds2
         if dg is not None:
-            c_sg = (t + 2.0 * x * fx) * (0.5 * inv_s2 * inv_s) if logistic else a * inv_s2
+            c_sg = (psi + x * dpsi) * (0.5 * inv_s2 * inv_s)
             cross = (ds2 * c_sg[:, None]).T @ dg
             neg_hess += cross + cross.T
     if out.curvature is not None:
@@ -676,8 +673,10 @@ def fit_constrained(
 
 
 def _positive_definite(mat: np.ndarray, what: str) -> np.ndarray:
-    """The symmetric part of mat; SingularInformation unless it is positive definite."""
+    """The symmetric part of mat; SingularInformation unless it is finite and positive definite."""
     sym = 0.5 * (mat + mat.T)
+    if not np.all(np.isfinite(sym)):
+        raise SingularInformation(f"{what} has a non-finite entry")
     vals = np.linalg.eigvalsh(sym)
     if vals[0] <= abs(vals[-1]) * 1e-12:
         kind = "not positive definite" if vals[0] < 0.0 else "numerically singular"
@@ -716,8 +715,9 @@ class KernelMoments:
 
 def _kernel_sums(x: np.ndarray) -> np.ndarray:
     """The sums over x whose means are the KernelMoments (m2, mf, ef, t2)."""
-    t, fx, u = _logistic_weights(x)
-    return np.array([np.sum((u - 1.0) ** 2), np.sum(x * x * fx), np.sum(fx), np.sum(t * t)])
+    psi, dpsi = logistic_psi(x)
+    f, u = 0.5 * dpsi, x * psi
+    return np.array([np.sum((u - 1.0) ** 2), np.sum(x * x * f), np.sum(f), np.sum(psi * psi)])
 
 
 def kernel_moments(eta) -> KernelMoments:

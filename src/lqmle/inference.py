@@ -37,27 +37,19 @@ class TestResult:
     statistic: float
     df: int | None
     p_value: float
-    # (R rows, r) for restriction tests, None for coefficient t tests
-    constraint: tuple[tuple[tuple[float, ...], ...], tuple[float, ...]] | None = None
 
     def as_dict(self) -> dict:
-        out = fields_dict(self, skip=("constraint",))
-        if self.constraint is not None:
-            out["constraint"] = {
-                "R": [list(row) for row in self.constraint[0]],
-                "r": list(self.constraint[1]),
-            }
-        return out
+        return fields_dict(self)
 
 
 # -- tail probabilities -------------------------------------------------
 
 
 def chisq_sf(x: float, df: float) -> float:
-    """P(X > x) for X chi-squared with df degrees of freedom."""
+    """P(X > x) for X chi-squared with df degrees of freedom; NaN for a NaN x."""
     if df <= 0.0:
         raise ValueError("degrees of freedom must be positive")
-    if not math.isfinite(x):
+    if math.isinf(x):
         return 0.0 if x > 0 else 1.0
     if x <= 0.0:
         return 1.0
@@ -76,13 +68,6 @@ def _solve_quadform(mat: np.ndarray, vec: np.ndarray, what: str) -> float:
     return float(vec @ np.linalg.solve(_positive_definite(mat, what), vec))
 
 
-def _freeze_constraint(R: np.ndarray, r: np.ndarray):
-    return (
-        tuple(tuple(float(v) for v in row) for row in np.atleast_2d(R)),
-        tuple(float(v) for v in np.atleast_1d(r)),
-    )
-
-
 def wald_test(fit: FitResult, R, r) -> TestResult:
     """Wald statistic n (R theta - r)' [R A^-1 B A^-1 R']^-1 (R theta - r)."""
     R, r = _check_restriction(R, r, fit.theta.dim)
@@ -92,7 +77,7 @@ def wald_test(fit: FitResult, R, r) -> TestResult:
     diff = R @ fit.theta.array - r
     stat = _solve_quadform(R @ cov @ R.T, diff, "restricted covariance")
     q = R.shape[0]
-    return TestResult("wald", stat, q, chisq_sf(stat, q), _freeze_constraint(R, r))
+    return TestResult("wald", stat, q, chisq_sf(stat, q))
 
 
 def lm_test(cfit: FitResult, R, r) -> TestResult:
@@ -101,7 +86,7 @@ def lm_test(cfit: FitResult, R, r) -> TestResult:
     With Lambda = (R A^-1 R')^-1 R A^-1 B A^-1 R' (R A^-1 R')^-1 the
     statistic is n lambda' Lambda^-1 lambda, which equals
     n (G lambda)' M^-1 (G lambda) for G = R A^-1 R' and
-    M = R A^-1 B A^-1 R'.  ``r`` is only recorded in the result; the
+    M = R A^-1 B A^-1 R'.  ``r`` is only checked against R; the
     statistic itself depends on the constrained fit and R alone.
     """
     R, r = _check_restriction(R, r, cfit.theta.dim)
@@ -112,7 +97,7 @@ def lm_test(cfit: FitResult, R, r) -> TestResult:
     u = gram @ cfit.multiplier
     stat = cfit.nobs * _solve_quadform(mid, u, "restricted information")
     q = R.shape[0]
-    return TestResult("lm", stat, q, chisq_sf(stat, q), _freeze_constraint(R, r))
+    return TestResult("lm", stat, q, chisq_sf(stat, q))
 
 
 def t_test(fit: FitResult, coef: int | str, null_value: float = 0.0) -> TestResult:

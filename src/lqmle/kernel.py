@@ -27,6 +27,7 @@ __all__ = [
     "logistic_pdf",
     "logistic_cdf",
     "logistic_logpdf",
+    "logistic_psi",
     "scale_kernel",
     "kernel_expectation",
     "stable_kernel_expectation",
@@ -35,6 +36,7 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10  # absolute accuracy asked of the kernel-expectation quadrature
+_LOGISTIC = InnovationDist("logistic")  # its base_pdf is the one logistic density formula
 
 
 def logistic_cdf(x):
@@ -45,9 +47,7 @@ def logistic_cdf(x):
 
 def logistic_pdf(x):
     """Standard logistic density exp(-x) / (1 + exp(-x))^2; even in x."""
-    x = np.asarray(x, dtype=float)
-    q = np.exp(-np.abs(x))
-    out = q / (1.0 + q) ** 2
+    out = _LOGISTIC.base_pdf(x)
     return out if out.ndim else float(out)
 
 
@@ -61,6 +61,12 @@ def logistic_logpdf(x):
     a = np.abs(x)
     out = -a - 2.0 * np.log1p(np.exp(-a))
     return out if out.ndim else float(out)
+
+
+def logistic_psi(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """psi = -(log f)' = tanh(x / 2) = 2 F(x) - 1 and psi' = (1 - psi^2) / 2 = 2 f(x)."""
+    t = np.tanh(0.5 * x)
+    return t, 0.5 * (1.0 - t * t)
 
 
 def scale_kernel(x):

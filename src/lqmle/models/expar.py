@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..kernel import logistic_logpdf
+from ..kernel import logistic_logpdf, logistic_psi
 from .base import FilterOutput, ModelSpec, lagged
 
 __all__ = ["Expar"]
@@ -144,8 +144,8 @@ class Expar(ModelSpec):
 
         coef = solve(gram(np.ones_like(env)), cross(np.broadcast_to(y, env.shape)))
         for _ in range(4):
-            t = np.tanh(0.5 * residuals(coef))  # minus d log f / d residual
-            coef = coef + solve(gram(0.5 * (1.0 - t * t)), cross(t))
+            psi, dpsi = logistic_psi(residuals(coef))
+            coef = coef + solve(gram(dpsi), cross(psi))
         coef = np.clip(coef, -_COEF_BOUND, _COEF_BOUND)
         profile = logistic_logpdf(residuals(coef)).sum(axis=1)
         padded = np.r_[-np.inf, profile, -np.inf]

@@ -150,6 +150,38 @@ def test_point_flags_must_be_finite_numbers(dar_csv, tmp_path, capsys, command, 
     assert f"argument {flag}: must be comma-separated finite numbers, got {value!r}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("column", ["-1", "-5"])
+def test_negative_column_is_a_data_error(tmp_path, capsys, column):
+    data, out = tmp_path / "one.csv", tmp_path / "fit.json"
+    data.write_text("".join(f"{v}\n" for v in np.linspace(-1.0, 1.0, 60)))
+    assert main(["fit", "--data", str(data), "--model", "dar", "--column", column, "--out", str(out)]) == 3
+    assert not out.exists()
+    assert f"column index must be zero or more, got {column}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delim", ["", ";;"])
+def test_delim_must_be_one_character(dar_csv, tmp_path, capsys, delim):
+    out = tmp_path / "fit.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--data", str(dar_csv), "--model", "dar", f"--delim={delim}", "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert f"argument --delim: must be exactly one character, got {delim!r}" in capsys.readouterr().err
+
+
+def test_fit_exits_4_when_every_start_is_non_finite(tmp_path, capsys):
+    data, out = tmp_path / "garch.csv", tmp_path / "fit.json"
+    y = lqmle.simulate(lqmle.make_model("garch", p=1, q=1), [0.2, 0.15, 0.4], 400, lqmle.logistic(), seed=1)
+    y[0] = 1e200
+    lqmle.write_series(data, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["fit", "--data", str(data), "--model", "garch", "--out", str(out)])
+    assert rc == 4
+    assert not out.exists()
+    assert "NonFiniteObjective: criterion was non-finite at every starting point" in capsys.readouterr().err
+
+
 def test_fit_residuals_output(dar_csv, tmp_path):
     out = tmp_path / "fit.json"
     resid = tmp_path / "resid.csv"
@@ -666,7 +698,6 @@ def test_test_writes_report_when_a_statistic_cannot_be_formed(singular_test_repo
     assert wald["method"] == "wald" and wald["df"] == 1
     assert wald["statistic"] is None and wald["p_value"] is None
     assert wald["error"].startswith("SingularInformation: ")
-    assert wald["constraint"] == lm["constraint"] == doc["restriction"]
     assert "error" not in lm
     assert lm["statistic"] == pytest.approx(0.325, abs=1e-3)
     assert lm["p_value"] == pytest.approx(0.569, abs=1e-3)
@@ -859,6 +890,11 @@ SCENARIO = (
             3,
             "scenario 0: seed must be a nonnegative integer, got -1",
         ),
+        (SCENARIO.replace("reps: 2", "reps: 2.7") + "    dist: logistic\n", 3, "scenario 0: reps must be an integer, got 2.7"),
+        (SCENARIO.replace("nobs: 120", "nobs: true") + "    dist: logistic\n", 3, "scenario 0: nobs must be an integer, got True"),
+        (SCENARIO + "    dist: logistic\n    burn: 1.5\n", 3, "scenario 0: burn must be an integer, got 1.5"),
+        (SCENARIO.replace("seed: 5", "seed: 5.5") + "    dist: logistic\n", 3, "scenario 0: seed must be an integer, got 5.5"),
+        (SCENARIO.replace("reps: 2", "reps: 2.0") + "    dist: logistic\n", 0, ""),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
@@ -867,7 +903,8 @@ SCENARIO = (
          "infinite-alternative-scale", "theta0-outside-box", "alternative-outside-box",
          "short-restriction-row", "rank-deficient-restriction",
          "nan-restriction-value", "unknown-model-key", "order-as-model-keys", "model-list",
-         "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios", "negative-seed"],
+         "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios", "negative-seed",
+         "fractional-reps", "boolean-nobs", "fractional-burn", "fractional-seed", "integral-float-reps"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"

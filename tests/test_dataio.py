@@ -71,3 +71,13 @@ def test_blank_lines_ignored(tmp_path):
     p = tmp_path / "gaps.csv"
     p.write_text("1.0\n\n2.0\n\n")
     np.testing.assert_array_equal(read_series(p), [1.0, 2.0])
+
+
+@pytest.mark.parametrize("header", [False, True])
+def test_negative_column_index_rejected(tmp_path, header):
+    # -1 would silently read the last column, -5 would index past the row
+    p = tmp_path / "two.csv"
+    p.write_text("a,b\n1.0,2.0\n3.0,4.0\n" if header else "1.0,2.0\n3.0,4.0\n")
+    for column in (-1, -5):
+        with pytest.raises(DataFormatError, match=f"column index must be zero or more, got {column}"):
+            read_series(p, column=column, header=header)

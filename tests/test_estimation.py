@@ -361,6 +361,14 @@ def test_sandwich_rejects_indefinite_information():
         sandwich_cov(a, np.eye(2), 100)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sandwich_rejects_non_finite_information(bad):
+    # a NaN eigenvalue would pass a bare eigenvalue comparison
+    a = np.array([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(SingularInformation, match="non-finite entry"):
+        sandwich_cov(a, np.eye(2), 100)
+
+
 def test_sandwich_shape_and_symmetry():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((3, 3))
@@ -847,3 +855,43 @@ def test_fit_passes_other_warnings_through(monkeypatch):
     assert calls
     assert [(w.category, str(w.message)) for w in caught] == [(RuntimeWarning, "probe")] * len(calls)
     assert {w.filename for w in caught} == {__file__}
+
+
+def test_criterion_table_names_every_estimator_criterion():
+    # --criterion and an mc estimator map onto these names; evaluate must know each
+    from lqmle.montecarlo import _CRITERION
+
+    assert sorted(_CRITERION.values()) == sorted(estimation._CRITERIA)
+    with pytest.raises(ValueError, match="unknown criterion 'laplace'"):
+        evaluate(make_model("garch", p=1, q=1), np.ones(40), [0.5, 0.1, 0.3], criterion="laplace")
+
+
+def test_fit_raises_when_every_start_is_non_finite():
+    model = make_model("garch", p=1, q=1)
+    y = simulate(model, np.array([0.2, 0.15, 0.4]), 400, logistic(), seed=1)
+    y[0] = 1e200  # its square overflows every variance path
+    with pytest.raises(NonFiniteObjective, match="criterion was non-finite at every starting point"):
+        fit(model, y)
+
+
+def test_newton_stops_unconverged_when_backtracking_runs_out(monkeypatch):
+    # one outlier of 1e154 puts a term of order 1e153 in the criterion, whose
+    # rounding swamps every gain the Armijo test asks for along the direction
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 200, logistic(), seed=0, burn=50)
+    y[100] = 1e154
+    orders = []
+    real = estimation.evaluate
+
+    def counted(model, y, theta, order=0, criterion="logistic"):
+        orders.append(order)
+        return real(model, y, theta, order=order, criterion=criterion)
+
+    monkeypatch.setattr(estimation, "evaluate", counted)
+    res = fit(model, y, FitOptions(start=(0.0, 0.0, 1.0, 0.1)))
+    assert not res.converged
+    assert res.iterations < FitOptions().max_iter
+    # the last step is cut from alpha = 1 to below 1e-14, one value per halving
+    tail = len(orders) - 1 - orders[::-1].index(2)
+    assert orders[tail + 1 :] == [0] * 46
+    assert len(res.trace) == res.iterations

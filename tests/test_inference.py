@@ -48,6 +48,12 @@ def test_chisq_sf_edges():
         chisq_sf(1.0, 0)
 
 
+def test_chisq_sf_of_nan_is_nan():
+    # a statistic that could not be formed gets no p-value, least of all 1
+    assert math.isnan(chisq_sf(math.nan, 2))
+    assert chisq_sf(math.inf, 2) == 0.0
+
+
 def test_normal_sf_matches_reference():
     for x in (-3.0, -1.0, 0.0, 0.5, 2.0, 6.0):
         assert abs(normal_sf(x) - scipy.stats.norm.sf(x)) < 1e-14
@@ -102,15 +108,6 @@ def test_wald_identity_restriction_is_full_quadratic_form(dar_fit):
     assert t.df == 4
 
 
-def test_wald_records_the_restriction(dar_fit):
-    _, _, res = dar_fit
-    R = np.array([[0.0, 1.0, 0.0, 0.0]])
-    r = np.array([0.5])
-    t = wald_test(res, R, r)
-    d = t.as_dict()
-    assert d["constraint"] == {"R": [[0.0, 1.0, 0.0, 0.0]], "r": [0.5]}
-
-
 def test_wald_rejects_rank_deficient_rows(dar_fit):
     _, _, res = dar_fit
     R = np.array([[1.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
@@ -125,7 +122,7 @@ def test_wald_rejects_non_finite_restrictions(dar_fit, R, r):
         wald_test(res, np.array(R), np.array(r))
 
 
-def test_lm_statistic_nonnegative_and_recorded(dar_fit):
+def test_lm_statistic_nonnegative(dar_fit):
     model, y, res = dar_fit
     R = np.array([[1.0, 1.0, 1.0, 1.0]])
     r = np.array([2.3])
@@ -134,7 +131,6 @@ def test_lm_statistic_nonnegative_and_recorded(dar_fit):
     assert t.method == "lm"
     assert t.statistic >= 0
     assert t.df == 1
-    assert t.as_dict()["constraint"]["r"] == [2.3]
 
 
 def test_lm_small_at_binding_optimum(dar_fit):
@@ -169,7 +165,6 @@ def test_t_test_matches_two_sided_normal(dar_fit):
     stat = res.theta.array[1] / res.se[1]
     assert t.statistic == pytest.approx(stat, rel=1e-12)
     assert t.p_value == pytest.approx(2 * normal_sf(abs(stat)), abs=1e-15)
-    assert t.constraint is None
 
 
 def test_t_test_value_shifts_the_center(dar_fit):

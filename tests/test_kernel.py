@@ -51,6 +51,17 @@ def test_logpdf_curvature_identity():
     assert np.max(np.abs(curv + 2 * logistic_pdf(x))) < 1e-5
 
 
+def test_logistic_psi_pair_is_the_score_of_the_log_density():
+    # psi = -(log f)' = 2 F - 1 and psi' = 2 f
+    x = np.linspace(-30.0, 30.0, 241)
+    psi, dpsi = kernel.logistic_psi(x)
+    h = 1e-5
+    fd = -(logistic_logpdf(x + h) - logistic_logpdf(x - h)) / (2 * h)
+    assert np.max(np.abs(psi - fd)) < 1e-9
+    np.testing.assert_allclose(psi, 2 * logistic_cdf(x) - 1, atol=1e-15)
+    np.testing.assert_allclose(dpsi, 2 * logistic_pdf(x), rtol=1e-12, atol=1e-15)
+
+
 def test_logpdf_safe_in_far_tails():
     # naive log(exp(-x)/(1+exp(-x))^2) overflows near +-750
     assert logistic_logpdf(800.0) == -800.0
