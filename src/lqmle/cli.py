@@ -7,6 +7,11 @@ goes to stderr only.
 
 Exit codes: 0 success, 2 usage error, 3 input or data error, 4 numeric
 failure, 5 optimizer did not converge (the report is still written).
+
+``main`` may be called repeatedly in one process.  The argument parser
+is built once, when the module is imported, and a parse leaves no state
+behind: every call gets its own namespace, so no call sees the options
+of an earlier one.
 """
 
 from __future__ import annotations
@@ -453,6 +458,8 @@ _SCENARIO_KEYS = {
     "label": str,
     "seed": lambda v: v if v is None else _integer("seed")(v),
 }
+# the keys a scenario must give; the others have defaults
+_REQUIRED_KEYS = ("model", "dist", "theta0", "nobs", "reps")
 
 
 def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
@@ -460,10 +467,12 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
 
     Each entry is a mapping from Scenario's field names to values:
     model is a _build_model spec, dist a _build_dist spec and constraint
-    a mapping {R, r} (test R theta = r).  A key left out takes
-    Scenario's default, and a seed left out or null is derived from the
-    master seed.  Any other key, of the scenario, its dist or its
-    constraint mapping, is a DataFormatError naming it.
+    a mapping {R, r} (test R theta = r).  model, dist, theta0, nobs and
+    reps are required, and a DataFormatError names each one left out;
+    another key left out takes Scenario's default, and a seed left out
+    or null is derived from the master seed.  Any other key, of the
+    scenario, its dist or its constraint mapping, is a DataFormatError
+    naming it.
     """
     scenarios = []
     for i, raw in enumerate(config["scenarios"]):
@@ -471,6 +480,9 @@ def _load_scenarios(config: dict, path, master_seed: int) -> list[Scenario]:
             if not isinstance(raw, dict):
                 raise ValueError(f"expected a mapping, got {raw!r}")
             _check_keys(raw, _SCENARIO_KEYS)
+            missing = [key for key in _REQUIRED_KEYS if key not in raw]
+            if missing:
+                raise ValueError(f"missing required key(s) {', '.join(map(repr, missing))}")
             fields = {key: convert(raw[key]) for key, convert in _SCENARIO_KEYS.items() if key in raw}
             if fields.get("seed") is None:
                 child = np.random.SeedSequence(master_seed, spawn_key=(1000 + i,))
@@ -748,8 +760,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     t0 = time.perf_counter()
     try:
         code = args.func(args)

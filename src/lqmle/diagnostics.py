@@ -103,13 +103,24 @@ class ResidualSummary:
         return fields_dict(self)
 
 
+def _sd(x: np.ndarray) -> np.floating:
+    """Sample standard deviation; values whose squares overflow (one residual
+    near 1e154 or more) are divided by their largest magnitude first."""
+    with np.errstate(over="ignore"):
+        sd = np.std(x, ddof=1)
+    if np.isinf(sd):
+        top = np.abs(x).max()
+        sd = top * np.std(x / top, ddof=1)
+    return sd
+
+
 def summarize_residuals(residuals) -> ResidualSummary:
     x = np.asarray(residuals, dtype=float).ravel()
     n = x.size
     if n == 0:
         raise ValueError("no residuals supplied")
     kern = scale_kernel(x)
-    se = float(np.std(kern, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    se = float(_sd(kern) / np.sqrt(n)) if n > 1 else 0.0
     quarts = tuple(float(q) for q in np.quantile(x, [0.0, 0.25, 0.5, 0.75, 1.0]))
     counts, edges = np.histogram(x, bins=_HIST_BINS)
     return ResidualSummary(

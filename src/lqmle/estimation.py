@@ -36,6 +36,7 @@ a box face.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -188,7 +189,7 @@ def evaluate(
     n = yv.size
 
     ll = float(np.sum(-0.5 * np.log(sig2) + logpdf(x)))
-    if not np.isfinite(ll):
+    if not math.isfinite(ll):
         ll = -np.inf
     parts = CriterionParts(loglik=ll, nobs=n, clamped=_clamp_count(sig2), residuals=x)
     if order == 0:
@@ -300,21 +301,19 @@ def _solve_ascent(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
     either, and are passed over without a try.
     """
     a = -0.5 * (hess + hess.T)
-    d = a.shape[0]
-    scale = max(1.0, float(np.max(np.abs(np.diag(a)))))
+    scale = max(1.0, float(np.abs(a.diagonal()).max()))
     ridge = skip = 0.0
-    eye = np.eye(d)
     for _ in range(40):
         if ridge >= skip:
             # LAPACK directly: these small solves run once per Newton step
-            factor, info = dpotrf(a + ridge * eye, lower=1, clean=0)
+            factor, info = dpotrf(a + ridge * np.eye(len(a)) if ridge else a, lower=1, clean=0)
             if info == 0:
                 delta, _ = dpotrs(factor, score, lower=1)
                 if score @ delta > 0.0:
                     return delta
-            elif ridge == 0.0 and np.all(np.isfinite(a)):
+            elif ridge == 0.0 and np.isfinite(a).all():
                 vals = np.linalg.eigvalsh(a)
-                if vals[0] < -1e-6 * np.max(np.abs(vals)):
+                if vals[0] < -1e-6 * np.abs(vals).max():
                     skip = -0.1 * vals[0]
         ridge = 1e-10 * scale if ridge == 0.0 else ridge * 10.0
     return score / scale
@@ -338,23 +337,25 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
     lo_out, hi_out = lo - _BOX_SLACK, hi + _BOX_SLACK  # a point beyond these is outside the box
 
     def at(th, order):
-        if np.any(th < lo_out) or np.any(th > hi_out):
+        if ((th < lo_out) | (th > hi_out)).any():
             return None
         return evaluate(model, y, th, order=order, criterion=opts.criterion)
 
-    # the same faces bind for many iterations: one SVD per working set
+    # the same faces bind for many iterations: one SVD per working set,
+    # and the reduced score taken through its frame once per iteration
     tangents = {}
 
     def face_directions(mask):
         """Orthonormal directions, in basis coordinates, tangent to the faces flagged in mask."""
         key = mask.tobytes()
-        if key not in tangents:
-            tangents[key] = null_space(basis[mask, :]) if mask.any() else np.eye(basis.shape[1])
-        return tangents[key]
+        dirs = tangents.get(key)
+        if dirs is None:
+            dirs = tangents[key] = null_space(basis[mask, :]) if mask.any() else np.eye(basis.shape[1])
+        return dirs
 
     th = np.asarray(th0, dtype=float)
     parts = at(th, 2)
-    if parts is None or not np.isfinite(parts.loglik):
+    if parts is None or not math.isfinite(parts.loglik):
         return None
     trace = [parts.loglik]
     last_step = np.inf
@@ -362,11 +363,13 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
     iterations = 0
     for iterations in range(1, opts.max_iter + 1):
         level = _SCORE_TOL * (1.0 + abs(parts.loglik))
-        working = ((th <= lo_pin) & (parts.score < 0.0)) | ((th >= hi_pin) & (parts.score > 0.0))
-        s_red = basis.T @ parts.score
+        score = parts.score
+        working = ((th <= lo_pin) & (score < 0.0)) | ((th >= hi_pin) & (score > 0.0))
+        s_red = basis.T @ score
         h_red = basis.T @ parts.hess @ basis
         dirs = face_directions(working)
-        sp = float(np.max(np.abs(dirs.T @ s_red), initial=0.0))
+        s_dirs = dirs.T @ s_red
+        sp = float(np.abs(s_dirs).max(initial=0.0))
         if sp <= level and last_step <= _STEP_TOL:
             converged = True
             break
@@ -377,21 +380,22 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
             if dirs.shape[1] == 0:
                 delta = None
                 break
-            delta = dirs @ _solve_ascent(dirs.T @ h_red @ dirs, dirs.T @ s_red)
+            delta = dirs @ _solve_ascent(dirs.T @ h_red @ dirs, s_dirs)
             dth = basis @ delta
             moving = ~working & (np.abs(dth) >= 1e-16)
             room = np.full(th.size, np.inf)
             room[moving] = (np.where(dth > 0.0, hi, lo) - th)[moving] / dth[moving]
-            blocker = int(np.argmin(room))
+            blocker = int(room.argmin())
             alpha_cap = min(1.0, room[blocker])
             if alpha_cap > 1e-14:
                 break
             working[blocker] = True
             dirs = face_directions(working)
-        if delta is None or not np.any(delta):
+            s_dirs = dirs.T @ s_red
+        if delta is None or not delta.any():
             converged = sp <= level
             break
-        if sp <= level and float(np.max(np.abs(alpha_cap * delta))) <= _STEP_TOL:
+        if sp <= level and float(np.abs(alpha_cap * delta).max()) <= _STEP_TOL:
             # a step this small cannot raise the criterion past rounding
             converged = True
             break
@@ -402,7 +406,7 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
         while alpha >= 1e-14:
             trial = th + alpha * dth
             cand = at(trial, 2 if alpha == alpha_cap else 0)
-            if cand is not None and np.isfinite(cand.loglik):
+            if cand is not None and math.isfinite(cand.loglik):
                 gain = float(s_red @ (alpha * delta))
                 if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
                     accepted = True
@@ -411,7 +415,7 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
         if not accepted:
             converged = sp <= level
             break
-        last_step = float(np.max(np.abs(alpha * delta)))
+        last_step = float(np.abs(alpha * delta).max())
         th = trial
         parts = cand if cand.hess is not None else at(th, 2)
         trace.append(parts.loglik)
@@ -420,7 +424,7 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
 
 def _start_values(model: ModelSpec, y) -> list[np.ndarray]:
     """The template start, then the model's start values for the accepted series y."""
-    return [model._template_values(), *model.start_values(y)]
+    return [model._template, *model.start_values(y)]
 
 
 def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
@@ -508,6 +512,9 @@ def _fit(
                 run(starts(yv))
                 if fallback is not None and not settled():
                     run(fallback(yv))
+            # an extreme observation can overflow the information pair;
+            # the sandwich refuses a non-finite one
+            info = None if best is None else (best[1].info_hessian, best[1].info_opg)
     finally:
         _STRAYS.reset(token)
     if strays:
@@ -517,7 +524,7 @@ def _fit(
         raise NonFiniteObjective("criterion was non-finite at every starting point")
     th, parts, converged, iterations, trace = best
     theta = model.wrap(np.clip(th, lo, hi))
-    a_hat, b_hat = parts.info_hessian, parts.info_opg
+    a_hat, b_hat = info
     cov = se = multiplier = None
     if R is None:
         try:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvertibilityError
-from .base import FilterOutput, ModelSpec, _adjoint, _all_pole, _float_path, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _float_path, _floor_sigma2, lagged
 from .garch import _garch_candidates
 
 __all__ = ["ArmaGarch"]
@@ -69,14 +69,14 @@ class ArmaGarch(ModelSpec):
         const, ar1, ma1, alpha0, alpha1, beta1 = self._unpack(th)
         if abs(ma1) >= 1.0:
             raise InvertibilityError(f"|ma1| = {abs(ma1)} is not invertible")
-        ma_den = np.array([1.0, ma1])
-        gj_den = np.array([1.0, -beta1])
+        ma_band = _band(np.array([1.0, ma1]), n)
+        gj_band = _band(np.array([1.0, -beta1]), n)
 
         ylag = lagged(y, 1)
-        e = _all_pole(ma_den, y - const - ar1 * ylag)
+        e = _all_pole(ma_band, y - const - ar1 * ylag)
         elag = lagged(e, 1)
         drive = alpha0 + alpha1 * elag * elag
-        sigma2_raw = _all_pole(gj_den, drive)
+        sigma2_raw = _all_pole(gj_band, drive)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma)
@@ -92,7 +92,7 @@ class ArmaGarch(ModelSpec):
             col += 1
         de_drives[:, col] = -ylag
         de_drives[:, col + 1] = -elag
-        de = _all_pole(ma_den, de_drives)
+        de = _all_pole(ma_band, de_drives)
         dem = lagged(de, 1)
 
         # scale derivatives: direct part then beta feedback
@@ -101,7 +101,7 @@ class ArmaGarch(ModelSpec):
         ds_drives[:, m] = 1.0
         ds_drives[:, m + 1] = elag * elag
         ds_drives[:, m + 2] = lagged(sigma2_raw, 1)
-        dsigma2 = _all_pole(gj_den, ds_drives)
+        dsigma2 = _all_pole(gj_band, ds_drives)
         dmean = np.zeros((n, d), order="F")
         np.negative(de, out=dmean[:, :m])
         out.dmean = dmean
@@ -114,14 +114,14 @@ class ArmaGarch(ModelSpec):
         i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
         d2e_drives = -dem
         d2e_drives[:, i_ma] *= 2.0
-        block = _all_pole(ma_den, d2e_drives)
+        block = _all_pole(ma_band, d2e_drives)
 
         def curvature(wg, ws):
             # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'
             # + e d2e) at t-1 on the mean block, 2 e_{t-1} de_{t-1} on the
             # (mean, alpha1) pairs and the lagged dsigma2 on the beta1 row
             # and column.  One backward pass u = L^-T ws weighs them all.
-            u = _adjoint(gj_den, ws)
+            u = _adjoint(gj_band, ws)
             ue = u * elag
             h = np.zeros((d, d))
             q = dem.T @ (u[:, None] * dem)

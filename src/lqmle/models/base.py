@@ -36,6 +36,7 @@ import math
 from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -59,25 +60,31 @@ def lagged(x: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _all_pole(den: np.ndarray, x: np.ndarray, trans: str = "N") -> np.ndarray:
-    """L^-1 x, or L^-T x with trans="T", for L the all-pole filter matrix of den.
+def _band(den: np.ndarray, n: int) -> np.ndarray:
+    """The all-pole filter matrix L of den for n observations, as LAPACK stores its band.
 
     L is unit lower-triangular banded Toeplitz, L[t, t-k] = den[k] with
     den[0] = 1, so L v = x is the recursion
     v_t = x_t - sum_{k>=1} den[k] v_{t-k} from zero pre-sample values.
+    Row k of the column-major band holds den[k].  A filter builds one
+    band per denominator and solves every drive against it.
+    """
+    return np.repeat(den[None, :], n, axis=0).T
+
+
+def _all_pole(band: np.ndarray, x: np.ndarray, trans: str = "N") -> np.ndarray:
+    """L^-1 x, or L^-T x with trans="T", for L the all-pole filter matrix of ``band``.
+
     One banded LAPACK solve runs every column of a 1-D or column-major
     (n, m) x; the result has the shape of x and is column-major.
     """
-    n = x.shape[0]
-    # the band, row k holding den[k], is column-major as LAPACK stores it
-    band = np.repeat(den[None, :], n, axis=0).T
-    v, _ = dtbtrs(band, x.reshape(n, -1), uplo="L", trans=trans, diag="U")
+    v, _ = dtbtrs(band, x.reshape(band.shape[1], -1), uplo="L", trans=trans, diag="U")
     return v.reshape(x.shape, order="F")
 
 
-def _adjoint(den: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """L^-T w: sum_t w_t (L^-1 x)_t equals _adjoint(den, w) @ x for any drive x."""
-    return _all_pole(den, w, trans="T")
+def _adjoint(band: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """L^-T w: sum_t w_t (L^-1 x)_t equals _adjoint(band, w) @ x for any drive x."""
+    return _all_pole(band, w, trans="T")
 
 
 @dataclass
@@ -135,6 +142,12 @@ def _float_path(loop, theta: np.ndarray, innovations, *orders) -> np.ndarray:
     return y
 
 
+def _read_only(values) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    arr.flags.writeable = False
+    return arr
+
+
 class ModelSpec(abc.ABC):
     """A parametric conditional location-scale model.
 
@@ -144,6 +157,11 @@ class ModelSpec(abc.ABC):
     every start of a restricted fit run, no start proposals) do not
     fit.  Outside the model, read a parameter by name through
     ``param_names``, not by its position.
+
+    The constants derived from the table (``param_names``, ``dim``, the
+    ``default_bounds`` arrays and the template start) are computed once
+    per instance, on first use; the arrays are read-only, since every
+    caller shares them.  A model is immutable, so they never go stale.
     """
 
     name: str = "model"
@@ -165,21 +183,37 @@ class ModelSpec(abc.ABC):
         first starting point of every fit.
         """
 
-    @property
+    @cached_property
     def param_names(self) -> tuple[str, ...]:
         return tuple(row[0] for row in self.param_table)
 
-    @property
+    @cached_property
     def dim(self) -> int:
         return len(self.param_table)
 
-    def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
-        """Box (lower, upper) defining the admissible parameter region."""
+    @cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
         _, lo, hi, _ = zip(*self.param_table)
-        return np.array(lo), np.array(hi)
+        return _read_only(lo), _read_only(hi)
 
-    def _template_values(self) -> np.ndarray:
-        return np.array([row[3] for row in self.param_table])
+    def default_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Box (lower, upper) defining the admissible parameter region; read-only arrays."""
+        return self._box
+
+    @cached_property
+    def _template(self) -> np.ndarray:
+        """The template start, read-only."""
+        return _read_only([row[3] for row in self.param_table])
+
+    def __getstate__(self) -> dict:
+        # a pickled model leaves its derived constants behind: unpickled
+        # arrays would be writeable, so the copy derives its own
+        cls = type(self)
+        return {
+            key: value
+            for key, value in vars(self).items()
+            if not isinstance(getattr(cls, key, None), cached_property)
+        }
 
     def wrap(self, values) -> ParamVector:
         """Attach names and default bounds to a raw value array."""

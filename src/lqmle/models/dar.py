@@ -116,7 +116,8 @@ class Dar(ModelSpec):
         squared lags.  The fitted scale s2_t is then multiplied by the c
         that solves mean_t k(e_t / sqrt(c s2_t)) = 1, with k the scale
         kernel, the criterion's own scale normalization; when that root
-        cannot be bracketed the scale is kept as fitted.
+        cannot be bracketed the scale is kept as fitted.  A series whose
+        squares overflow proposes no start.
         """
         n, k = y.size, self.presample
         # regress on the rows the criterion scores, whose lags are all observed
@@ -125,7 +126,10 @@ class Dar(ModelSpec):
         w = 1.0 / z.sum(axis=1)  # z's rows are (1, y_{t-1}^2, ..., y_{t-q}^2)
         coef, *_ = np.linalg.lstsq(x * w[:, None], y[k:] * w, rcond=None)
         resid = y[k:] - x @ coef
-        acoef, *_ = np.linalg.lstsq(z * w[:, None], resid * resid * w, rcond=None)
+        lhs, rhs = z * w[:, None], resid * resid * w
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            return []  # a square overflowed (one observation near 1e155 or more)
+        acoef, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
         acoef[0] = max(acoef[0], 1e-3)
         acoef[1:] = np.clip(acoef[1:], 0.0, None)
         u = resid / np.sqrt(z @ acoef)

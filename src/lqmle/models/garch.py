@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonstationaryRegionWarning
-from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _all_pole, _float_path, _floor_sigma2, lagged
+from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Garch"]
 
@@ -84,11 +84,11 @@ class Garch(ModelSpec):
         y = self._check_series(y)
         n, d = y.size, self.dim
         alpha0, alpha, beta = th[0], th[1 : self.p + 1], th[self.p + 1 :]
-        den = self._denominator(beta)
+        band = _band(self._denominator(beta), n)
 
         y2lags = np.column_stack([lagged(y * y, i) for i in range(1, self.p + 1)])
         drive = alpha0 + y2lags @ alpha
-        sigma2_raw = _all_pole(den, drive)
+        sigma2_raw = _all_pole(band, drive)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
@@ -99,7 +99,7 @@ class Garch(ModelSpec):
             v[:, 1 : self.p + 1] = y2lags
             for j in range(1, self.q + 1):
                 v[j:, self.p + j] = sigma2_raw[:-j]
-            dsigma2 = _all_pole(den, v)
+            dsigma2 = _all_pole(band, v)
             out.dsigma2 = dsigma2
         if order >= 2:
 
@@ -107,7 +107,7 @@ class Garch(ModelSpec):
                 # only pairs touching a beta lag feed the recursion: the
                 # drive of d2 sigma2 lags dsigma2 into each beta row and
                 # column, so one backward pass weighs every drive at once
-                u = _adjoint(den, ws)
+                u = _adjoint(band, ws)
                 h = np.zeros((d, d))
                 for j in range(1, self.q + 1):
                     g = u[j:] @ dsigma2[:-j]
@@ -125,7 +125,7 @@ class Garch(ModelSpec):
         scale = float(np.median(y * y))
         if not (np.isfinite(scale) and scale > 0):
             return []
-        return [np.r_[0.6 * scale, self._template_values()[1:]]]
+        return [np.r_[0.6 * scale, self._template[1:]]]
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
         scale = float(np.median(y * y)) / 0.6  # a median square understates the variance

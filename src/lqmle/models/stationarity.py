@@ -56,6 +56,8 @@ def lyapunov_exponent(
         return float(np.log(abs(fixed))), 0.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_SEED)))
     eta = dist.sample(rng, _DRAWS)
-    if isinstance(model, Dar):
-        return _mc_mean(np.log(np.abs(fixed + np.sqrt(alpha1) * eta)))
-    return _mc_mean(np.log(fixed + alpha1 * eta * eta))
+    # a draw that zeroes the coefficient logs to -inf, which _mc_mean refuses
+    with np.errstate(divide="ignore"):
+        if isinstance(model, Dar):
+            return _mc_mean(np.log(np.abs(fixed + np.sqrt(alpha1) * eta)))
+        return _mc_mean(np.log(fixed + alpha1 * eta * eta))

@@ -182,6 +182,61 @@ def test_fit_exits_4_when_every_start_is_non_finite(tmp_path, capsys):
     assert "NonFiniteObjective: criterion was non-finite at every starting point" in capsys.readouterr().err
 
 
+HUGE_FITS = [
+    ("dar", [], (1.0, 0.5, 0.3, 0.5), "lqmle", 4),
+    ("dar", [], (1.0, 0.5, 0.3, 0.5), "gqmle", 4),
+    ("garch", [], (1.0, 0.15, 0.4), "lqmle", 4),
+    ("garch", [], (1.0, 0.15, 0.4), "gqmle", 4),
+    ("arma_garch", ["--no-intercept"], (0.3, 0.2, 0.2, 0.1, 0.3), "lqmle", 4),
+    ("arma_garch", ["--no-intercept"], (0.3, 0.2, 0.2, 0.1, 0.3), "gqmle", 4),
+    ("expar", [], (0.5, -0.4, 1.0), "lqmle", 5),
+    ("expar", [], (0.5, -0.4, 1.0), "gqmle", 4),
+]
+
+
+@pytest.mark.parametrize("model,extra,theta,criterion,rc", HUGE_FITS, ids=[f"{c[0]}-{c[3]}" for c in HUGE_FITS])
+def test_fit_of_one_huge_observation_ends_with_a_documented_code(tmp_path, capfd, model, extra, theta, criterion, rc):
+    # y[100] = 1e155: every fit dies (exit 4) but EXPAR's logistic one,
+    # which stops unconverged (exit 5) with a report whose figures are
+    # finite; no warning (an error here), LAPACK message or traceback
+    data, out = tmp_path / "huge.csv", tmp_path / "fit.json"
+    spec = lqmle.make_model(model, **({"include_intercept": False} if extra else {}))
+    y = lqmle.simulate(spec, np.array(theta), 200, lqmle.logistic(), seed=0, burn=50)
+    y[100] = 1e155
+    lqmle.write_series(data, y)
+    argv = ["fit", "--data", str(data), "--model", model, *extra, "--criterion", criterion, "--out", str(out)]
+    assert main(argv) == rc
+    assert out.exists() == (rc == 5)
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("fit did not converge" if rc == 5 else "error: NonFiniteObjective")
+
+
+def test_repeated_main_calls_match_fresh_processes(dar_csv, tmp_path):
+    # main parses with one parser per process: each call must report what
+    # the same command reports in a fresh interpreter, whatever ran before
+    base = ["--data", str(dar_csv), "--model", "dar", "--order", "1,1"]
+    restrict = ["--restrict", "1,1,1,1=2.3"]
+    commands = [
+        ["test", *base, *restrict],
+        ["test", *base, *restrict, "--restrict", "0,1,0,0=0.5"],
+        ["fit", *base, "--seed", "4"],
+        ["simulate", "--model", "dar", "--theta", "1.0,0.5,0.3,0.5", "--n", "80", "--seed", "3"],
+        ["fit", *base, "--seed", "4"],
+    ]
+    outputs = [tmp_path / f"out{i}" for i in range(len(commands))]
+    fresh = []
+    for argv, out in zip(commands, outputs):
+        proc = _run_module(*argv, "--out", str(out))
+        written = sorted(tmp_path.glob(f"{out.name}*"))
+        fresh.append((proc.returncode, {p.name: p.read_bytes() for p in written}))
+        for p in written:
+            p.unlink()
+    for (rc, files), argv, out in zip(fresh, commands, outputs):
+        assert main([*argv, "--out", str(out)]) == rc == 0
+        assert {p.name: p.read_bytes() for p in sorted(tmp_path.glob(f"{out.name}*"))} == files
+
+
 def test_fit_residuals_output(dar_csv, tmp_path):
     out = tmp_path / "fit.json"
     resid = tmp_path / "resid.csv"
@@ -895,6 +950,12 @@ SCENARIO = (
         (SCENARIO + "    dist: logistic\n    burn: 1.5\n", 3, "scenario 0: burn must be an integer, got 1.5"),
         (SCENARIO.replace("seed: 5", "seed: 5.5") + "    dist: logistic\n", 3, "scenario 0: seed must be an integer, got 5.5"),
         (SCENARIO.replace("reps: 2", "reps: 2.0") + "    dist: logistic\n", 0, ""),
+        (SCENARIO, 3, "scenario 0: missing required key(s) 'dist'\n"),
+        (
+            "scenarios:\n  - model: dar\n    reps: 2\n",
+            3,
+            "scenario 0: missing required key(s) 'dist', 'theta0', 'nobs'\n",
+        ),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
@@ -904,7 +965,8 @@ SCENARIO = (
          "short-restriction-row", "rank-deficient-restriction",
          "nan-restriction-value", "unknown-model-key", "order-as-model-keys", "model-list",
          "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios", "negative-seed",
-         "fractional-reps", "boolean-nobs", "fractional-burn", "fractional-seed", "integral-float-reps"],
+         "fractional-reps", "boolean-nobs", "fractional-burn", "fractional-seed", "integral-float-reps",
+         "missing-dist", "missing-three-keys"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"

@@ -81,3 +81,41 @@ def test_negative_column_index_rejected(tmp_path, header):
     for column in (-1, -5):
         with pytest.raises(DataFormatError, match=f"column index must be zero or more, got {column}"):
             read_series(p, column=column, header=header)
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    # spreadsheet tools, Excel among them, may start a UTF-8 file with one
+    plain = tmp_path / "bom.csv"
+    plain.write_text("1.52\n-0.3\n", encoding="utf-8-sig")
+    np.testing.assert_array_equal(read_series(plain), [1.52, -0.3])
+    named = tmp_path / "bom-named.csv"
+    named.write_text("ret,vol\n0.5,1.2\n", encoding="utf-8-sig")
+    np.testing.assert_array_equal(read_series(named, column="ret", header=True), [0.5])
+
+
+@pytest.mark.parametrize(
+    "text,header,want",
+    [
+        ("1.5,2\n3,4\n", False, [2.0, 4.0]),
+        ('"1.5","2"\n3,"4"\n', False, [2.0, 4.0]),
+        ("1.5,2\n,,\n   \n3,4\n", False, [2.0, 4.0]),
+        ("a,b\r\n1.5,2\r\n3,4\r\n", True, [2.0, 4.0]),
+        ("a,b\r1.5,2\r3,4\r", True, [2.0, 4.0]),
+        ('"a\nb",c\n1.5,2\n', True, [2.0]),
+    ],
+    ids=["plain", "quoted", "blank-cells", "crlf", "cr", "quoted-newline-header"],
+)
+def test_csv_files_read_in_one_pass_or_row_by_row_alike(tmp_path, text, header, want):
+    # the one-pass read refuses quotes, blank cells and bare CR line ends;
+    # those files are read as csv rows and must give the same column
+    p = tmp_path / "s.csv"
+    with p.open("w", newline="") as fh:
+        fh.write(text)
+    np.testing.assert_array_equal(read_series(p, column=1, header=header), want)
+
+
+def test_bad_value_after_a_header_keeps_its_line_number(tmp_path):
+    p = tmp_path / "h.csv"
+    p.write_text("value\n1.0\n\n2.0,x\nbad\n")
+    with pytest.raises(DataFormatError, match=r"h\.csv:5: non-numeric value 'bad'"):
+        read_series(p, header=True)

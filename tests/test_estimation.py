@@ -18,6 +18,7 @@ from lqmle import estimation
 from lqmle.distributions import logistic, student_t
 from lqmle.errors import (
     InfeasibleConstraint,
+    LqmleError,
     NonFiniteObjective,
     NonstationaryRegionWarning,
     NotScaleOnly,
@@ -636,7 +637,7 @@ def test_earlier_start_wins_a_tie(monkeypatch):
             return res
 
         monkeypatch.setattr(estimation, "_newton", recording)
-        starts = [model._template_values(), first.theta.array]
+        starts = [model._template, first.theta.array]
         got = estimation._fit(model, y, FitOptions(), lambda yv: starts)
         assert len(calls) == 2
         assert got.loglik == calls[winner][1].loglik
@@ -895,3 +896,30 @@ def test_newton_stops_unconverged_when_backtracking_runs_out(monkeypatch):
     tail = len(orders) - 1 - orders[::-1].index(2)
     assert orders[tail + 1 :] == [0] * 46
     assert len(res.trace) == res.iterations
+
+
+HUGE_CASES = [
+    ("dar", dict(p=1, q=1), (1.0, 0.5, 0.3, 0.5)),
+    ("garch", dict(p=1, q=1), (1.0, 0.15, 0.4)),
+    ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3)),
+    ("expar", dict(p=1), (0.5, -0.4, 1.0)),
+]
+
+
+@pytest.mark.parametrize("criterion", ["logistic", "gaussian"])
+@pytest.mark.parametrize("big", [1e155, 1e200])
+@pytest.mark.parametrize("name,kw,theta", HUGE_CASES, ids=[c[0] for c in HUGE_CASES])
+def test_one_huge_observation_fits_or_raises_a_typed_error(capfd, name, kw, theta, big, criterion):
+    # its square overflows: DAR's start regression must drop out rather
+    # than reach LAPACK (which printed to stdout), and EXPAR's information
+    # pair must overflow quietly; any warning fails the test
+    model = make_model(name, **kw)
+    y = simulate(model, np.array(theta), 200, logistic(), seed=0, burn=50)
+    y[100] = big
+    try:
+        res = fit(model, y, FitOptions(criterion=criterion))
+    except LqmleError:
+        pass
+    else:
+        assert np.isfinite(res.loglik)
+    assert capfd.readouterr().out == ""

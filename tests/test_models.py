@@ -5,6 +5,7 @@ recursions before being pinned here.
 """
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from lqmle.errors import NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
-from lqmle.models.base import FilterOutput, _adjoint, _all_pole, _floor_sigma2
+from lqmle.models.base import FilterOutput, _adjoint, _all_pole, _band, _floor_sigma2
 from lqmle.models.stationarity import lyapunov_exponent
 
 Y3 = np.array([1.0, 2.0, 3.0])
@@ -332,6 +333,9 @@ def test_lyapunov_rejects_degenerate_recursion():
     m = make_model("dar", p=1, q=1)
     with pytest.raises(ValueError):
         lyapunov_exponent(m, np.array([0.0, 0.0, 1.0, 0.0]), logistic())
+    # a draw of 0 with ar1 = 0 logs to -inf: refused, without a warning
+    with pytest.raises(ValueError, match="not finite"):
+        lyapunov_exponent(m, np.array([0.0, 0.0, 1.0, 0.5]), empirical([0.0, 1.0]))
 
 
 def test_lyapunov_rejects_unsupported_orders():
@@ -404,10 +408,35 @@ def test_parameter_tables_match_golden(name, kw, rows):
     assert m.param_names == names
     assert m.dim == len(rows)
     got_lo, got_hi = m.default_bounds()
-    for got, want in [(got_lo, lo), (got_hi, hi), (m._template_values(), template)]:
+    for got, want in [(got_lo, lo), (got_hi, hi), (m._template, template)]:
         assert got.dtype == np.float64
         assert got.tobytes() == np.array(want).tobytes()
     assert [tuple(row) for row in m.param_table] == rows
+
+
+@pytest.mark.parametrize(
+    "name,kw",
+    [("dar", dict(p=1, q=1)), ("dar", dict(p=0, q=2)), ("dar", dict(p=3, q=1)),
+     ("garch", dict(p=1, q=1)), ("garch", dict(p=2, q=0)), ("garch", dict(p=1, q=3)),
+     ("arma_garch", {}), ("arma_garch", dict(include_intercept=False)),
+     ("expar", dict(p=1)), ("expar", dict(p=2))],
+)
+def test_table_constants_are_cached_read_only_and_pickle(name, kw):
+    # names, dim, bounds and template are derived once per instance; the
+    # arrays are shared by every caller, so writing to them must raise,
+    # also in a copy sent to a pool worker
+    m = make_model(name, **kw)
+    names, lo, hi, template = zip(*m.param_table)
+    m.default_bounds()
+    for model in (m, pickle.loads(pickle.dumps(m))):
+        assert model == m
+        assert model.param_names == names and model.dim == len(names)
+        assert model.default_bounds() is model.default_bounds()
+        got_lo, got_hi = model.default_bounds()
+        for got, want in [(got_lo, lo), (got_hi, hi), (model._template, template)]:
+            assert got.tobytes() == np.array(want, dtype=float).tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                got[0] = 0.0
 
 
 def test_start_values_land_inside_bounds(monkeypatch):
@@ -604,11 +633,11 @@ def _arma_garch_order2_oracle(m, y, th):
     # test_all_pole_matches_lfilter checks against scipy's filter
     n, d, mm = y.size, m.dim, m._nmean
     const, ar1, ma1, alpha0, alpha1, beta1 = m._unpack(th)
-    ma_den, gj_den = np.array([1.0, ma1]), np.array([1.0, -beta1])
+    ma_band, gj_band = _band(np.array([1.0, ma1]), n), _band(np.array([1.0, -beta1]), n)
     ylag = lagged(y, 1)
-    e = _all_pole(ma_den, y - const - ar1 * ylag)
+    e = _all_pole(ma_band, y - const - ar1 * ylag)
     elag = lagged(e, 1)
-    sigma2_raw = _all_pole(gj_den, alpha0 + alpha1 * elag * elag)
+    sigma2_raw = _all_pole(gj_band, alpha0 + alpha1 * elag * elag)
     sigma2, sigma = _floor_sigma2(sigma2_raw)
     de = np.zeros((n, d))
     de_drives = np.empty((n, mm))
@@ -618,19 +647,19 @@ def _arma_garch_order2_oracle(m, y, th):
         col += 1
     de_drives[:, col] = -ylag
     de_drives[:, col + 1] = -elag
-    de[:, :mm] = _all_pole(ma_den, de_drives)
+    de[:, :mm] = _all_pole(ma_band, de_drives)
     delag = lagged(de, 1)
     ds_drives = np.zeros((n, d))
     ds_drives[:, :mm] = 2.0 * alpha1 * elag[:, None] * delag[:, :mm]
     ds_drives[:, mm] = 1.0
     ds_drives[:, mm + 1] = elag * elag
     ds_drives[:, mm + 2] = lagged(sigma2_raw, 1)
-    dsigma2 = _all_pole(gj_den, ds_drives)
+    dsigma2 = _all_pole(gj_band, ds_drives)
     i_ma = mm - 1
     d2e = np.zeros((n, d, d))
     d2e_drives = -delag[:, :mm].copy()
     d2e_drives[:, i_ma] *= 2.0
-    block = _all_pole(ma_den, d2e_drives)
+    block = _all_pole(ma_band, d2e_drives)
     d2e[:, i_ma, :mm] = block
     d2e[:, :mm, i_ma] = block
     i_a1, i_b1 = mm + 1, mm + 2
@@ -644,7 +673,7 @@ def _arma_garch_order2_oracle(m, y, th):
     w[:, :, i_b1] += ds2lag
     w[:, i_b1, i_b1] += ds2lag[:, i_b1]
     k, l = zip(*[(k, l) for k in range(d) for l in range(k, d)])
-    filtered = _all_pole(gj_den, w[:, k, l])
+    filtered = _all_pole(gj_band, w[:, k, l])
     d2sigma2 = np.empty((n, d, d))
     d2sigma2[:, k, l] = filtered
     d2sigma2[:, l, k] = filtered
@@ -700,10 +729,10 @@ def test_all_pole_matches_lfilter(den, n, cols):
         ("N", lfilter([1.0], den, x, axis=0)),
         ("T", lfilter([1.0], den, x[::-1], axis=0)[::-1]),
     ]:
-        got = _all_pole(den, x, trans=trans)
+        got = _all_pole(_band(den, n), x, trans=trans)
         assert got.shape == x.shape and got.flags.f_contiguous
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
     w = rng.standard_normal(n)
     for v in x.reshape(n, -1).T:
-        lv = _all_pole(den, v)
-        assert abs(w @ lv - _adjoint(den, w) @ v) <= 1e-12 * (np.abs(w) @ np.abs(lv))
+        lv = _all_pole(_band(den, n), v)
+        assert abs(w @ lv - _adjoint(_band(den, n), w) @ v) <= 1e-12 * (np.abs(w) @ np.abs(lv))

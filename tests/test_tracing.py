@@ -6,6 +6,7 @@ refactor that renames or drops one of them breaks ``bench/run.py
 """
 
 import importlib
+import json
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 import lqmle
 import lqmle.cli  # the tracer wraps cli.main
 from lqmle.dataio import write_series
-from lqmle.distributions import logistic
+from lqmle.distributions import logistic, student_t
 from lqmle.models import make_model
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -111,3 +112,32 @@ def test_bench_tracer_sees_the_restricted_fit_of_lqmle_test(monkeypatch, tmp_pat
     assert len(cfits) == 1 and cfits[0].parent.name == "cli.main"
     assert any(c.name.startswith("estimation.evaluate.") for c in cfits[0].children)
     assert tracing.layer_metrics(tracer.spans)["estimation.fit_constrained.evaluate_calls"] > 0
+
+
+def test_bench_tracer_yields_every_declared_per_layer_metric(monkeypatch, tmp_path):
+    # fit-zoo's traced run: lqmle fit in process on a DAR and an ARMA-GARCH
+    # series must reach every layer BENCHMARK.json declares, so a refactor
+    # that stops calling a traced name fails here, not only under --trace 1
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracing = importlib.import_module("tracing")
+    declared = json.loads((BENCH.parent / "BENCHMARK.json").read_text())["per_layer"]
+    analyses = [
+        ("dar", make_model("dar", p=1, q=1), [1.0, 0.5, 0.3, 0.5], []),
+        ("arma_garch", make_model("arma_garch", include_intercept=False), [0.3, 0.2, 0.2, 0.1, 0.3], ["--no-intercept"]),
+    ]
+    argvs = []
+    for name, model, theta, extra in analyses:
+        data = tmp_path / f"{name}.csv"
+        # t2 innovations, as in half of fit-zoo's cells: this DAR fit backtracks once,
+        # so it makes an order-0 filter call
+        write_series(data, lqmle.simulate(model, np.array(theta), 400, student_t(2.0), seed=3, burn=100))
+        argvs.append(["fit", "--data", str(data), "--model", name, *extra, "--seed", "11", "--out", str(tmp_path / f"{name}.json")])
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        codes = [lqmle.cli.main(argv) for argv in argvs]
+    finally:
+        tracer.uninstall()
+    assert codes == [0, 0]
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert [m["name"] for m in declared if metrics.get(m["name"]) is None] == []
