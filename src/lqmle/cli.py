@@ -26,7 +26,7 @@ from types import SimpleNamespace
 import numpy as np
 import yaml
 
-from . import kernel
+from . import __version__, kernel
 from .dataio import read_series, write_series
 from .diagnostics import hill_sweep, residual_diagnostics
 from .distributions import InnovationDist, empirical
@@ -41,7 +41,7 @@ from .estimation import FitOptions, _check_restriction, evaluate, fit, fit_const
 from .inference import deviance, lm_test, t_test, wald_test
 from .models import MODEL_REGISTRY, ModelSpec, make_model, simulate
 from .montecarlo import _CRITERION, Scenario, run_scenario
-from .reports import dump_json, make_manifest, render_document, sha256_file
+from .reports import dump_json, render_document, sha256_file
 
 __all__ = ["main"]
 
@@ -134,7 +134,7 @@ def _add_fit_args(p: argparse.ArgumentParser) -> None:
         "candidates; a restricted fit runs only its first start, the unrestricted "
         "estimate projected onto the restriction",
     )
-    p.add_argument("--max-iter", type=_int_at_least(1), default=500)
+    p.add_argument("--max-iter", type=_int_at_least(1), default=FitOptions.max_iter)
     p.add_argument(
         "--seed",
         type=_int_at_least(0),
@@ -247,16 +247,27 @@ def _model_block(model) -> dict:
     return {"name": model.name, "param_names": list(model.param_names)}
 
 
-# Parsed arguments a manifest leaves out: the subcommand's handler and
-# name, the report path, inputs recorded by their digest, the seed
-# (recorded apart) and the worker count, which must not change a byte.
 _UNRECORDED = ("func", "command", "out", "data", "config", "dist_data", "seed", "workers")
 
 
 def _manifest(args, input_path, seed) -> dict:
-    """The manifest of a run: every parsed option but the unrecorded ones."""
-    options = {key: value for key, value in vars(args).items() if key not in _UNRECORDED}
-    return make_manifest(args.command, options, input_path=input_path, seed=seed)
+    """The manifest every result document embeds.
+
+    It holds the tool, version and command, the resolved options, the
+    input file's sha256 and the seed.  The options leave out the
+    ``_UNRECORDED`` arguments: the handler and command name, the report
+    path (where the bytes go, not what they hold), input files (the
+    digest records them by content), the seed (its own entry) and the mc
+    worker count, which must not change a byte.
+    """
+    return {
+        "tool": "lqmle",
+        "version": __version__,
+        "command": args.command,
+        "options": {key: value for key, value in vars(args).items() if key not in _UNRECORDED},
+        "input_sha256": sha256_file(input_path) if input_path else None,
+        "seed": seed,
+    }
 
 
 def _read_data(args) -> np.ndarray:

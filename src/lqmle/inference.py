@@ -69,7 +69,9 @@ def _solve_quadform(mat: np.ndarray, vec: np.ndarray, what: str) -> float:
 
 
 def wald_test(fit: FitResult, R, r) -> TestResult:
-    """Wald statistic n (R theta - r)' [R A^-1 B A^-1 R']^-1 (R theta - r)."""
+    """Wald statistic n (R theta - r)' [R A^-1 B A^-1 R']^-1 (R theta - r) of an unrestricted fit."""
+    if fit.multiplier is not None:
+        raise ValueError("wald_test needs an unrestricted fit (fit), got a restricted one")
     R, r = _check_restriction(R, r, fit.theta.dim)
     cov = fit.cov
     if cov is None:
@@ -89,6 +91,8 @@ def lm_test(cfit: FitResult, R, r) -> TestResult:
     M = R A^-1 B A^-1 R'.  ``r`` is only checked against R; the
     statistic itself depends on the constrained fit and R alone.
     """
+    if cfit.multiplier is None:
+        raise ValueError("lm_test needs a restricted fit (fit_constrained), got an unrestricted one")
     R, r = _check_restriction(R, r, cfit.theta.dim)
     a = _positive_definite(cfit.info_hessian, "information matrix")
     ainv_rt = np.linalg.solve(a, R.T)

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..errors import InvertibilityError
 from .base import FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _float_path, _floor_sigma2, lagged
-from .garch import _garch_candidates
+from .garch import _MEDIAN_SQUARE_FACTOR, _garch_candidates
 
 __all__ = ["ArmaGarch"]
 
@@ -159,12 +159,12 @@ class ArmaGarch(ModelSpec):
 
     def start_values(self, y) -> list[np.ndarray]:
         coef, s = self._mean_start(y)
-        return [np.r_[coef, 0.0, 0.6 * s, 0.1, 0.3]]
+        return [np.r_[coef, 0.0, _MEDIAN_SQUARE_FACTOR * s, self._template[-2:]]]
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
         """The GARCH(1,1) candidates on the mean part of the data start."""
         coef, s = self._mean_start(y)
-        return [[np.r_[coef, 0.0, c] for c in group] for group in _garch_candidates(s / 0.6, 1, 1)]
+        return [[np.r_[coef, 0.0, c] for c in group] for group in _garch_candidates(s / _MEDIAN_SQUARE_FACTOR, 1, 1)]
 
 
 def _arma_garch_loop(eta, y, sqrt, th):

@@ -26,7 +26,8 @@ row per parameter), ``filter`` and ``path``, and where needed
 dimension, bounds and the template start all derive from the table.
 The start methods propose raw points, possibly outside the box, for a
 series the fit has accepted; the fit adds the template start and clips
-every point into the box (``estimation``).
+every point into the box (``estimation``).  Every seeded path, for
+``simulate`` or ``population_information``, runs in ``_seeded_path``.
 """
 
 from __future__ import annotations
@@ -277,6 +278,15 @@ def _require_finite(bad: np.ndarray, offset: int, what: str) -> None:
         raise NonFiniteObjective(f"{what} is not finite from observation {t} on")
 
 
+def _seeded_path(model: ModelSpec, theta, nobs: int, dist: InnovationDist, seed, burn: int):
+    """(eta, y): nobs + burn draws from Philox(seed) and their path, which each caller checks."""
+    if nobs < 1 or burn < 0:
+        raise ShapeMismatch(f"need nobs >= 1 and burn >= 0, got nobs={nobs}, burn={burn}")
+    eta = dist.sample(np.random.Generator(np.random.Philox(seed)), nobs + burn)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return eta, model.path(theta, eta)
+
+
 def simulate(
     model: ModelSpec,
     theta,
@@ -289,15 +299,11 @@ def simulate(
 
     The nobs + burn innovations are drawn i.i.d. from ``dist`` by a
     Philox generator seeded with ``seed``: an int, a SeedSequence (a
-    spawned child, say) or None for fresh entropy.  ``model.path`` runs
-    them from the zero state; the first ``burn`` observations are
-    discarded.  A kept observation that is not finite (theta explosive
-    under this law) raises NonFiniteObjective naming the first one.
+    spawned child, say) or None for fresh entropy.  ``_seeded_path``
+    runs them from the zero state and refuses nobs < 1 or burn < 0; the
+    first ``burn`` observations are discarded.  A kept observation that
+    is not finite (theta explosive) raises NonFiniteObjective naming it.
     """
-    if nobs < 1 or burn < 0:
-        raise ShapeMismatch(f"need nobs >= 1 and burn >= 0, got nobs={nobs}, burn={burn}")
-    eta = dist.sample(np.random.Generator(np.random.Philox(seed)), nobs + burn)
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = model.path(theta, eta)[burn:]
+    y = _seeded_path(model, theta, nobs, dist, seed, burn)[1][burn:]
     _require_finite(~np.isfinite(y), 0, "simulated series")
     return y

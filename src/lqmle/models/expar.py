@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..kernel import logistic_logpdf, logistic_psi
-from .base import FilterOutput, ModelSpec, lagged
+from .base import FilterOutput, ModelSpec, _float_path, lagged
 
 __all__ = ["Expar"]
 
@@ -52,7 +53,7 @@ class Expar(ModelSpec):
         n, d, p = y.size, self.dim, self.p
         ar, nl, decay = th[:p], th[p : 2 * p], th[2 * p]
 
-        ylags = np.column_stack([lagged(y, i) for i in range(1, p + 1)])
+        ylags = self._lags(y)
         y1sq = ylags[:, 0] ** 2
         env = np.exp(-decay * y1sq)
         nl_sum = ylags @ nl
@@ -81,20 +82,7 @@ class Expar(ModelSpec):
         return out
 
     def path(self, theta, innovations) -> np.ndarray:
-        th = self._check_theta(theta)
-        eta = np.asarray(innovations, dtype=float).ravel()
-        p = self.p
-        ar, nl, decay = th[:p], th[p : 2 * p], th[2 * p]
-        n = eta.size
-        y = np.zeros(n)
-        for t in range(n):
-            g = 0.0
-            env = np.exp(-decay * y[t - 1] ** 2) if t >= 1 else 1.0
-            for i in range(1, p + 1):
-                if t - i >= 0:
-                    g += (ar[i - 1] + nl[i - 1] * env) * y[t - i]
-            y[t] = g + eta[t]
-        return y
+        return _float_path(_expar_loop, self._check_theta(theta), innovations, self.p)
 
     def _lags(self, y: np.ndarray) -> np.ndarray:
         """Columns y_{t-1}, ..., y_{t-p}."""
@@ -152,3 +140,17 @@ class Expar(ModelSpec):
         peaks = (profile > padded[:-2]) & (profile >= padded[2:])  # one per plateau
         group = [np.r_[c, decay] for c, decay in zip(coef[peaks], _DECAYS[peaks])]
         return [group] if group else []
+
+
+def _expar_loop(eta, y, sqrt, th, p):
+    ar, nl, decay = th[:p], th[p : 2 * p], th[2 * p]
+    zero = sqrt(0.0)  # a float, or a numpy scalar on the rerun: every lag takes its type
+    lags = deque(maxlen=p)  # newest lag first; zip stops at the lags that exist so far
+    for t, e in enumerate(eta):
+        g = zero
+        if lags:
+            env = float(np.exp(-decay * lags[0] ** 2))  # not math.exp: its last bit can differ
+            for a, b, v in zip(ar, nl, lags):
+                g += (a + b * env) * v
+        y[t] = v = g + e
+        lags.appendleft(v)

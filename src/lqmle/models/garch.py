@@ -17,6 +17,7 @@ __all__ = ["Garch"]
 # high-persistence candidate
 _ARCH_ALPHAS = (0.05, 0.2, 0.4, 0.7)
 _PERSISTENT = (0.05, 0.9)
+_MEDIAN_SQUARE_FACTOR = 0.6  # a median square understates the variance; starts scale it by this
 
 
 def _garch_candidates(scale: float, p: int, q: int) -> list[list[np.ndarray]]:
@@ -125,10 +126,10 @@ class Garch(ModelSpec):
         scale = float(np.median(y * y))
         if not (np.isfinite(scale) and scale > 0):
             return []
-        return [np.r_[0.6 * scale, self._template[1:]]]
+        return [np.r_[_MEDIAN_SQUARE_FACTOR * scale, self._template[1:]]]
 
     def start_candidates(self, y) -> list[list[np.ndarray]]:
-        scale = float(np.median(y * y)) / 0.6  # a median square understates the variance
+        scale = float(np.median(y * y)) / _MEDIAN_SQUARE_FACTOR
         return _garch_candidates(scale, self.p, self.q)
 
 

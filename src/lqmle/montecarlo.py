@@ -21,7 +21,7 @@ from .distributions import InnovationDist
 from .errors import ExcessiveFailures, LqmleError
 from .estimation import FitOptions, KernelMoments, _check_restriction, _kernel_sums, fit, fit_constrained, sandwich_cov
 from .inference import lm_test, wald_test
-from .models.base import ModelSpec, _require_finite, simulate
+from .models.base import ModelSpec, _require_finite, _seeded_path, simulate
 from .reports import fields_dict
 
 __all__ = [
@@ -285,16 +285,17 @@ def normality_sample(
             f"normality_sample needs an lqmle scenario, got {scenario.estimator!r}: "
             "population_information gives the logistic (A, B) only"
         )
-    summary = run_scenario(scenario, workers=workers, keep_records=True)
     truth = scenario.dgp_theta
+    # the long path first: a bad info_nobs fails before any replication runs
+    a0, b0 = population_information(
+        scenario.model, truth, scenario.dist, nobs=info_nobs, burn=min(1_000, info_nobs // 10)
+    )
+    summary = run_scenario(scenario, workers=workers, keep_records=True)
     rows = [
         np.sqrt(scenario.nobs) * (np.asarray(rec.theta_hat) - truth)
         for rec in summary.records
         if rec.ok
     ]
-    a0, b0 = population_information(
-        scenario.model, truth, scenario.dist, nobs=info_nobs, burn=min(1_000, info_nobs // 10)
-    )
     limit_cov = sandwich_cov(a0, b0, 1)
     return np.asarray(rows), np.sqrt(np.diag(limit_cov))
 
@@ -309,7 +310,8 @@ def population_information(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Monte Carlo estimates of the limiting information pair (A, B).
 
-    Simulates one long path at theta0, discards a burn-in so the filter
+    Simulates one long path at theta0 by ``simulate``'s routine
+    (``models.base._seeded_path``), discards a burn-in so the filter
     forgets its zero start, and combines the structural expectations
     E[dsigma2 dsigma2' / (4 sigma^4)] and E[dmean dmean' / sigma^2]
     with the innovation moments of the logistic weights.  The same
@@ -319,17 +321,15 @@ def population_information(
     memory is set by the block and not by nobs.  Each block is filtered
     from a zero start ``burn`` observations before its first row, which
     it then drops: the same forgetting the burn-in relies on.  With
-    nobs <= _BLOCK there is one block, the whole path.  A path or a
-    filter that is not finite (theta0 explosive under this law) raises
-    NonFiniteObjective.
+    nobs <= _BLOCK there is one block, the whole path.  nobs < 1 or
+    burn < 0 raises ShapeMismatch; a path or a filter that is not finite
+    (theta0 explosive under this law) raises NonFiniteObjective.
     """
     th = np.asarray(theta0, dtype=float)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    eta = dist.sample(rng, nobs + burn)
+    eta, y = _seeded_path(model, th, nobs, dist, seed, burn)
+    _require_finite(~np.isfinite(y), 0, "population path at theta0")
     ms = mg = sums = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        y = model.path(th, eta)
-        _require_finite(~np.isfinite(y), 0, "population path at theta0")
         for start in range(burn, nobs + burn, _BLOCK):
             stop = min(start + _BLOCK, nobs + burn)
             out = model.filter(y[start - burn : stop], th, order=1)

@@ -1,15 +1,8 @@
-"""Report documents: manifests, deterministic JSON, and text rendering.
+"""Report documents: deterministic JSON and text rendering.
 
-Every command that produces a result document embeds a manifest with
-the command name, its fully resolved options, a content digest of the
-input file, the seed, and the package version.  The options are every
-parsed argument except: the report path, which names where the bytes
-go and not what they hold; input files (the series, the mc config, the
-empirical draws), which the digest records by content; the seed, which
-has its own entry; and the mc worker count, which must not change a
-byte.  Documents contain no wall-clock information, so re-running the
-same manifest reproduces the bytes exactly; timing goes to stderr
-instead.
+Documents contain no wall-clock information, so re-running the same
+manifest (``cli._manifest``) reproduces the bytes exactly; timing goes
+to stderr instead.
 """
 
 from __future__ import annotations
@@ -23,13 +16,9 @@ from pathlib import Path
 __all__ = [
     "fields_dict",
     "sha256_file",
-    "make_manifest",
     "dump_json",
     "render_document",
 ]
-
-TOOL_NAME = "lqmle"
-
 
 def sha256_file(path) -> str:
     digest = hashlib.sha256()
@@ -37,19 +26,6 @@ def sha256_file(path) -> str:
         for block in iter(lambda: fh.read(1 << 16), b""):
             digest.update(block)
     return digest.hexdigest()
-
-
-def make_manifest(command: str, options: dict, input_path=None, seed=None) -> dict:
-    from . import __version__
-
-    return {
-        "tool": TOOL_NAME,
-        "version": __version__,
-        "command": command,
-        "options": dict(options),
-        "input_sha256": sha256_file(input_path) if input_path else None,
-        "seed": seed,
-    }
 
 
 def fields_dict(obj, skip=()) -> dict:
@@ -96,6 +72,16 @@ def _render_estimates(rows) -> list[str]:
     return lines
 
 
+def _tail_lines(diag: dict) -> list[str]:
+    """The Lyapunov and Hill lines of a diagnostics block, each where it has a value."""
+    lines = []
+    if diag.get("lyapunov") is not None:
+        lines.append(f"lyapunov: {diag['lyapunov']:.4f} (se {diag['lyapunov_se']:.4f})")
+    if diag.get("hill") is not None:
+        lines.append(f"hill index: {diag['hill']:.4f} (k={diag['hill_k']})")
+    return lines
+
+
 def _render_fit(doc: dict) -> str:
     lines = [f"model: {doc['model']['name']}  nobs: {doc['nobs']}  criterion: {doc['criterion']}"]
     lines += _render_estimates(doc["estimates"])
@@ -106,10 +92,7 @@ def _render_fit(doc: dict) -> str:
         f"   scale floor hits: {conv['clamp_count']}"
     )
     diag = doc.get("diagnostics") or {}
-    if diag.get("lyapunov") is not None:
-        lines.append(f"lyapunov: {diag['lyapunov']:.4f} (se {diag['lyapunov_se']:.4f})")
-    if diag.get("hill") is not None:
-        lines.append(f"hill index: {diag['hill']:.4f} (k={diag['hill_k']})")
+    lines += _tail_lines(diag)
     res = diag.get("residual_summary")
     if res:
         lines.append(
@@ -165,16 +148,11 @@ def _render_test(doc: dict) -> str:
 
 
 def _render_calibrate(doc: dict) -> str:
-    if "index" in doc:
-        return (
-            f"family: {doc['family']}\ncalibrated tail index: {doc['index']:.6f}\n"
-            f"kernel expectation at index: {doc['expectation']:.10f}\n"
-            f"|psi - 1|: {doc['psi_error']:.2e}"
-        )
+    key, label = ("index", "tail index") if "index" in doc else ("scale", "scale")
     nu = f" (nu {doc['nu']:g})" if doc.get("nu") is not None else ""
     return (
-        f"family: {doc['family']}{nu}\ncalibrated scale: {doc['scale']:.6f}\n"
-        f"kernel expectation at scale: {doc['expectation']:.10f}\n"
+        f"family: {doc['family']}{nu}\ncalibrated {label}: {doc[key]:.6f}\n"
+        f"kernel expectation at {key}: {doc['expectation']:.10f}\n"
         f"|psi - 1|: {doc['psi_error']:.2e}"
     )
 
@@ -197,10 +175,7 @@ def _render_diagnose(doc: dict) -> str:
     lines.append(f"residual kernel mean: {res['kernel_mean']:.4f} (se {res['kernel_mean_se']:.4f})")
     q = res["quartiles"]
     lines.append(f"residual quartiles: {' '.join(f'{v:.3f}' for v in q)}")
-    if diag.get("lyapunov") is not None:
-        lines.append(f"lyapunov: {diag['lyapunov']:.4f} (se {diag['lyapunov_se']:.4f})")
-    if diag.get("hill") is not None:
-        lines.append(f"hill index: {diag['hill']:.4f} (k={diag['hill_k']})")
+    lines += _tail_lines(diag)
     sweep = diag.get("hill_sweep") or []
     if sweep:
         lines.append("hill sweep: " + "  ".join(

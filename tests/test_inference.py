@@ -133,6 +133,22 @@ def test_lm_statistic_nonnegative(dar_fit):
     assert t.df == 1
 
 
+def test_wald_refuses_a_restricted_fit(dar_fit):
+    # a restricted fit meets R theta = r: its Wald statistic would read 0, p 1
+    model, y, res = dar_fit
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    cfit = fit_constrained(model, y, R, r, theta_hat=res.theta)
+    with pytest.raises(ValueError, match="wald_test needs an unrestricted fit"):
+        wald_test(cfit, R, r)
+
+
+def test_lm_refuses_an_unrestricted_fit(dar_fit):
+    # an unrestricted fit carries no multiplier to test
+    _, _, res = dar_fit
+    with pytest.raises(ValueError, match="lm_test needs a restricted fit"):
+        lm_test(res, np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3]))
+
+
 def test_lm_small_at_binding_optimum(dar_fit):
     # binding theta to the free optimum leaves a numerically zero
     # multiplier, so the LM statistic must collapse as well

@@ -4,14 +4,17 @@ The frozen triples were recomputed by hand from the zero-initialized
 recursions before being pinned here.
 """
 
+import ast
 import dataclasses
 import pickle
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.signal import lfilter
 
+import lqmle
 from lqmle import estimation
 from lqmle.distributions import empirical, logistic, normal
 from lqmle.errors import NonFiniteObjective, ShapeMismatch
@@ -572,7 +575,26 @@ def _arma_garch_oracle(m, th, eta):
     return y
 
 
-PATH_ORACLES = {"dar": _dar_oracle, "garch": _garch_oracle, "arma_garch": _arma_garch_oracle}
+def _expar_oracle(m, th, eta):
+    p = m.p
+    ar, nl, decay = th[:p], th[p : 2 * p], th[2 * p]
+    y = np.zeros(eta.size)
+    for t in range(eta.size):
+        g = 0.0
+        env = np.exp(-decay * y[t - 1] ** 2) if t >= 1 else 1.0
+        for i in range(1, p + 1):
+            if t - i >= 0:
+                g += (ar[i - 1] + nl[i - 1] * env) * y[t - i]
+        y[t] = g + eta[t]
+    return y
+
+
+PATH_ORACLES = {
+    "dar": _dar_oracle,
+    "garch": _garch_oracle,
+    "arma_garch": _arma_garch_oracle,
+    "expar": _expar_oracle,
+}
 PATH_CASES = [
     ("dar", dict(p=1, q=1), [1.0, 0.5, 0.3, 0.5]),
     ("dar", dict(p=2, q=2), [0.1, 0.3, -0.2, 0.3, 0.2, 0.1]),
@@ -580,6 +602,8 @@ PATH_CASES = [
     ("garch", dict(p=1, q=2), [1.0, 0.15, 0.2, 0.2]),
     ("arma_garch", dict(), [0.1, 0.3, 0.2, 0.2, 0.1, 0.3]),
     ("arma_garch", dict(include_intercept=False), [0.3, 0.2, 0.2, 0.1, 0.3]),
+    ("expar", dict(p=1), [0.3, 0.4, 1.0]),
+    ("expar", dict(p=2), [0.3, -0.2, 0.4, 0.1, 1.0]),
 ]
 PATH_IDS = [f"{name}{''.join(str(v) for v in kw.values())}" for name, kw, _ in PATH_CASES]
 
@@ -614,6 +638,30 @@ def test_path_matches_oracle_where_floats_raise(name, kw, theta):
     got, want = m.path(th, eta), PATH_ORACLES[name](m, th, eta)
     assert not np.all(np.isfinite(want))
     assert np.array_equal(got, want, equal_nan=True)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_expar_path_matches_oracle_where_float_squares_overflow():
+    # lags near 1e160: a float ** 2 raises and the loop reruns on numpy
+    # scalars; the envelope vanishes, so the path itself stays finite
+    m = make_model("expar", p=2)
+    eta = np.random.default_rng(5).standard_t(1.5, size=2000) * 1e160
+    th = np.array([0.3, -0.2, 0.4, 0.1, 1.0])
+    got, want = m.path(th, eta), _expar_oracle(m, th, eta)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_only_models_base_calls_a_model_path():
+    # one owner of a seeded path: simulate and population_information run
+    # it through models.base, and no other module calls ``.path(``
+    root = Path(lqmle.__file__).parent
+    callers = [
+        f"{file.relative_to(root).as_posix()}:{node.lineno}"
+        for file in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(file.read_text(), filename=str(file)))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "path"
+    ]
+    assert callers and all(c.startswith("models/base.py:") for c in callers), callers
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lqmle.distributions import logistic, student_t
-from lqmle.errors import ExcessiveFailures, NonFiniteObjective
+from lqmle.errors import ExcessiveFailures, NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit, kernel_moments
 from lqmle.models import make_model, simulate
 from lqmle import montecarlo
@@ -434,6 +434,23 @@ def test_population_information_fails_early_when_explosive(nobs, burn, message):
             population_information(
                 model, np.array([0.05, 0.05, 0.94]), student_t(3.0), nobs=nobs, burn=burn
             )
+
+
+@pytest.mark.parametrize("nobs,burn", [(0, 1_000), (-3, 1_000), (100, -5)])
+def test_population_information_refuses_empty_or_negative_sizes(nobs, burn):
+    # these once ended in ZeroDivisionError, TypeError, and a pair built
+    # from the last 5 rows and divided by 100
+    model = make_model("garch", p=1, q=1)
+    with pytest.raises(ShapeMismatch, match=f"nobs={nobs}, burn={burn}"):
+        population_information(model, np.array([1.0, 0.15, 0.4]), logistic(), nobs=nobs, burn=burn)
+
+
+def test_normality_sample_refuses_zero_info_nobs(monkeypatch):
+    # the long path's sizes are checked before any replication runs
+    monkeypatch.setattr(montecarlo, "run_scenario", lambda *a, **k: pytest.fail("replications ran"))
+    sc = _dar_scenario(nobs=200, reps=5, constraint=None)
+    with pytest.raises(ShapeMismatch, match="nobs=0, burn=0"):
+        normality_sample(sc, info_nobs=0)
 
 
 def test_normality_sample_refuses_gaussian_criterion():
