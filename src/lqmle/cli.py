@@ -37,7 +37,7 @@ from .errors import (
     ShapeMismatch,
     SingularInformation,
 )
-from .estimation import FitOptions, _check_restriction, evaluate, fit, fit_constrained
+from .estimation import FitOptions, _check_restriction, _project_into_box, evaluate, fit, fit_constrained
 from .inference import deviance, lm_test, t_test, wald_test
 from .models import MODEL_REGISTRY, ModelSpec, make_model, simulate
 from .montecarlo import _CRITERION, Scenario, run_scenario
@@ -196,14 +196,23 @@ _FAMILIES = {
 }
 
 
-_DIST_KEYS = ("family", "scale", *(key for _, key, _ in _FAMILIES.values() if key is not None))
+_SHAPE_KEYS = tuple(key for _, key, _ in _FAMILIES.values() if key is not None)
+_DIST_KEYS = ("family", "scale", *_SHAPE_KEYS)
+
+
+def _check_shape_keys(spec: dict) -> None:
+    """ValueError naming a shape key with a value that the spec's (known) family does not take."""
+    fam = spec["family"]
+    for key in _SHAPE_KEYS:
+        if key != _FAMILIES[fam][1] and spec.get(key) is not None:
+            raise ValueError(f"family {fam} takes no {key}")
 
 
 def _build_dist(spec) -> InnovationDist:
     """Innovation law from a family name or a mapping {family, scale, nu, alpha, data}.
 
-    Raises ValueError naming an unknown family, an unknown key or the
-    key the family lacks.
+    Raises ValueError naming an unknown family, an unknown key, the key
+    the family lacks or a shape key it does not take.
     """
     if isinstance(spec, str):
         spec = {"family": spec}
@@ -213,6 +222,7 @@ def _build_dist(spec) -> InnovationDist:
     fam = spec.get("family")
     if fam not in _FAMILIES:
         raise ValueError(f"dist family {fam!r} is not one of {list(_FAMILIES)}")
+    _check_shape_keys(spec)
     family, key, meaning = _FAMILIES[fam]
     scale = float(spec.get("scale", 1.0))
     if key is None:
@@ -604,6 +614,7 @@ def _cmd_test(args) -> int:
     y = _read_data(args)
     opts = _fit_options(args, model)
     R, r = _check_restriction(*_parse_restrictions(args.restrict, model.dim), model.dim)
+    _project_into_box(R, r, *model.default_bounds())
     result = fit(model, y, opts)
     cfit = fit_constrained(model, y, R, r, opts, theta_hat=result.theta)
     tests = [_restriction_test("wald", wald_test, result, R, r), _restriction_test("lm", lm_test, cfit, R, r)]
@@ -639,11 +650,13 @@ def _cmd_calibrate(args) -> int:
         "manifest": _manifest(args, input_path=None, seed=None),
         "family": args.family,
     }
+    spec = {"family": args.family, "nu": args.nu}
     if args.family == "stable":
+        _from_flags(_check_shape_keys, spec)
         doc["index"] = kernel.calibrate_stable_index(tol=args.tol)
         value = kernel.stable_kernel_expectation(doc["index"])
     else:
-        base = _from_flags(_build_dist, {"family": args.family, "nu": args.nu})
+        base = _from_flags(_build_dist, spec)
         doc["scale"] = kernel.calibrate_scale(base.family, shape=base.shape, tol=args.tol)
         value = kernel.kernel_expectation(replace(base, scale=doc["scale"]))
         doc["nu"] = args.nu

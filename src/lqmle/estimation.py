@@ -11,11 +11,11 @@ derivative blocks and weights written in psi and psi'.
 
 Every fit maximizes the criterion inside the model's parameter box, a
 fit under R theta = r also on that plane, by one working-set Newton
-ascent on theta: steps run along the identity for the unrestricted fit
-and along an orthonormal basis of the null space of R, from starts on
-the plane, for a restricted one.  A step is a ridged Newton direction
-tangent to the binding box faces, cut by a ratio test at the first face
-it meets, with Armijo backtracking, so the criterion value never
+ascent on theta.  Each step is a ridged Newton direction within one
+orthonormal frame: the null space of the rows of R, if any, stacked on
+the normals of the binding box faces.  A restricted fit starts on the
+plane and so stays on it.  The step is cut by a ratio test at the first
+face it meets and backtracked by Armijo, so the criterion value never
 decreases along accepted steps.
 
 The criterion's consistency rests on its global maximum, so a fit runs
@@ -319,18 +319,19 @@ def _solve_ascent(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
     return score / scale
 
 
-def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
-    """Working-set Newton ascent inside the box from th0 along ``basis``.
+def _newton(model, y, R, lo, hi, th0, opts: FitOptions):
+    """Working-set Newton ascent inside the box from th0, on R theta = r.
 
     Returns (theta, parts, converged, iterations, trace), or None for a
-    dead start.  The iterate is theta itself.  A step adds basis delta,
-    with delta the Newton direction of the reduced system (basis' score,
-    basis' H basis), so with basis spanning the null space of R every
-    iterate keeps R theta where th0 has it.  Box faces are not handled
-    by clipping, because a clipped trial would leave a restriction
-    plane.  Binding faces instead join a working set and steps move
-    tangent to them, with a ratio test so a blocking face is reached
-    exactly rather than approached in collapsing half-steps.
+    dead start.  Steps live in theta, within one orthonormal frame per
+    working set of binding box faces: the null space of the rows of R
+    (None for an unrestricted fit) stacked on the normals e_i of those
+    faces, or the identity when there are none.  The step is frame
+    times the Newton direction of (frame' H frame, frame' score), so
+    every iterate keeps R theta where th0 has it.  Faces are not handled
+    by clipping, which would leave the plane; a ratio test stops a step
+    at the first face it meets, so the face is reached exactly rather
+    than approached in collapsing half-steps.
     """
 
     lo_pin, hi_pin = lo + _BOX_SLACK, hi - _BOX_SLACK  # a point this close sits on the face
@@ -341,16 +342,17 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
             return None
         return evaluate(model, y, th, order=order, criterion=opts.criterion)
 
-    # the same faces bind for many iterations: one SVD per working set,
-    # and the reduced score taken through its frame once per iteration
-    tangents = {}
+    # the same faces bind for many iterations: one SVD per working set
+    frames = {}
+    eye = np.eye(lo.size)
 
-    def face_directions(mask):
-        """Orthonormal directions, in basis coordinates, tangent to the faces flagged in mask."""
+    def frame(mask):
+        """Orthonormal directions in theta on the plane and tangent to the faces flagged in mask."""
         key = mask.tobytes()
-        dirs = tangents.get(key)
+        dirs = frames.get(key)
         if dirs is None:
-            dirs = tangents[key] = null_space(basis[mask, :]) if mask.any() else np.eye(basis.shape[1])
+            normals = eye[mask] if R is None else np.vstack((R, eye[mask]))
+            dirs = frames[key] = null_space(normals) if normals.size else eye
         return dirs
 
     th = np.asarray(th0, dtype=float)
@@ -365,23 +367,19 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
         level = _SCORE_TOL * (1.0 + abs(parts.loglik))
         score = parts.score
         working = ((th <= lo_pin) & (score < 0.0)) | ((th >= hi_pin) & (score > 0.0))
-        s_red = basis.T @ score
-        h_red = basis.T @ parts.hess @ basis
-        dirs = face_directions(working)
-        s_dirs = dirs.T @ s_red
+        dirs = frame(working)
+        s_dirs = dirs.T @ score
         sp = float(np.abs(s_dirs).max(initial=0.0))
         if sp <= level and last_step <= _STEP_TOL:
             converged = True
             break
         # grow the working set until the Newton direction clears every
         # pinned face; each pass removes at least one free coordinate
-        delta = None
         for _ in range(th.size + 1):
             if dirs.shape[1] == 0:
-                delta = None
+                dth = None
                 break
-            delta = dirs @ _solve_ascent(dirs.T @ h_red @ dirs, s_dirs)
-            dth = basis @ delta
+            dth = dirs @ _solve_ascent(dirs.T @ parts.hess @ dirs, s_dirs)
             moving = ~working & (np.abs(dth) >= 1e-16)
             room = np.full(th.size, np.inf)
             room[moving] = (np.where(dth > 0.0, hi, lo) - th)[moving] / dth[moving]
@@ -390,12 +388,12 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
             if alpha_cap > 1e-14:
                 break
             working[blocker] = True
-            dirs = face_directions(working)
-            s_dirs = dirs.T @ s_red
-        if delta is None or not delta.any():
+            dirs = frame(working)
+            s_dirs = dirs.T @ score
+        if dth is None or not dth.any():
             converged = sp <= level
             break
-        if sp <= level and float(np.abs(alpha_cap * delta).max()) <= _STEP_TOL:
+        if sp <= level and float(np.abs(alpha_cap * dth).max()) <= _STEP_TOL:
             # a step this small cannot raise the criterion past rounding
             converged = True
             break
@@ -407,7 +405,7 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
             trial = th + alpha * dth
             cand = at(trial, 2 if alpha == alpha_cap else 0)
             if cand is not None and math.isfinite(cand.loglik):
-                gain = float(s_red @ (alpha * delta))
+                gain = float(score @ (alpha * dth))
                 if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
                     accepted = True
                     break
@@ -415,7 +413,7 @@ def _newton(model, y, basis, lo, hi, th0, opts: FitOptions):
         if not accepted:
             converged = sp <= level
             break
-        last_step = float(np.abs(alpha * delta).max())
+        last_step = float(np.abs(alpha * dth).max())
         th = trial
         parts = cand if cand.hess is not None else at(th, 2)
         trace.append(parts.loglik)
@@ -480,7 +478,6 @@ def _fit(
             f"need at least {10 * model.dim} observations for a {model.dim}-parameter fit"
         )
     lo, hi = model.default_bounds()
-    basis = np.eye(model.dim) if R is None else null_space(R)
     best = None
     n_starts = 0
 
@@ -491,7 +488,7 @@ def _fit(
             th = np.clip(th0, lo, hi)
             if R is not None:
                 th = _onto_plane(R, r, th)
-            res = _newton(model, yv, basis, lo, hi, th, opts)
+            res = _newton(model, yv, R, lo, hi, th, opts)
             if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
                 best = res
 
@@ -640,8 +637,9 @@ def fit_constrained(
 ) -> FitResult:
     """Maximize subject to R theta = r by Newton along the plane.
 
-    Newton steps along an orthonormal basis of the null space of R from
-    starts on the plane, so every iterate stays on it.  The first start
+    Newton steps within an orthonormal frame of the null space of R
+    stacked on the normals of the binding box faces, from starts on the
+    plane, so every iterate stays on it.  The first start
     is the unrestricted estimate ``theta_hat`` projected into the box on
     the restriction plane (alternating projection from theta_hat), which
     usually sits a few Newton steps from the restricted optimum; when

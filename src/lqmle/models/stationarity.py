@@ -56,8 +56,9 @@ def lyapunov_exponent(
         return float(np.log(abs(fixed))), 0.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_SEED)))
     eta = dist.sample(rng, _DRAWS)
-    # a draw that zeroes the coefficient logs to -inf, which _mc_mean refuses
-    with np.errstate(divide="ignore"):
+    # a draw that zeroes the coefficient logs to -inf, and a negative alpha1
+    # or coefficient gives NaN; _mc_mean refuses both
+    with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(model, Dar):
             return _mc_mean(np.log(np.abs(fixed + np.sqrt(alpha1) * eta)))
         return _mc_mean(np.log(fixed + alpha1 * eta * eta))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import InnovationDist
 from .errors import ExcessiveFailures, LqmleError
-from .estimation import FitOptions, KernelMoments, _check_restriction, _kernel_sums, fit, fit_constrained, sandwich_cov
+from .estimation import FitOptions, KernelMoments, _check_restriction, _kernel_sums, _project_into_box, fit, fit_constrained, sandwich_cov
 from .inference import lm_test, wald_test
 from .models.base import ModelSpec, _require_finite, _seeded_path, simulate
 from .reports import fields_dict
@@ -58,8 +58,9 @@ class Scenario:
     Construction refuses a negative seed, a level outside (0, 1), a
     theta0 or alternative_scale that is not finite or puts
     alternative_scale * theta0 outside the model's box, and a
-    restriction that is not finite, does not match the model or lacks
-    full row rank, so a bad cell fails before any replication runs.  A
+    restriction that is not finite, does not match the model, lacks
+    full row rank or meets no point of the box, so a bad cell fails
+    before any replication runs.  A
     replication whose path diverges (theta0 explosive under the law)
     fails, by NonFiniteObjective.
     """
@@ -103,7 +104,8 @@ class Scenario:
         if not 0.0 < self.level < 1.0:
             raise ValueError(f"level must lie strictly between 0 and 1, got {self.level}")
         if self.constraint is not None:
-            _check_restriction(*self.constraint, self.model.dim)
+            R, r = _check_restriction(*self.constraint, self.model.dim)
+            _project_into_box(R, r, *self.model.default_bounds())
 
     @property
     def dgp_theta(self) -> np.ndarray:

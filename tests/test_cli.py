@@ -476,6 +476,16 @@ def test_infeasible_restriction_is_numeric_error(dar_csv, tmp_path):
     assert rc == 4
 
 
+def test_restriction_outside_the_box_exits_4_before_the_fit(dar_csv, tmp_path, capsys, monkeypatch):
+    # alpha1 is at most 50 in the DAR box
+    monkeypatch.setattr("lqmle.cli.fit", lambda *a, **k: pytest.fail("the fit ran"))
+    out = tmp_path / "t.json"
+    rc = main(["test", "--data", str(dar_csv), "--model", "dar", "--restrict", "0,0,0,1=80", "--out", str(out)])
+    assert rc == 4
+    assert not out.exists()
+    assert "InfeasibleConstraint: no box point satisfies the linear restriction" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", ["1,nan,1,1=2", "1,1,1,1=inf", "1,1,1,1", "1,1,1,1=2,3"])
 def test_restrict_entries_must_be_finite_numbers(dar_csv, tmp_path, capsys, monkeypatch, entry):
     monkeypatch.setattr("lqmle.cli.fit", lambda *a, **k: pytest.fail("the fit ran"))
@@ -510,6 +520,14 @@ def test_calibrate_student_t(tmp_path):
     assert doc["psi_error"] < 1e-5
 
 
+@pytest.mark.parametrize("family", ["normal", "stable"])
+def test_calibrate_refuses_nu_off_family_t(tmp_path, capsys, family):
+    out = tmp_path / "cal.json"
+    assert main(["calibrate", "--family", family, "--nu", "3", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert f"family {family} takes no nu" in capsys.readouterr().err
+
+
 def test_calibrate_logistic_is_unit(tmp_path):
     out = tmp_path / "cal.json"
     rc = main(["calibrate", "--family", "logistic", "--out", str(out)])
@@ -536,6 +554,21 @@ def test_diagnose_report(dar_csv, tmp_path):
     assert doc["diagnostics"]["residual_summary"]["nobs"] == 299
     ks = [row["k"] for row in doc["diagnostics"]["hill_sweep"]]
     assert ks == sorted(set(ks))
+
+
+@pytest.mark.parametrize(
+    "model,sim_theta,theta",
+    [("dar", "1.0,0.5,0.3,0.5", "1,0.5,0.3,-0.5"), ("garch", "0.2,0.15,0.4", "0.2,-0.1,0.3")],
+    ids=["dar", "garch"],
+)
+def test_diagnose_writes_a_null_lyapunov_for_a_negative_coefficient(tmp_path, model, sim_theta, theta):
+    # sqrt(alpha1) and log(beta1 + alpha1 eta^2) are NaN here: no warning, no exponent
+    data, out = tmp_path / "y.csv", tmp_path / "diag.json"
+    sim = ["simulate", "--model", model, "--theta", sim_theta, "--n", "300", "--seed", "7"]
+    assert main(sim + ["--out", str(data)]) == 0
+    assert main(["diagnose", "--data", str(data), "--model", model, "--theta", theta, "--out", str(out)]) == 0
+    diag = json.loads(out.read_text())["diagnostics"]
+    assert diag["lyapunov"] is None and diag["lyapunov_se"] is None
 
 
 MC_CONFIG = """\
@@ -586,24 +619,19 @@ def test_mc_failed_scenario_reported(tmp_path):
     cfg.write_text(
         "scenarios:\n"
         "  - label: broken\n"
-        "    model: {name: garch, order: [1, 1]}\n"
-        "    theta0: [1.0, 0.1, 0.3]\n"
+        "    model: {name: dar, order: [1, 1]}\n"
+        "    theta0: [0.1, 3.0, 0.3, 40.0]\n"
         "    dist: {family: logistic}\n"
         "    nobs: 120\n"
         "    reps: 4\n"
         "    seed: 5\n"
-        "    constraint:\n"
-        "      R: [[1, 0, 0]]\n"
-        "      r: [-5]\n"
     )
     out = tmp_path / "mc.json"
     rc = main(["mc", str(cfg), "--out", str(out)])
     assert rc == 4
     doc = json.loads(out.read_text())
     assert doc["failed"][0]["label"] == "broken"
-    assert doc["failed"][0]["error"] == (
-        "4/4 replications failed: InfeasibleConstraint (3); estimate on parameter boundary (1)"
-    )
+    assert doc["failed"][0]["error"] == "4/4 replications failed: estimate on parameter boundary (4)"
     assert doc["summaries"] == []
 
 
@@ -679,14 +707,11 @@ def test_render_mc_report(tmp_path, capsys):
     cfg.write_text(
         MC_CONFIG
         + "  - label: broken\n"
-        "    model: {name: garch, order: [1, 1]}\n"
-        "    theta0: [1.0, 0.1, 0.3]\n"
+        "    model: {name: dar, order: [1, 1]}\n"
+        "    theta0: [0.1, 3.0, 0.3, 40.0]\n"
         "    dist: {family: logistic}\n"
         "    nobs: 120\n"
         "    reps: 2\n"
-        "    constraint:\n"
-        "      R: [[1, 0, 0]]\n"
-        "      r: [-5]\n"
     )
     out = tmp_path / "mc.json"
     assert main(["mc", str(cfg), "--out", str(out)]) == 4
@@ -908,6 +933,13 @@ SCENARIO = (
             "scenario 0: restriction R theta = r has a non-finite entry",
         ),
         (
+            SCENARIO + "    dist: logistic\n    constraint: {R: [[0, 0, 0, 1]], r: [80]}\n",
+            3,
+            "scenario 0: no box point satisfies the linear restriction",
+        ),
+        (SCENARIO + "    dist: {family: normal, nu: 3}\n", 3, "scenario 0: family normal takes no nu"),
+        (SCENARIO + "    dist: {family: logistic, data: [1, 2]}\n", 3, "scenario 0: family logistic takes no data"),
+        (
             SCENARIO.replace("{name: dar, order: [1, 1]}", "{name: dar, foo: 1}") + "    dist: logistic\n",
             3,
             "scenario 0: model: unknown key(s) 'foo'; known keys are name, order, intercept",
@@ -963,7 +995,7 @@ SCENARIO = (
          "constraint-not-mapping", "dist-mapping", "level-above-1", "level-0", "nan-theta0",
          "infinite-alternative-scale", "theta0-outside-box", "alternative-outside-box",
          "short-restriction-row", "rank-deficient-restriction",
-         "nan-restriction-value", "unknown-model-key", "order-as-model-keys", "model-list",
+         "nan-restriction-value", "restriction-outside-box", "nu-on-normal", "data-on-logistic", "unknown-model-key", "order-as-model-keys", "model-list",
          "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios", "negative-seed",
          "fractional-reps", "boolean-nobs", "fractional-burn", "fractional-seed", "integral-float-reps",
          "missing-dist", "missing-three-keys"],
@@ -996,13 +1028,16 @@ AG_SIM = ["--model", "arma_garch", "--theta", "0.1,0.3,0.2,0.2,0.1,0.3", "--n", 
         (DAR_SIM[1:] + ["--n", "30", "--dist", "t"], "family t needs nu"),
         (DAR_SIM[1:] + ["--n", "30", "--dist", "stable"], "family stable needs alpha"),
         (DAR_SIM[1:] + ["--n", "30", "--dist", "empirical"], "family empirical needs data"),
+        (DAR_SIM[1:] + ["--n", "30", "--dist", "t", "--nu", "3", "--alpha", "1.5"], "family t takes no alpha"),
+        (DAR_SIM[1:] + ["--n", "30", "--dist", "normal", "--nu", "3"], "family normal takes no nu"),
         (DAR_SIM[1:] + ["--n", "30", "--order", "1,2,3"], "dar takes order P,Q"),
         (AG_SIM + ["--order", "2,1"], "arma_garch supports only order 1,1"),
         (AG_SIM + ["--order", "1,x"], "order must be comma-separated integers, got '1,x'"),
     ],
     ids=["no-intercept-dar", "no-intercept-garch", "no-intercept-expar", "negative-burn",
          "zero-n", "negative-n", "t-without-nu", "stable-without-alpha",
-         "empirical-without-data", "dar-order-3", "arma_garch-order-2-1", "arma_garch-order-1-x"],
+         "empirical-without-data", "alpha-on-t", "nu-on-normal", "dar-order-3",
+         "arma_garch-order-2-1", "arma_garch-order-1-x"],
 )
 def test_simulate_flags_fail_cleanly(tmp_path, capsys, argv, message):
     out = tmp_path / "y.csv"

@@ -433,6 +433,37 @@ def test_constrained_fit_satisfies_restriction():
     assert cfit.loglik <= free.loglik + 1e-9
 
 
+PLANE_CASES = [
+    # (model, kwargs, theta0, R row, r, seed); the ARMA-GARCH run pins beta1 on its 0 face
+    ("dar", dict(p=1, q=1), (1.0, 0.5, 0.3, 0.5), [1, 1, 1, 1], 2.3, 1000),
+    ("garch", dict(p=1, q=1), (0.2, 0.15, 0.4), [0, 1, 1], 0.55, 1000),
+    ("arma_garch", dict(include_intercept=False), (0.3, 0.2, 0.2, 0.1, 0.3), [1, 1, 2, 3, 1], 1.5, 1003),
+]
+
+
+@pytest.mark.parametrize("name,kw,theta0,row,rhs,seed", PLANE_CASES, ids=[c[0] for c in PLANE_CASES])
+def test_every_restricted_iterate_stays_on_the_plane(monkeypatch, name, kw, theta0, row, rhs, seed):
+    model = make_model(name, **kw)
+    y = simulate(model, np.array(theta0), 400, logistic(), seed=seed, burn=100)
+    theta_hat = fit(model, y).theta
+    R, r = np.array([row], dtype=float), np.array([rhs])
+    iterates = []
+    real = estimation.evaluate
+
+    def recording(model, y, theta, order=0, criterion="logistic"):
+        if order == 2:
+            iterates.append(np.array(theta, dtype=float))
+        return real(model, y, theta, order=order, criterion=criterion)
+
+    monkeypatch.setattr(estimation, "evaluate", recording)
+    fit_constrained(model, y, R, r, theta_hat=theta_hat)
+    iterates = np.array(iterates)
+    assert np.abs(iterates @ R.T - r).max() <= 1e-10 * (1.0 + np.abs(r).max())
+    if name == "arma_garch":
+        lo, _ = model.default_bounds()
+        assert (iterates[:, 4] <= lo[4] + estimation._BOX_SLACK).any()
+
+
 def test_constrained_fit_runs_only_the_given_start():
     model = make_model("dar", p=1, q=1)
     y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 600, logistic(), seed=23)

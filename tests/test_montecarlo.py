@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from lqmle.distributions import logistic, student_t
-from lqmle.errors import ExcessiveFailures, NonFiniteObjective, ShapeMismatch
+from lqmle.errors import ExcessiveFailures, InfeasibleConstraint, NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit, kernel_moments
 from lqmle.models import make_model, simulate
 from lqmle import montecarlo
@@ -138,57 +138,53 @@ def test_replications_condition_on_what_is_known_of_the_start(burn):
         assert not np.allclose(fits[True], fits[False], rtol=1e-6, atol=0)
 
 
-def test_infeasible_restriction_fails_every_replication():
-    # alpha0 below its admissible floor: the constrained fit raises on
-    # every path, and the harness must refuse to summarize garbage
-    sc = Scenario(
-        model=make_model("garch", p=1, q=1),
-        theta0=(1.0, 0.1, 0.3),
-        dist=logistic(),
-        nobs=120,
-        reps=4,
-        seed=5,
-        constraint=(((1.0, 0.0, 0.0),), (-5.0,)),
-        label="infeasible",
-    )
-    with pytest.raises(ExcessiveFailures):
-        run_scenario(sc)
+def test_infeasible_restriction_fails_before_any_replication():
+    # alpha0 below its admissible floor: no box point meets the
+    # restriction, so the cell is refused before a path is drawn
+    with pytest.raises(InfeasibleConstraint, match="no box point satisfies the linear restriction"):
+        Scenario(
+            model=make_model("garch", p=1, q=1),
+            theta0=(1.0, 0.1, 0.3),
+            dist=logistic(),
+            nobs=120,
+            reps=4,
+            seed=5,
+            constraint=(((1.0, 0.0, 0.0),), (-5.0,)),
+        )
 
 
 def test_failure_tolerance_is_configurable():
+    # in the box but explosive under the logistic law: every fit ends on a box face
     sc = Scenario(
-        model=make_model("garch", p=1, q=1),
-        theta0=(1.0, 0.1, 0.3),
+        model=make_model("dar", p=1, q=1),
+        theta0=(0.1, 3.0, 0.3, 40.0),
         dist=logistic(),
         nobs=120,
         reps=4,
         seed=5,
-        constraint=(((1.0, 0.0, 0.0),), (-5.0,)),
-        label="infeasible",
+        label="explosive",
     )
     with pytest.raises(ExcessiveFailures):
         run_scenario(sc, max_failure_fraction=0.99)
 
 
 def test_no_usable_replication_fails_at_any_tolerance():
-    # with every failure tolerated there is still nothing to summarize
+    # with every failure tolerated there is still nothing to summarize;
+    # theta0 is in the box but explosive, and every fit ends on a box face
     sc = Scenario(
-        model=make_model("garch", p=1, q=1),
-        theta0=(1.0, 0.1, 0.3),
+        model=make_model("dar", p=1, q=1),
+        theta0=(0.1, 3.0, 0.3, 40.0),
         dist=logistic(),
         nobs=120,
         reps=4,
         seed=5,
-        constraint=(((1.0, 0.0, 0.0),), (-5.0,)),
-        label="infeasible",
+        label="explosive",
     )
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ExcessiveFailures) as caught:
             run_scenario(sc, max_failure_fraction=1.0)
-    assert str(caught.value) == (
-        "4/4 replications failed: InfeasibleConstraint (3); estimate on parameter boundary (1)"
-    )
+    assert str(caught.value) == "4/4 replications failed: estimate on parameter boundary (4)"
 
 
 def test_excessive_failures_are_counted_by_reason(monkeypatch):
