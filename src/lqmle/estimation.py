@@ -26,12 +26,20 @@ and, for a multistart fit, one point of each group of its
 model can have; the point with the highest criterion value in its group
 runs, found by one order-0 evaluation each.  The model proposes these
 points for a series the fit has accepted; the fit clips them into the
-box.  A restricted fit starts next to its optimum: the unrestricted
+box.  Every start runs, but a later one stops at its first accepted
+iterate within ``_JOIN_TOL`` of an optimum that an earlier start of the
+same fit converged to: run on, it would end there and only tie, and a
+tie keeps the earlier start, so stopping it changes no estimate.  A
+restricted fit starts next to its optimum: the unrestricted
 estimate theta_hat projected into the box on the plane runs first,
 ahead of the start values.  A model that sets ``interior_warm_start``
 runs theta_hat projected into the box shrunk off its faces alone, and
 the other starts only when that run dies, stops unconverged or ends on
 a box face.
+
+A fit binds its series to the model once (``models.base``), so the
+arrays of the series that no theta changes are built once per fit, not
+once per evaluation.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from .errors import (
     SingularInformation,
 )
 from .kernel import logistic_logpdf, logistic_psi
-from .models.base import _STRAYS, FilterOutput, ModelSpec, _clamp_count
+from .models.base import _STRAYS, FilterOutput, ModelSpec, _BoundSeries, _clamp_count
 from .params import ParamVector, as_array
 
 __all__ = [
@@ -120,19 +128,15 @@ _CRITERIA = {
 }
 
 
-def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput):
-    """y and ``out`` without their first ``model.presample`` rows.
+def _conditioned(series: _BoundSeries, out: FilterOutput):
+    """The series' scored values and ``out`` without its first ``presample`` rows.
 
     Those observations condition the criterion: they enter the filter as
     lags but add no term.  The curvature weighs the dropped rows by zero.
     """
-    k = model.presample
+    k = series.model.presample
     if k == 0:
-        return y, out
-    if y.size <= k:
-        raise ShapeMismatch(
-            f"{model.name} conditions on its first {k} observations; the series has {y.size}"
-        )
+        return series.values, out
     dg, ds2 = out.dmean, out.dsigma2
     kept = FilterOutput(
         out.mean[k:],
@@ -148,7 +152,7 @@ def _conditioned(model: ModelSpec, y: np.ndarray, out: FilterOutput):
             return full(*(None if w is None else np.concatenate((pad, w)) for w in (w_g, w_s)))
 
         kept.curvature = curvature
-    return y[k:], kept
+    return series.scored, kept
 
 
 def evaluate(
@@ -176,14 +180,16 @@ def evaluate(
     of the blocks the filter returns are computed.  The weights on d2 g_t
     and d2 sigma2_t are minus a and b, so the second-derivative term is
     subtracted as one ``curvature(a, b)`` and no (n, d, d) array is built.
+    y may be a series bound to the model (``ModelSpec._bind``), as a fit
+    passes it, so that its theta-free arrays are built once.
     """
     try:
         logpdf, psi_pair = _CRITERIA[criterion]
     except KeyError:
         raise ValueError(f"unknown criterion {criterion!r}") from None
     th = as_array(theta)
-    yv = np.asarray(y, dtype=float).ravel()
-    yv, out = _conditioned(model, yv, model.filter(yv, th, order=order))
+    series = model._bind(y)
+    yv, out = _conditioned(series, model.filter(series, th, order=order))
     sig2, sig = out.sigma2, out.sigma
     x = (yv - out.mean) / sig
     n = yv.size
@@ -234,6 +240,7 @@ def evaluate(
 _STEP_TOL = 1e-8  # Newton stops once every entry of the last or next step is this small
 _SCORE_TOL = 1e-6  # and the projected score is below this times 1 + |loglik|
 _TIE_TOL = 1e-9  # a later start wins only by more than this times 1 + |best loglik|
+_JOIN_TOL = 1e-2  # a later start stops this close to an earlier optimum, in |dtheta_i| / (1 + |theta*_i|)
 _BOX_SLACK = 1e-12  # this close to a face a point is on it; this far beyond, outside the box
 _PLANE_TOL = 1e-11  # a point with |R theta - r| below this times 1 + max|r| lies on the plane
 _INTERIOR_MARGIN = 0.01  # an interior warm start keeps this share of its scale off each face
@@ -319,14 +326,21 @@ def _solve_ascent(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
     return score / scale
 
 
-def _newton(model, y, R, lo, hi, th0, opts: FitOptions):
+def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
     """Working-set Newton ascent inside the box from th0, on R theta = r.
 
     Returns (theta, parts, converged, iterations, trace), or None for a
-    dead start.  Steps live in theta, within one orthonormal frame per
-    working set of binding box faces: the null space of the rows of R
-    (None for an unrestricted fit) stacked on the normals e_i of those
-    faces, or the identity when there are none.  The step is frame
+    dead start and for a run that joins an earlier optimum.  ``optima``
+    is a (k, d) array of the optima that earlier starts of the fit
+    converged to; the run stops at its first accepted iterate within
+    ``_JOIN_TOL`` of one of them in max_i |theta_i - theta*_i| /
+    (1 + |theta*_i|).  Run on, it would end at that optimum, where it
+    could only tie, and a tie keeps the earlier start (``_beats``).
+
+    Steps live in theta, within one orthonormal frame per working set
+    of binding box faces: the null space of the rows of R (None for an
+    unrestricted fit) stacked on the normals e_i of those faces, or the
+    identity when there are none.  The step is frame
     times the Newton direction of (frame' H frame, frame' score), so
     every iterate keeps R theta where th0 has it.  Faces are not handled
     by clipping, which would leave the plane; a ratio test stops a step
@@ -354,6 +368,9 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions):
             normals = eye[mask] if R is None else np.vstack((R, eye[mask]))
             dirs = frames[key] = null_space(normals) if normals.size else eye
         return dirs
+
+    # per-coordinate reach of each earlier optimum
+    reach = None if optima is None else _JOIN_TOL * (1.0 + np.abs(optima))
 
     th = np.asarray(th0, dtype=float)
     parts = at(th, 2)
@@ -415,29 +432,31 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions):
             break
         last_step = float(np.abs(alpha * dth).max())
         th = trial
+        if reach is not None and (np.abs(th - optima) <= reach).all(axis=1).any():
+            return None
         parts = cand if cand.hess is not None else at(th, 2)
         trace.append(parts.loglik)
     return th, parts, converged, iterations, trace
 
 
-def _start_values(model: ModelSpec, y) -> list[np.ndarray]:
-    """The template start, then the model's start values for the accepted series y."""
-    return [model._template, *model.start_values(y)]
+def _start_values(model: ModelSpec, series: _BoundSeries) -> list[np.ndarray]:
+    """The template start, then the model's start values for the accepted, bound series."""
+    return [model._template, *model.start_values(series.values)]
 
 
-def _build_starts(model: ModelSpec, y, opts: FitOptions) -> list[np.ndarray]:
+def _build_starts(model: ModelSpec, series: _BoundSeries, opts: FitOptions) -> list[np.ndarray]:
     """The start values and, for a multistart fit, the best candidate
     of each group of the model's start candidates, clipped into the box.
 
     Each candidate of a group of several costs one order-0 evaluation
     under the fit's own criterion; of equal scores the earlier one wins.
     """
-    starts = _start_values(model, y)
+    starts = _start_values(model, series)
     lo, hi = model.default_bounds()
-    for group in model.start_candidates(y) if opts.multistart else []:
+    for group in model.start_candidates(series.values) if opts.multistart else []:
         group = [np.clip(c, lo, hi) for c in group]
         if len(group) > 1:
-            scores = [evaluate(model, y, c, criterion=opts.criterion).loglik for c in group]
+            scores = [evaluate(model, series, c, criterion=opts.criterion).loglik for c in group]
             group = [group[int(np.argmax(scores))]]
         starts.extend(group)
     return starts
@@ -459,10 +478,14 @@ def _fit(
     """Best Newton run over ``starts(series)``, or ``opts.start`` alone,
     inside the box and, with a restriction, on R theta = r.
 
-    Each start is clipped into the box, and one that lies off the plane
-    is projected onto it once.  ``fallback(series)`` gives further
-    starts, run only when every run of ``starts`` died, or the best one
-    stopped unconverged or on a box face.  With a restriction the result
+    The checked series is bound to the model once (``ModelSpec._bind``)
+    and every start and evaluation of the fit reads it.  Each start is
+    clipped into the box, and one that lies off the plane is projected
+    onto it once.  A start stops as soon as it joins an optimum that an
+    earlier start converged to (``_newton``); it counts in ``n_starts``
+    and cannot win.  ``fallback(series)`` gives further starts, run only
+    when every run of ``starts`` died, or the best one stopped
+    unconverged or on a box face.  With a restriction the result
     carries the multiplier estimate; without one, the sandwich
     covariance.
     """
@@ -470,7 +493,8 @@ def _fit(
         raise ShapeMismatch(
             f"start has {len(opts.start)} values; {model.name} needs {model.dim}"
         )
-    yv = model._check_series(y)
+    series = model._bind(y)
+    yv = series.values
     if not np.all(np.isfinite(yv)):
         raise NonFiniteObjective("series contains non-finite values")
     if yv.size < 10 * model.dim:
@@ -480,6 +504,7 @@ def _fit(
     lo, hi = model.default_bounds()
     best = None
     n_starts = 0
+    optima = []  # where the converged runs so far ended
 
     def run(points):
         nonlocal best, n_starts
@@ -488,8 +513,12 @@ def _fit(
             th = np.clip(th0, lo, hi)
             if R is not None:
                 th = _onto_plane(R, r, th)
-            res = _newton(model, yv, R, lo, hi, th, opts)
-            if res is not None and (best is None or _beats(res[1].loglik, best[1].loglik)):
+            res = _newton(model, series, R, lo, hi, th, opts, np.array(optima) if optima else None)
+            if res is None:
+                continue
+            if res[2]:
+                optima.append(res[0])
+            if best is None or _beats(res[1].loglik, best[1].loglik):
                 best = res
 
     def settled():
@@ -506,9 +535,9 @@ def _fit(
             if opts.start is not None:
                 run([np.asarray(opts.start, dtype=float)])
             else:
-                run(starts(yv))
+                run(starts(series))
                 if fallback is not None and not settled():
-                    run(fallback(yv))
+                    run(fallback(series))
             # an extreme observation can overflow the information pair;
             # the sandwich refuses a non-finite one
             info = None if best is None else (best[1].info_hessian, best[1].info_opg)
@@ -559,10 +588,13 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
     ``model.start_values(y)`` and, unless ``options.multistart`` is off,
     from the best-scoring candidate of each group of
     ``model.start_candidates(y)``; ``options.start`` replaces them all.
-    The fit draws no random numbers.
+    Every start runs, in that order, but a later one stops at its first
+    accepted iterate within ``_JOIN_TOL`` of an optimum an earlier start
+    converged to: it would only tie there, and of tied starts the
+    earliest is kept.  The fit draws no random numbers.
     """
     opts = options or FitOptions()
-    return _fit(model, y, opts, lambda yv: _build_starts(model, yv, opts))
+    return _fit(model, y, opts, lambda series: _build_starts(model, series, opts))
 
 
 def _check_restriction(R, r, dim: int) -> tuple[np.ndarray, np.ndarray]:
@@ -665,12 +697,12 @@ def fit_constrained(
     if model.interior_warm_start:
         first = _warm_start(model, theta_hat, R, r, lo, hi, interior=True)
         later = [] if np.array_equal(first, warm) else [warm]
-        starts, fallback = (lambda yv: [first]), (lambda yv: [*later, *_start_values(model, yv)])
+        starts, fallback = (lambda series: [first]), (lambda series: [*later, *_start_values(model, series)])
     else:
         first = warm
-        starts, fallback = (lambda yv: [warm, *_start_values(model, yv)]), None
+        starts, fallback = (lambda series: [warm, *_start_values(model, series)]), None
     if not opts.multistart:
-        starts, fallback = (lambda yv: [first]), None
+        starts, fallback = (lambda series: [first]), None
     return _fit(model, y, opts, starts, R, r, fallback)
 
 
@@ -731,8 +763,8 @@ def kernel_moments(eta) -> KernelMoments:
 
 
 def _scale_only_pieces(model: ModelSpec, y, theta):
-    yv = model._check_series(y)
-    yv, out = _conditioned(model, yv, model.filter(yv, theta, order=1))
+    series = model._bind(y)
+    yv, out = _conditioned(series, model.filter(series, theta, order=1))
     if out.dmean is not None:
         raise NotScaleOnly(f"model {model.name!r} has a conditional mean part")
     w = out.dsigma2 / out.sigma2[:, None]

@@ -62,9 +62,14 @@ class ArmaGarch(ModelSpec):
         alpha0, alpha1, beta1 = th[m], th[m + 1], th[m + 2]
         return const, ar1, ma1, alpha0, alpha1, beta1
 
+    def _theta_free(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The lagged series y_{t-1}."""
+        return (lagged(y, 1),)
+
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)
-        y = self._check_series(y)
+        series = self._bind(y)
+        y, (ylag,) = series.values, series.blocks
         n, d, m = y.size, self.dim, self._nmean
         const, ar1, ma1, alpha0, alpha1, beta1 = self._unpack(th)
         if abs(ma1) >= 1.0:
@@ -72,7 +77,6 @@ class ArmaGarch(ModelSpec):
         ma_band = _band(np.array([1.0, ma1]), n)
         gj_band = _band(np.array([1.0, -beta1]), n)
 
-        ylag = lagged(y, 1)
         e = _all_pole(ma_band, y - const - ar1 * ylag)
         elag = lagged(e, 1)
         drive = alpha0 + alpha1 * elag * elag

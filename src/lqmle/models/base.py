@@ -22,12 +22,24 @@ analytic scores and Hessians.
 
 A model declares ``param_table`` (one (name, lower, upper, template)
 row per parameter), ``filter`` and ``path``, and where needed
-``presample``, ``start_values`` and ``start_candidates``; names,
-dimension, bounds and the template start all derive from the table.
+``presample``, ``_theta_free``, ``start_values`` and
+``start_candidates``; names, dimension, bounds and the template start
+all derive from the table.
 The start methods propose raw points, possibly outside the box, for a
 series the fit has accepted; the fit adds the template start and clips
 every point into the box (``estimation``).  Every seeded path, for
 ``simulate`` or ``population_information``, runs in ``_seeded_path``.
+
+A fit evaluates one series many times, so it binds the series to the
+model once (``ModelSpec._bind``).  The bound series holds the checked
+values, their scored part after the ``presample`` rows, and the arrays
+of the series that no theta changes (``ModelSpec._theta_free``): DAR's
+whole design, GARCH's lagged squares and fixed drive columns,
+ARMA-GARCH's lagged series, EXPAR's lags and squared first lag.  Those
+are built on first use and kept read-only, since every filter call on
+the series shares them.  Every filter binds its y first, and binding a
+series already bound to the model returns it unchanged, so a raw array
+and a bound series run one code path and give the same bits.
 """
 
 from __future__ import annotations
@@ -149,15 +161,43 @@ def _read_only(values) -> np.ndarray:
     return arr
 
 
+class _BoundSeries:
+    """A checked series bound to one model; see ``ModelSpec._bind``.
+
+    ``values`` is the series as a flat float array.  ``blocks`` is the
+    model's tuple of theta-free arrays of it, built on first use and
+    read-only; ``scored`` is the series without its first ``presample``
+    rows, the observations the criterion sums over.
+    """
+
+    def __init__(self, model: ModelSpec, values: np.ndarray) -> None:
+        self.model, self.values = model, values
+
+    @cached_property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        blocks = self.model._theta_free(self.values)
+        for block in blocks:
+            block.flags.writeable = False
+        return blocks
+
+    @cached_property
+    def scored(self) -> np.ndarray:
+        k, n = self.model.presample, self.values.size
+        if n <= k:
+            raise ShapeMismatch(f"{self.model.name} conditions on its first {k} observations; the series has {n}")
+        return self.values[k:]
+
+
 class ModelSpec(abc.ABC):
     """A parametric conditional location-scale model.
 
     A subclass declares ``param_table``, ``filter`` and ``path``, and
-    overrides ``presample``, ``interior_warm_start``, ``start_values``
-    and ``start_candidates`` where the defaults (no conditioning rows,
-    every start of a restricted fit run, no start proposals) do not
-    fit.  Outside the model, read a parameter by name through
-    ``param_names``, not by its position.
+    overrides ``presample``, ``interior_warm_start``, ``_theta_free``,
+    ``start_values`` and ``start_candidates`` where the defaults (no
+    conditioning rows, every start of a restricted fit run, no
+    theta-free arrays, no start proposals) do not fit.  Outside the
+    model, read a parameter by name through ``param_names``, not by its
+    position.
 
     The constants derived from the table (``param_names``, ``dim``, the
     ``default_bounds`` arrays and the template start) are computed once
@@ -241,11 +281,21 @@ class ModelSpec(abc.ABC):
             raise ShapeMismatch("series must contain at least one observation")
         return arr
 
+    def _bind(self, y) -> _BoundSeries:
+        """y bound to this model: y itself when it already is, else its checked values, bound."""
+        if isinstance(y, _BoundSeries) and y.model == self:
+            return y
+        return _BoundSeries(self, self._check_series(y))
+
+    def _theta_free(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The arrays of the checked series y that every filter call reads and no theta changes."""
+        return ()
+
     # -- dynamics ---------------------------------------------------------
 
     @abc.abstractmethod
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
-        """Run the observation filter; order 0/1/2 controls derivative depth."""
+        """Run the observation filter on y, raw or bound; order 0/1/2 controls derivative depth."""
 
     @abc.abstractmethod
     def path(self, theta, innovations) -> np.ndarray:

@@ -69,14 +69,9 @@ class Dar(ModelSpec):
             *((f"alpha{j}", 0.0, 50.0, 0.1) for j in range(1, self.q + 1)),
         )
 
-    def filter(self, y, theta, order: int = 0) -> FilterOutput:
-        th = self._check_theta(theta)
-        y = self._check_series(y)
+    def _theta_free(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The design (dmean, dsigma2): ones, the lags and the lagged squares, column-major."""
         n, d = y.size, self.dim
-        mean_part, scale_part = th[: self.p + 1], th[self.p + 1 :]
-
-        # both blocks are columns of data: write them once, column by
-        # column, and take mean and sigma2 as products with them
         dmean = np.zeros((n, d), order="F")
         dmean[:, 0] = 1.0
         for i in range(1, self.p + 1):
@@ -86,7 +81,17 @@ class Dar(ModelSpec):
         y2 = y * y
         for j in range(1, self.q + 1):
             dsigma2[j:, self.p + 1 + j] = y2[:-j]
+        return dmean, dsigma2
 
+    def filter(self, y, theta, order: int = 0) -> FilterOutput:
+        th = self._check_theta(theta)
+        series = self._bind(y)
+        n = series.values.size
+        mean_part, scale_part = th[: self.p + 1], th[self.p + 1 :]
+
+        # both derivative blocks are the series' design; mean and sigma2
+        # are products with it
+        dmean, dsigma2 = series.blocks
         mean = np.full(n, mean_part[0])
         if self.p:
             mean += dmean[:, 1 : self.p + 1] @ mean_part[1:]

@@ -47,14 +47,18 @@ class Expar(ModelSpec):
             ("decay", 1e-6, 100.0, 1.0),
         )
 
+    def _theta_free(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The lags y_{t-1}, ..., y_{t-p} and the squared first lag."""
+        ylags = self._lags(y)
+        return ylags, ylags[:, 0] ** 2
+
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)
-        y = self._check_series(y)
-        n, d, p = y.size, self.dim, self.p
+        series = self._bind(y)
+        n, d, p = series.values.size, self.dim, self.p
         ar, nl, decay = th[:p], th[p : 2 * p], th[2 * p]
 
-        ylags = self._lags(y)
-        y1sq = ylags[:, 0] ** 2
+        ylags, y1sq = series.blocks
         env = np.exp(-decay * y1sq)
         nl_sum = ylags @ nl
         mean = ylags @ ar + env * nl_sum

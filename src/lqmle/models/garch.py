@@ -80,24 +80,34 @@ class Garch(ModelSpec):
                 strays.append(message)
         return np.r_[1.0, -beta]
 
+    def _theta_free(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The lagged squares y_{t-i}^2, i = 1..p, and the drives of dsigma2 with zero beta columns."""
+        n = y.size
+        y2lags = np.column_stack([lagged(y * y, i) for i in range(1, self.p + 1)])
+        # the drives hold a second, column-major copy: for p > 1 the product
+        # with alpha over those columns rounds differently from y2lags @ alpha
+        drives = np.zeros((n, self.dim), order="F")
+        drives[:, 0] = 1.0
+        drives[:, 1 : self.p + 1] = y2lags
+        return y2lags, drives
+
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
         th = self._check_theta(theta)
-        y = self._check_series(y)
-        n, d = y.size, self.dim
+        series = self._bind(y)
+        n, d = series.values.size, self.dim
         alpha0, alpha, beta = th[0], th[1 : self.p + 1], th[self.p + 1 :]
         band = _band(self._denominator(beta), n)
 
-        y2lags = np.column_stack([lagged(y * y, i) for i in range(1, self.p + 1)])
+        y2lags, drives = series.blocks
         drive = alpha0 + y2lags @ alpha
         sigma2_raw = _all_pole(band, drive)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
         if order >= 1:
-            # the drives of dsigma2, column-major; the mean is identically zero
-            v = np.zeros((n, d), order="F")
-            v[:, 0] = 1.0
-            v[:, 1 : self.p + 1] = y2lags
+            # the drives of dsigma2, column-major, with the lagged
+            # variances in the beta columns; the mean is identically zero
+            v = np.array(drives, order="F")
             for j in range(1, self.q + 1):
                 v[j:, self.p + j] = sigma2_raw[:-j]
             dsigma2 = _all_pole(band, v)

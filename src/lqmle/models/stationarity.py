@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import InnovationDist
+from ..distributions import InnovationDist, empirical
 from .arma_garch import ArmaGarch
 from .base import ModelSpec
 from .dar import Dar
@@ -22,9 +22,13 @@ _DRAWS = 100_000
 _SEED = 0
 
 
-def _mc_mean(values: np.ndarray) -> tuple[float, float]:
+def _finite(values: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(values)):
         raise ValueError("degenerate recursion: Lyapunov integrand is not finite")
+    return values
+
+
+def _mc_mean(values: np.ndarray) -> tuple[float, float]:
     se = float(np.std(values, ddof=1) / np.sqrt(values.size)) if values.size > 1 else 0.0
     return float(np.mean(values)), se
 
@@ -39,9 +43,12 @@ def lyapunov_exponent(
     Supported models: DAR(1,1) with E log |ar1 + eta sqrt(alpha1)|, and
     GARCH(1,1) or ARMA(1,1)-GARCH(1,1) with E log (beta1 + alpha1 eta^2)
     for the volatility recursion, as the mean over ``_DRAWS`` draws from
-    ``dist`` (seed ``_SEED``).  When the random coefficient vanishes
-    (alpha1 = 0) the exact degenerate value, log |ar1| or log |beta1|,
-    is returned with zero standard error.
+    ``dist`` (seed ``_SEED``).  Under an empirical law the integrand is
+    taken at the law's values, which are then resampled: the same
+    draws, by the same indices, at the cost of the sample.  When the
+    random coefficient vanishes (alpha1 = 0) the exact degenerate
+    value, log |ar1| or log |beta1|, is returned with zero standard
+    error.
     """
     if not isinstance(model, (Dar, Garch, ArmaGarch)):
         raise ValueError(f"no Lyapunov recursion defined for model {model.name!r}")
@@ -55,10 +62,21 @@ def lyapunov_exponent(
             raise ValueError("degenerate recursion: both coefficients are zero")
         return float(np.log(abs(fixed))), 0.0
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(_SEED)))
-    eta = dist.sample(rng, _DRAWS)
     # a draw that zeroes the coefficient logs to -inf, and a negative alpha1
-    # or coefficient gives NaN; _mc_mean refuses both
+    # or coefficient gives NaN; _finite refuses both
     with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(model, Dar):
-            return _mc_mean(np.log(np.abs(fixed + np.sqrt(alpha1) * eta)))
-        return _mc_mean(np.log(fixed + alpha1 * eta * eta))
+        if dist.family == "empirical":
+            # a resample picks values by index alone: take the integrand
+            # once per sample value and resample those
+            values = _integrand(model, fixed, alpha1, dist.scale * np.asarray(dist.data))
+            draws = empirical(_finite(values)).sample(rng, _DRAWS)
+        else:
+            draws = _finite(_integrand(model, fixed, alpha1, dist.sample(rng, _DRAWS)))
+    return _mc_mean(draws)
+
+
+def _integrand(model: ModelSpec, fixed: float, alpha1: float, eta: np.ndarray) -> np.ndarray:
+    """log |ar1 + sqrt(alpha1) eta| for DAR, log (beta1 + alpha1 eta^2) otherwise."""
+    if isinstance(model, Dar):
+        return np.log(np.abs(fixed + np.sqrt(alpha1) * eta))
+    return np.log(fixed + alpha1 * eta * eta)

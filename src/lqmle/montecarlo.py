@@ -335,16 +335,14 @@ def population_information(
         for start in range(burn, nobs + burn, _BLOCK):
             stop = min(start + _BLOCK, nobs + burn)
             out = model.filter(y[start - burn : stop], th, order=1)
-            # divide the filter's own derivative blocks in place: no n x d
-            # quotients; a None block is identically zero and adds nothing
+            # the derivative blocks can be the series' read-only design, so
+            # the quotients are new arrays; a None block is identically zero
             w, dg = out.dsigma2, out.dmean
             if w is not None:
-                w = w[burn:]
-                w /= out.sigma2[burn:][:, None]
+                w = w[burn:] / out.sigma2[burn:][:, None]
                 ms = ms + w.T @ w
             if dg is not None:
-                dg = dg[burn:]
-                dg /= out.sigma[burn:][:, None]
+                dg = dg[burn:] / out.sigma[burn:][:, None]
                 mg = mg + dg.T @ dg
             if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(mg))):
                 rows = np.column_stack([q * q for q in (w, dg) if q is not None])

@@ -954,3 +954,76 @@ def test_one_huge_observation_fits_or_raises_a_typed_error(capfd, name, kw, thet
     else:
         assert np.isfinite(res.loglik)
     assert capfd.readouterr().out == ""
+
+
+def test_a_start_that_joins_an_earlier_optimum_stops_and_cannot_win(monkeypatch):
+    # on this series later starts reach the first start's optimum; each
+    # stops once an accepted iterate is within _JOIN_TOL of it, and the fit
+    # is the earliest single-start fit that reaches the best loglik
+    model = make_model("garch", p=1, q=1)
+    y = simulate(model, np.array([1.0, 0.15, 0.4]), 400, logistic(), seed=0, burn=100)
+    starts = estimation._build_starts(model, model._bind(y), FitOptions())
+    singles = [fit(model, y, FitOptions(start=tuple(s))) for s in starts]
+    runs = []
+    real = estimation._newton
+
+    def recording(*args):
+        runs.append(real(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(estimation, "_newton", recording)
+    got = fit(model, y)
+    assert got.n_starts == len(runs) == len(starts)
+    joined = [i for i, (run, single) in enumerate(zip(runs, singles)) if run is None and single.converged]
+    assert joined and joined[0] > 0
+    top = max(s.loglik for s in singles)
+    want = next(s for s in singles if not estimation._beats(top, s.loglik))
+    assert got.theta.array.tobytes() == want.theta.array.tobytes()
+    assert (got.loglik, got.iterations, got.trace) == (want.loglik, want.iterations, want.trace)
+    # every start run to its end gives the same fit for more evaluations
+    counts = []
+    real_evaluate = estimation.evaluate
+    monkeypatch.setattr(estimation, "evaluate", lambda *a, **k: counts.append(1) or real_evaluate(*a, **k))
+    fit(model, y)
+    joining = len(counts)
+    counts.clear()
+    monkeypatch.setattr(estimation, "_JOIN_TOL", 0.0)
+    full = fit(model, y)
+    assert len(counts) > joining
+    assert full.theta.array.tobytes() == got.theta.array.tobytes()
+    assert (full.loglik, full.iterations, full.trace, full.n_starts) == (got.loglik, got.iterations, got.trace, got.n_starts)
+    assert full.cov.tobytes() == got.cov.tobytes()
+
+
+# evaluate calls pinned per model, as upper bounds, on a small fixed corpus:
+# each fit-zoo model under logistic and t2 innovations on seeds 0-4, and the
+# restricted DAR fits of the R = [1, 1, 1, 1], r = 2.3 cell at 1.5 theta0
+# on seeds 1000-1004.  A change that lowers a total lowers its pin with it.
+EVALUATION_PINS = {"dar": 177, "garch": 394, "arma_garch": 486, "expar": 521, "dar_restricted": 52}
+
+
+def test_evaluations_per_model_stay_within_their_pins(monkeypatch):
+    calls = []
+    real = estimation.evaluate
+    monkeypatch.setattr(estimation, "evaluate", lambda *a, **k: calls.append(1) or real(*a, **k))
+    totals = {}
+    for name, kw, theta0 in (_DAR, _GARCH, _AG, _EXPAR):
+        model = make_model(name, **kw)
+        series = [
+            simulate(model, np.array(theta0), 400, law, seed=seed, burn=100)
+            for law in (logistic(), student_t(2.0, _T2_SCALE))
+            for seed in range(5)
+        ]
+        calls.clear()
+        for y in series:
+            fit(model, y)
+        totals[name] = len(calls)
+    model, theta0 = make_model("dar", p=1, q=1), 1.5 * np.array(_DAR[2])
+    totals["dar_restricted"] = 0
+    for seed in range(1000, 1005):
+        y = simulate(model, theta0, 400, logistic(), seed=seed, burn=100)
+        theta_hat = fit(model, y).theta
+        calls.clear()
+        fit_constrained(model, y, [[1.0, 1.0, 1.0, 1.0]], [2.3], theta_hat=theta_hat)
+        totals["dar_restricted"] += len(calls)
+    assert {k: v for k, v in totals.items() if v > EVALUATION_PINS[k]} == {}

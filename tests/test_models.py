@@ -21,7 +21,7 @@ from lqmle.errors import NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
-from lqmle.models.base import FilterOutput, _adjoint, _all_pole, _band, _floor_sigma2
+from lqmle.models.base import FilterOutput, _adjoint, _all_pole, _band, _floor_sigma2, _seeded_path
 from lqmle.models.stationarity import lyapunov_exponent
 
 Y3 = np.array([1.0, 2.0, 3.0])
@@ -616,6 +616,40 @@ def test_path_matches_numpy_scalar_oracle_bit_for_bit(name, kw, theta, family):
     eta = rng.logistic(size=3000) if family == "logistic" else rng.standard_t(2.0, size=3000)
     th = np.asarray(theta)
     assert np.array_equal(m.path(th, eta), PATH_ORACLES[name](m, th, eta))
+
+
+@pytest.mark.parametrize("name,kw,theta", PATH_CASES, ids=PATH_IDS)
+def test_filter_inverts_path_through_a_raw_or_a_bound_series(monkeypatch, name, kw, theta):
+    # the two definitions of each recursion: filtering a drawn path, with
+    # its presample zeros prepended, must give back the drawn innovations
+    m = make_model(name, **kw)
+    th = np.asarray(theta)
+    eta, y = _seeded_path(m, th, 400, logistic(), 3, 0)
+    y = np.r_[np.zeros(m.presample), y]
+    series = m._bind(y)
+    assert m._bind(series) is series
+    outs = [m.filter(v, th, order=2) for v in (y, series)]
+    for out in outs:
+        resid = ((y - out.mean) / out.sigma)[m.presample :]
+        assert np.max(np.abs(resid - eta)) <= 1e-14
+    # a bound series runs the raw array's code path: the same bits
+    w = np.random.default_rng(1).standard_normal((2, y.size))
+    raw, bound = ([getattr(out, f) for f in ("mean", "sigma2", "sigma", "dmean", "dsigma2")] for out in outs)
+    for a, b in zip(raw, bound):
+        assert (a is None and b is None) or a.tobytes() == b.tobytes()
+    if outs[0].curvature is not None:
+        assert outs[0].curvature(*w).tobytes() == outs[1].curvature(*w).tobytes()
+    # the theta-free blocks are built once per series and shared read-only
+    built = []
+    real = type(m)._theta_free
+    monkeypatch.setattr(type(m), "_theta_free", lambda self, v: built.append(1) or real(self, v))
+    series = m._bind(y)
+    for order in (2, 0, 1):
+        m.filter(series, th, order=order)
+    assert len(built) == 1
+    for block in series.blocks:
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0.0
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

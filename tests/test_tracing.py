@@ -7,9 +7,13 @@ refactor that renames or drops one of them breaks ``bench/run.py
 
 import importlib
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lqmle
 import lqmle.cli  # the tracer wraps cli.main
@@ -141,3 +145,23 @@ def test_bench_tracer_yields_every_declared_per_layer_metric(monkeypatch, tmp_pa
     assert codes == [0, 0]
     metrics = tracing.layer_metrics(tracer.spans)
     assert [m["name"] for m in declared if metrics.get(m["name"]) is None] == []
+
+
+@pytest.mark.parametrize("workload", ["fit-zoo", "mc-study"])
+def test_traced_bench_round_is_correct_and_yields_every_declared_metric(tmp_path, workload):
+    # one traced round of the bench itself, run on a copy of bench/ next to
+    # this package's sources so that its outputs stay in tmp_path: any
+    # evaluation that bypasses the traced boundaries shows as a missing metric
+    root = BENCH.parent
+    shutil.copytree(BENCH, tmp_path / "bench", ignore=shutil.ignore_patterns("out", "__pycache__"))
+    shutil.copy(root / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(root / "src")
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "0", "--trace", "1"]
+    done = subprocess.run(
+        [sys.executable, str(tmp_path / "bench" / "run.py"), *argv], capture_output=True, text=True, timeout=600
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    declared = json.loads((root / "BENCHMARK.json").read_text())["per_layer"]
+    assert [m["name"] for m in declared if m["name"] not in result["metrics"]] == []
