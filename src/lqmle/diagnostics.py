@@ -159,8 +159,11 @@ def residual_diagnostics(model, fit, hill_k: int | None = None) -> DiagnosticsRe
     The Hill estimator runs on the standardized residuals; a tail too
     degenerate to estimate yields None rather than an error.  The
     Lyapunov exponent of the fitted recursion is estimated under the
-    empirical residual law (models without a first-order recursion get
-    None).
+    empirical residual law, as the mean of the integrand at the residuals
+    weighted by how often a fixed-seed resample draws each one; the
+    resample is drawn once per residual count.  Models without a
+    first-order recursion, and a non-finite integrand at any residual,
+    get None.
     """
     resid = np.asarray(fit.residuals, dtype=float).ravel()
     summary = summarize_residuals(resid)

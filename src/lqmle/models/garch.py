@@ -71,14 +71,14 @@ class Garch(ModelSpec):
         )
 
     def _denominator(self, beta: np.ndarray) -> np.ndarray:
-        if np.sum(beta) >= 1.0:
+        if beta.sum() >= 1.0:
             message = "beta coefficients sum to one or more; variance recursion diverges"
             strays = _STRAYS.get()
             if strays is None:
                 warnings.warn(message, NonstationaryRegionWarning, stacklevel=3)
             else:
                 strays.append(message)
-        return np.r_[1.0, -beta]
+        return np.concatenate(([1.0], -beta))
 
     def _theta_free(self, y: np.ndarray) -> tuple[np.ndarray, ...]:
         """The lagged squares y_{t-i}^2, i = 1..p, and the drives of dsigma2 with zero beta columns."""

@@ -15,10 +15,10 @@ from lqmle.diagnostics import (
     residual_diagnostics,
     summarize_residuals,
 )
-from lqmle.distributions import logistic
+from lqmle.distributions import InnovationDist, empirical, logistic
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
-from lqmle.models import make_model, simulate
+from lqmle.models import make_model, simulate, stationarity
 
 
 def test_hill_recovers_pareto_exponent():
@@ -148,6 +148,57 @@ def test_report_lyapunov_none_when_unavailable():
     assert rep.lyapunov is None
     assert rep.lyapunov_se is None
     assert rep.hill is not None
+
+
+def _garch_fit(nobs: int, seed: int):
+    model = make_model("garch", p=1, q=1)
+    return model, fit(model, simulate(model, np.array([0.5, 0.15, 0.6]), nobs, logistic(), seed=seed))
+
+
+def test_lyapunov_resamples_once_per_residual_count(monkeypatch):
+    draws = []
+    sample = InnovationDist.sample
+
+    def counted(self, rng, size):
+        draws.append(size)
+        return sample(self, rng, size)
+
+    monkeypatch.setattr(InnovationDist, "sample", counted)
+    stationarity._draw_counts.cache_clear()
+    fits = [_garch_fit(300, seed) for seed in (63, 64)]
+    per_call = []
+    for model, res in [*fits, *fits, _garch_fit(301, 65)]:
+        before = len(draws)
+        assert residual_diagnostics(model, res).lyapunov is not None
+        per_call.append(len(draws) - before)
+    assert per_call == [1, 0, 0, 0, 1]
+    counts = stationarity._draw_counts(300)
+    assert not counts.flags.writeable
+    assert counts.size == 300 and counts.sum() == stationarity._DRAWS
+
+
+def test_report_lyapunov_is_the_exponent_under_the_residual_law():
+    model, res = _garch_fit(300, 66)
+    rep = residual_diagnostics(model, res)
+    want = stationarity.lyapunov_exponent(model, res.theta, empirical(res.residuals))
+    assert (rep.lyapunov, rep.lyapunov_se) == want
+
+
+def test_lyapunov_refuses_a_non_finite_value_the_resample_never_draws():
+    # with more values than draws some position is never drawn; a zero
+    # there makes the DAR integrand log |0 + sqrt(alpha1) * 0| = -inf
+    import json
+    from types import SimpleNamespace
+
+    n = stationarity._DRAWS + 1
+    resid = np.random.default_rng(67).logistic(size=n)
+    resid[np.flatnonzero(stationarity._draw_counts(n) == 0)[0]] = 0.0
+    model, theta = make_model("dar", p=1, q=1), np.array([0.0, 0.0, 1.0, 0.5])
+    with pytest.raises(ValueError, match="not finite"):
+        stationarity.lyapunov_exponent(model, theta, empirical(resid))
+    rep = residual_diagnostics(model, SimpleNamespace(residuals=resid, theta=theta, loglik=-1.0))
+    assert rep.lyapunov is None and rep.lyapunov_se is None
+    assert '"lyapunov": null' in json.dumps(rep.as_dict())
 
 
 def test_kernel_mean_law_of_large_numbers():

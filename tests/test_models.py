@@ -332,6 +332,29 @@ def test_lyapunov_garch_is_the_mean_log_volatility_coefficient():
     assert se < 1e-12
 
 
+# (model, kwargs, theta, integrand of an innovation array) for the count test
+_LYAPUNOV_CASES = {
+    "dar": ("dar", {}, (0.1, 0.5, 1.0, 0.4), lambda e: np.log(np.abs(0.5 + np.sqrt(0.4) * e))),
+    "garch": ("garch", {}, (0.5, 0.15, 0.6), lambda e: np.log(0.6 + 0.15 * e * e)),
+    "arma_garch": (
+        "arma_garch", {"include_intercept": False}, (0.3, 0.2, 0.2, 0.1, 0.3), lambda e: np.log(0.3 + 0.1 * e * e)
+    ),
+}
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.7])
+@pytest.mark.parametrize("n", [1, 2, 57, 399, 400])
+@pytest.mark.parametrize("case", list(_LYAPUNOV_CASES))
+def test_lyapunov_counts_reproduce_the_explicit_resample(case, n, scale):
+    name, kw, theta, integrand = _LYAPUNOV_CASES[case]
+    law = empirical(np.random.default_rng(n).standard_t(2, n), scale)
+    draws = integrand(law.sample(np.random.Generator(np.random.Philox(np.random.SeedSequence(0))), 100_000))
+    val, se = lyapunov_exponent(make_model(name, **kw), np.array(theta), law)
+    assert val == pytest.approx(np.mean(draws), rel=1e-12)
+    # a one-point law's draws are all equal: both standard errors are rounding, below 1e-18
+    assert se == pytest.approx(np.std(draws, ddof=1) / np.sqrt(draws.size), rel=1e-12, abs=1e-15 if n == 1 else 0)
+
+
 def test_lyapunov_rejects_degenerate_recursion():
     m = make_model("dar", p=1, q=1)
     with pytest.raises(ValueError):

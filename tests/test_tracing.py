@@ -19,7 +19,7 @@ import lqmle
 import lqmle.cli  # the tracer wraps cli.main
 from lqmle.dataio import write_series
 from lqmle.distributions import logistic, student_t
-from lqmle.models import make_model
+from lqmle.models import make_model, stationarity
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -136,6 +136,9 @@ def test_bench_tracer_yields_every_declared_per_layer_metric(monkeypatch, tmp_pa
         # so it makes an order-0 filter call
         write_series(data, lqmle.simulate(model, np.array(theta), 400, student_t(2.0), seed=3, burn=100))
         argvs.append(["fit", "--data", str(data), "--model", name, *extra, "--seed", "11", "--out", str(tmp_path / f"{name}.json")])
+    # the bench runs in a fresh process, where the first Lyapunov diagnostic
+    # of each residual count draws its resample; earlier tests drew these
+    stationarity._draw_counts.cache_clear()
     tracer = tracing.Tracer()
     tracer.install()
     try:
