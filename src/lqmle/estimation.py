@@ -30,6 +30,9 @@ box.  Every start runs, but a later one stops at its first accepted
 iterate within ``_JOIN_TOL`` of an optimum that an earlier start of the
 same fit converged to: run on, it would end there and only tie, and a
 tie keeps the earlier start, so stopping it changes no estimate.  A
+run's full Newton step is evaluated with derivatives, since it is usually
+taken and the next iteration needs them, but not when it lands that
+close to an earlier optimum: taken, it ends the run.  A
 restricted fit starts next to its optimum: the unrestricted
 estimate theta_hat projected into the box on the plane runs first,
 ahead of the start values.  A model that sets ``interior_warm_start``
@@ -335,7 +338,10 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
     converged to; the run stops at its first accepted iterate within
     ``_JOIN_TOL`` of one of them in max_i |theta_i - theta*_i| /
     (1 + |theta*_i|).  Run on, it would end at that optimum, where it
-    could only tie, and a tie keeps the earlier start (``_beats``).
+    could only tie, and a tie keeps the earlier start (``_beats``).  So
+    a full step that lands within reach is evaluated at order 0, not 2:
+    accepted, it ends the run; rejected, the backtracks compare values
+    alone.  The number of evaluations is that of an order-2 trial.
 
     Steps live in theta, within one orthonormal frame per working set
     of binding box faces: the null space of the rows of R (None for an
@@ -371,6 +377,9 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
 
     # per-coordinate reach of each earlier optimum
     reach = None if optima is None else _JOIN_TOL * (1.0 + np.abs(optima))
+
+    def joins(th):
+        return reach is not None and bool((np.abs(th - optima) <= reach).all(axis=1).any())
 
     th = np.asarray(th0, dtype=float)
     parts = at(th, 2)
@@ -415,14 +424,16 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
             converged = True
             break
         # the full step is usually taken, so it is evaluated with the
-        # derivatives the next iteration needs; backtracks only compare values
+        # derivatives the next iteration needs, unless taking it joins an
+        # earlier optimum and ends the run; backtracks only compare values
         accepted = False
         alpha = alpha_cap
         while alpha >= 1e-14:
-            trial = th + alpha * dth
-            cand = at(trial, 2 if alpha == alpha_cap else 0)
+            step = alpha * dth
+            trial = th + step
+            cand = at(trial, 2 if alpha == alpha_cap and not joins(trial) else 0)
             if cand is not None and math.isfinite(cand.loglik):
-                gain = float(score @ (alpha * dth))
+                gain = float(score @ step)
                 if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
                     accepted = True
                     break
@@ -430,9 +441,9 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
         if not accepted:
             converged = sp <= level
             break
-        last_step = float(np.abs(alpha * dth).max())
+        last_step = float(np.abs(step).max())
         th = trial
-        if reach is not None and (np.abs(th - optima) <= reach).all(axis=1).any():
+        if joins(th):
             return None
         parts = cand if cand.hess is not None else at(th, 2)
         trace.append(parts.loglik)

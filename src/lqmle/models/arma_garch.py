@@ -77,10 +77,10 @@ class ArmaGarch(ModelSpec):
         ma_band = _band(np.array([1.0, ma1]), n)
         gj_band = _band(np.array([1.0, -beta1]), n)
 
-        e = _all_pole(ma_band, y - const - ar1 * ylag)
+        e = _all_pole(ma_band, y - const - ar1 * ylag, overwrite=True)
         elag = lagged(e, 1)
         drive = alpha0 + alpha1 * elag * elag
-        sigma2_raw = _all_pole(gj_band, drive)
+        sigma2_raw = _all_pole(gj_band, drive, overwrite=True)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma)
@@ -96,7 +96,7 @@ class ArmaGarch(ModelSpec):
             col += 1
         de_drives[:, col] = -ylag
         de_drives[:, col + 1] = -elag
-        de = _all_pole(ma_band, de_drives)
+        de = _all_pole(ma_band, de_drives, overwrite=True)
         dem = lagged(de, 1)
 
         # scale derivatives: direct part then beta feedback
@@ -105,7 +105,7 @@ class ArmaGarch(ModelSpec):
         ds_drives[:, m] = 1.0
         ds_drives[:, m + 1] = elag * elag
         ds_drives[:, m + 2] = lagged(sigma2_raw, 1)
-        dsigma2 = _all_pole(gj_band, ds_drives)
+        dsigma2 = _all_pole(gj_band, ds_drives, overwrite=True)
         dmean = np.zeros((n, d), order="F")
         np.negative(de, out=dmean[:, :m])
         out.dmean = dmean
@@ -118,7 +118,7 @@ class ArmaGarch(ModelSpec):
         i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
         d2e_drives = -dem
         d2e_drives[:, i_ma] *= 2.0
-        block = _all_pole(ma_band, d2e_drives)
+        block = _all_pole(ma_band, d2e_drives, overwrite=True)
 
         def curvature(wg, ws):
             # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'

@@ -85,13 +85,16 @@ def _band(den: np.ndarray, n: int) -> np.ndarray:
     return np.repeat(den[None, :], n, axis=0).T
 
 
-def _all_pole(band: np.ndarray, x: np.ndarray, trans: str = "N") -> np.ndarray:
+def _all_pole(band: np.ndarray, x: np.ndarray, trans: str = "N", overwrite: bool = False) -> np.ndarray:
     """L^-1 x, or L^-T x with trans="T", for L the all-pole filter matrix of ``band``.
 
     One banded LAPACK solve runs every column of a 1-D or column-major
-    (n, m) x; the result has the shape of x and is column-major.
+    (n, m) x; the result has the shape of x and is column-major.  With
+    ``overwrite`` the solve runs in x's own memory, so it makes no copy
+    of x and returns a view of it: pass it only for a drive the filter
+    has just built and reads no more.
     """
-    v, _ = dtbtrs(band, x.reshape(band.shape[1], -1), uplo="L", trans=trans, diag="U")
+    v, _ = dtbtrs(band, x.reshape(band.shape[1], -1), uplo="L", trans=trans, diag="U", overwrite_b=overwrite)
     return v.reshape(x.shape, order="F")
 
 

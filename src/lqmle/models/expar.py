@@ -14,6 +14,8 @@ __all__ = ["Expar"]
 
 # decays of the candidate grid: eight per decade over [1e-4, 100]
 _DECAYS = np.logspace(-4.0, 2.0, 49)
+# (decay, t) entries per block of the profile grid: a (k, n) float block is 256 kB, inside L2
+_BLOCK_ELEMS = 1 << 15
 _COEF_BOUND = 5.0  # every ar and nl coefficient lies in [-5, 5]
 
 
@@ -105,45 +107,64 @@ class Expar(ModelSpec):
         At fixed decay g_t is linear in (ar, nl) and sigma_t = 1, so the
         logistic criterion is concave in them: least squares, then four
         Newton steps of that criterion, clipped to the box, give its
-        profile at each decay.  The grid points where that profile has a
-        local maximum form the group, one per basin along the decay.  All
-        decays run at once, and every sum over t is a product with the
-        lags or their outer products.
+        profile at each decay (``_profile``).  The grid points where that
+        profile has a local maximum form the group, one per basin along
+        the decay.  The decays run in blocks of about ``_BLOCK_ELEMS``
+        (decay, t) entries: each of a block's (decays, n) arrays then
+        stays in cache through its passes, where the whole grid of a long
+        series would spill.  A series of up to ``_BLOCK_ELEMS // 49``
+        points runs as one block.  The peaks are taken over the whole
+        grid, so a plateau across a block edge counts once.
         """
         ylags = self._lags(y)
         n, p = ylags.shape
-        env = np.exp(-np.outer(_DECAYS, ylags[:, 0] ** 2))  # (k, n)
-        env_sq = env * env
+        y1sq = ylags[:, 0] ** 2
         outer = (ylags[:, :, None] * ylags[:, None, :]).reshape(n, p * p)
-
-        def gram(w):
-            """(k, 2p, 2p) sums over t of w_t x_t x_t' for x_t = (ylags_t, env_t ylags_t)."""
-            a, b, c = (np.dot(w * e, outer).reshape(-1, p, p) for e in (1.0, env, env_sq))
-            return np.concatenate([np.concatenate([a, b], axis=2), np.concatenate([b, c], axis=2)], axis=1)
-
-        def cross(v):
-            """(k, 2p) sums over t of v_t x_t."""
-            return np.concatenate([np.dot(v, ylags), np.dot(v * env, ylags)], axis=1)
-
-        def solve(mat, rhs):
-            # a ridge of 1e-12 of the largest diagonal entry keeps collinear columns solvable
-            ridge = 1e-12 * np.max(np.diagonal(mat, axis1=1, axis2=2), axis=1) + np.finfo(float).tiny
-            return np.linalg.solve(mat + ridge[:, None, None] * np.eye(2 * p), rhs[..., None])[..., 0]
-
-        def residuals(coef):
-            # np.dot, not @: it takes the strided coefficient blocks to BLAS
-            return y - np.dot(coef[:, :p], ylags.T) - env * np.dot(coef[:, p:], ylags.T)
-
-        coef = solve(gram(np.ones_like(env)), cross(np.broadcast_to(y, env.shape)))
-        for _ in range(4):
-            psi, dpsi = logistic_psi(residuals(coef))
-            coef = coef + solve(gram(dpsi), cross(psi))
-        coef = np.clip(coef, -_COEF_BOUND, _COEF_BOUND)
-        profile = logistic_logpdf(residuals(coef)).sum(axis=1)
+        width = max(1, _BLOCK_ELEMS // n)
+        blocks = [_profile(y, ylags, y1sq, outer, _DECAYS[i : i + width]) for i in range(0, _DECAYS.size, width)]
+        coef = np.concatenate([c for c, _ in blocks])
+        profile = np.concatenate([f for _, f in blocks])
         padded = np.r_[-np.inf, profile, -np.inf]
         peaks = (profile > padded[:-2]) & (profile >= padded[2:])  # one per plateau
         group = [np.r_[c, decay] for c, decay in zip(coef[peaks], _DECAYS[peaks])]
         return [group] if group else []
+
+
+def _profile(y, ylags, y1sq, outer, decays):
+    """(coef, profile) at each of ``decays``: the clipped (ar, nl) and the logistic criterion there.
+
+    All the decays run at once, and every sum over t is a product with
+    the lags or with their outer products ``outer``, (n, p * p).
+    """
+    p = ylags.shape[1]
+    env = np.exp(-np.outer(decays, y1sq))  # (k, n)
+    env_sq = env * env
+
+    def gram(w):
+        """(k, 2p, 2p) sums over t of w_t x_t x_t' for x_t = (ylags_t, env_t ylags_t); None is unit w."""
+        rows = (np.ones_like(env), env, env_sq) if w is None else (w, w * env, w * env_sq)
+        a, b, c = (np.dot(r, outer).reshape(-1, p, p) for r in rows)
+        return np.concatenate([np.concatenate([a, b], axis=2), np.concatenate([b, c], axis=2)], axis=1)
+
+    def cross(v):
+        """(k, 2p) sums over t of v_t x_t."""
+        return np.concatenate([np.dot(v, ylags), np.dot(v * env, ylags)], axis=1)
+
+    def solve(mat, rhs):
+        # a ridge of 1e-12 of the largest diagonal entry keeps collinear columns solvable
+        ridge = 1e-12 * np.max(np.diagonal(mat, axis1=1, axis2=2), axis=1) + np.finfo(float).tiny
+        return np.linalg.solve(mat + ridge[:, None, None] * np.eye(2 * p), rhs[..., None])[..., 0]
+
+    def residuals(coef):
+        # np.dot, not @: it takes the strided coefficient blocks to BLAS
+        return y - np.dot(coef[:, :p], ylags.T) - env * np.dot(coef[:, p:], ylags.T)
+
+    coef = solve(gram(None), cross(np.broadcast_to(y, env.shape)))
+    for _ in range(4):
+        psi, dpsi = logistic_psi(residuals(coef))
+        coef = coef + solve(gram(dpsi), cross(psi))
+    coef = np.clip(coef, -_COEF_BOUND, _COEF_BOUND)
+    return coef, logistic_logpdf(residuals(coef)).sum(axis=1)
 
 
 def _expar_loop(eta, y, sqrt, th, p):

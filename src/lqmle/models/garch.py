@@ -100,7 +100,7 @@ class Garch(ModelSpec):
 
         y2lags, drives = series.blocks
         drive = alpha0 + y2lags @ alpha
-        sigma2_raw = _all_pole(band, drive)
+        sigma2_raw = _all_pole(band, drive, overwrite=True)
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
@@ -110,7 +110,7 @@ class Garch(ModelSpec):
             v = np.array(drives, order="F")
             for j in range(1, self.q + 1):
                 v[j:, self.p + j] = sigma2_raw[:-j]
-            dsigma2 = _all_pole(band, v)
+            dsigma2 = _all_pole(band, v, overwrite=True)
             out.dsigma2 = dsigma2
         if order >= 2:
 

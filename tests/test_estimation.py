@@ -186,6 +186,22 @@ def test_lean_assembly_matches_dense_blocks(name, kw, theta0, criterion):
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (n, want)
 
 
+@pytest.mark.parametrize(
+    "name,kw,theta0",
+    ASSEMBLY_CASES,
+    ids=["dar", "garch", "expar", "arma_garch", "dar22", "garch12", "expar2", "arma_garch-no-intercept"],
+)
+def test_order2_keeps_the_score_rows_and_residuals_of_order1(name, kw, theta0):
+    # the filters solve their own drives in place; the weights kept for
+    # score_rows and the residuals must survive the order-2 curvature
+    model = make_model(name, **kw)
+    y = simulate(model, theta0, 300, logistic(), seed=11)
+    for criterion in ("logistic", "gaussian"):
+        two, one = (evaluate(model, y, theta0, order=k, criterion=criterion) for k in (2, 1))
+        assert np.array_equal(two.score_rows, one.score_rows)
+        assert np.array_equal(two.residuals, one.residuals)
+
+
 def test_score_rows_sum_to_score():
     model = make_model("dar", p=1, q=1)
     theta = np.array([0.4, 0.3, 1.0, 0.3])
@@ -965,13 +981,21 @@ def test_a_start_that_joins_an_earlier_optimum_stops_and_cannot_win(monkeypatch)
     starts = estimation._build_starts(model, model._bind(y), FitOptions())
     singles = [fit(model, y, FitOptions(start=tuple(s))) for s in starts]
     runs = []
-    real = estimation._newton
+    orders = []  # the order of each evaluation, per Newton run
+    real, real_evaluate = estimation._newton, estimation.evaluate
 
     def recording(*args):
+        orders.append([])
         runs.append(real(*args))
         return runs[-1]
 
+    def counted(*args, **kwargs):
+        if orders:
+            orders[-1].append(kwargs.get("order", 0))
+        return real_evaluate(*args, **kwargs)
+
     monkeypatch.setattr(estimation, "_newton", recording)
+    monkeypatch.setattr(estimation, "evaluate", counted)
     got = fit(model, y)
     assert got.n_starts == len(runs) == len(starts)
     joined = [i for i, (run, single) in enumerate(zip(runs, singles)) if run is None and single.converged]
@@ -980,16 +1004,16 @@ def test_a_start_that_joins_an_earlier_optimum_stops_and_cannot_win(monkeypatch)
     want = next(s for s in singles if not estimation._beats(top, s.loglik))
     assert got.theta.array.tobytes() == want.theta.array.tobytes()
     assert (got.loglik, got.iterations, got.trace) == (want.loglik, want.iterations, want.trace)
+    # the step that joins needs no derivatives: it ends the run, and
+    # evaluating it at order 0 keeps the 37 evaluations of order 2
+    assert all(orders[i][-1] == 0 for i in joined)
+    joining = sum(map(len, orders))
+    assert joining == 37
     # every start run to its end gives the same fit for more evaluations
-    counts = []
-    real_evaluate = estimation.evaluate
-    monkeypatch.setattr(estimation, "evaluate", lambda *a, **k: counts.append(1) or real_evaluate(*a, **k))
-    fit(model, y)
-    joining = len(counts)
-    counts.clear()
+    orders.clear()
     monkeypatch.setattr(estimation, "_JOIN_TOL", 0.0)
     full = fit(model, y)
-    assert len(counts) > joining
+    assert sum(map(len, orders)) > joining
     assert full.theta.array.tobytes() == got.theta.array.tobytes()
     assert (full.loglik, full.iterations, full.trace, full.n_starts) == (got.loglik, got.iterations, got.trace, got.n_starts)
     assert full.cov.tobytes() == got.cov.tobytes()

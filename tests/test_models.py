@@ -16,11 +16,12 @@ from scipy.signal import lfilter
 
 import lqmle
 from lqmle import estimation
-from lqmle.distributions import empirical, logistic, normal
+from lqmle.distributions import empirical, logistic, normal, student_t
 from lqmle.errors import NonFiniteObjective, ShapeMismatch
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
+from lqmle.models import expar as expar_module
 from lqmle.models.base import FilterOutput, _adjoint, _all_pole, _band, _floor_sigma2, _seeded_path
 from lqmle.models.stationarity import lyapunov_exponent
 
@@ -639,6 +640,52 @@ def test_path_matches_numpy_scalar_oracle_bit_for_bit(name, kw, theta, family):
     eta = rng.logistic(size=3000) if family == "logistic" else rng.standard_t(2.0, size=3000)
     th = np.asarray(theta)
     assert np.array_equal(m.path(th, eta), PATH_ORACLES[name](m, th, eta))
+
+
+@pytest.mark.parametrize("name,kw,theta", PATH_CASES, ids=PATH_IDS)
+def test_filter_leaves_its_input_and_the_bound_blocks_untouched(name, kw, theta):
+    # the banded solves run in place on drives the filter builds, never
+    # on the caller's series or the blocks every call on it shares
+    m = make_model(name, **kw)
+    th = np.asarray(theta)
+    y = simulate(m, th, 300, logistic(), seed=4)
+    kept = y.copy()
+    series = m._bind(y)
+    blocks = [b.copy() for b in series.blocks]
+    rng = np.random.default_rng(0)
+    for v in (y, series):
+        out = m.filter(v, th, order=2)
+        if out.curvature is not None:
+            out.curvature(*rng.standard_normal((2, y.size)))
+    assert np.array_equal(y, kept)
+    assert all(np.array_equal(b, c) for b, c in zip(series.blocks, blocks))
+
+
+def test_expar_grid_runs_in_decay_blocks(monkeypatch):
+    # one block up to _BLOCK_ELEMS // 49 points, 668; two from 669 on
+    m = make_model("expar", p=1)
+    sizes = []
+    real = expar_module._profile
+    monkeypatch.setattr(expar_module, "_profile", lambda *a: sizes.append(a[-1].size) or real(*a))
+    for n, blocks in ((668, 1), (669, 2)):
+        sizes.clear()
+        m.start_candidates(simulate(m, np.array([0.3, 0.7, 1.5]), n, logistic(), seed=0, burn=100))
+        assert len(sizes) == blocks and sum(sizes) == expar_module._DECAYS.size
+
+
+@pytest.mark.parametrize("family", ["logistic", "t2"])
+@pytest.mark.parametrize("n", [669, 4000])
+def test_expar_decay_blocks_match_one_block(monkeypatch, n, family):
+    # the blocks' products differ from the whole grid's in the last bit at most
+    m = make_model("expar", p=1)
+    law = logistic() if family == "logistic" else student_t(2.0, 0.9585596)
+    y = simulate(m, np.array([0.3, 0.7, 1.5]), n, law, seed=n, burn=100)
+    (blocked,) = m.start_candidates(y)
+    monkeypatch.setattr(expar_module, "_BLOCK_ELEMS", expar_module._DECAYS.size * n)
+    (whole,) = m.start_candidates(y)
+    assert [c[-1] for c in blocked] == [c[-1] for c in whole]
+    for b, w in zip(blocked, whole):
+        assert np.all(np.abs(b - w) <= 1e-12 * np.abs(w))
 
 
 @pytest.mark.parametrize("name,kw,theta", PATH_CASES, ids=PATH_IDS)
