@@ -30,9 +30,10 @@ box.  Every start runs, but a later one stops at its first accepted
 iterate within ``_JOIN_TOL`` of an optimum that an earlier start of the
 same fit converged to: run on, it would end there and only tie, and a
 tie keeps the earlier start, so stopping it changes no estimate.  A
-run's full Newton step is evaluated with derivatives, since it is usually
-taken and the next iteration needs them, but not when it lands that
-close to an earlier optimum: taken, it ends the run.  A
+run evaluates its start with derivatives and every trial step, full or
+backtracked, at order 0, since Armijo compares values alone; the step
+it accepts is raised to order 2 from that same filter pass (``_derive``),
+unless it joins an earlier optimum and so ends the run.  A
 restricted fit starts next to its optimum: the unrestricted
 estimate theta_hat projected into the box on the plane runs first,
 ahead of the start values.  A model that sets ``interior_warm_start``
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import null_space
@@ -106,6 +108,8 @@ class CriterionParts:
     residuals: np.ndarray | None = None
     # ((dmean, its weight), (dsigma2, its weight)); a None block has a None weight
     terms: tuple | None = field(default=None, repr=False)
+    # order 0 only, until ``_derive`` takes it: (bound series, filter output, psi pair)
+    pending: tuple | None = field(default=None, repr=False)
 
     @property
     def score_rows(self) -> np.ndarray | None:
@@ -184,7 +188,9 @@ def evaluate(
     and d2 sigma2_t are minus a and b, so the second-derivative term is
     subtracted as one ``curvature(a, b)`` and no (n, d, d) array is built.
     y may be a series bound to the model (``ModelSpec._bind``), as a fit
-    passes it, so that its theta-free arrays are built once.
+    passes it, so that its theta-free arrays are built once.  Order-0
+    parts keep the rest of their filter pass, so ``_derive`` can raise
+    them to order 2 later without a second pass.
     """
     try:
         logpdf, psi_pair = _CRITERIA[criterion]
@@ -192,9 +198,10 @@ def evaluate(
         raise ValueError(f"unknown criterion {criterion!r}") from None
     th = as_array(theta)
     series = model._bind(y)
-    yv, out = _conditioned(series, model.filter(series, th, order=order))
-    sig2, sig = out.sigma2, out.sigma
-    x = (yv - out.mean) / sig
+    full = model.filter(series, th, order=order)
+    yv, out = _conditioned(series, full)
+    sig2 = out.sigma2
+    x = (yv - out.mean) / out.sigma
     n = yv.size
 
     ll = float(np.sum(-0.5 * np.log(sig2) + logpdf(x)))
@@ -202,8 +209,28 @@ def evaluate(
         ll = -np.inf
     parts = CriterionParts(loglik=ll, nobs=n, clamped=_clamp_count(sig2), residuals=x)
     if order == 0:
+        parts.pending = (series, full, psi_pair)
         return parts
+    return _assemble(parts, out, psi_pair, order)
 
+
+def _derive(parts: CriterionParts) -> CriterionParts:
+    """Order-0 ``parts`` raised to order 2 in place, from the filter pass that valued them.
+
+    The filter output's ``derive`` runs the rest of that pass, then the
+    assembly of ``evaluate`` runs: the operations of an order-2
+    ``evaluate`` on the same arrays, so the same bits for one pass.
+    """
+    pending, parts.pending = parts.pending, None
+    if pending is None:
+        raise ValueError("only order-0 criterion parts can be derived, and only once")
+    series, full, psi_pair = pending
+    return _assemble(parts, _conditioned(series, full.derive())[1], psi_pair, 2)
+
+
+def _assemble(parts: CriterionParts, out: FilterOutput, psi_pair, order: int) -> CriterionParts:
+    """``parts`` with the score and, at order 2, the Hessian from the scored rows ``out``."""
+    x, sig2, sig = parts.residuals, out.sigma2, out.sigma
     dg, ds2 = out.dmean, out.dsigma2
     psi, dpsi = psi_pair(x)
     inv_s2 = 1.0 / sig2
@@ -221,7 +248,7 @@ def evaluate(
 
     # per-observation negative Hessian summed over t as matrix products,
     # then negated once; the filter contracts its own second derivatives
-    neg_hess = np.zeros((th.size, th.size))
+    neg_hess = np.zeros((parts.score.size,) * 2)
     if dg is not None:
         neg_hess += (dg * (dpsi * inv_s2)[:, None]).T @ dg
     if ds2 is not None:
@@ -329,6 +356,26 @@ def _solve_ascent(hess: np.ndarray, score: np.ndarray) -> np.ndarray:
     return score / scale
 
 
+@lru_cache(maxsize=256)
+def _frame(plane, mask: bytes) -> np.ndarray:
+    """Orthonormal directions in theta on the plane and tangent to the faces flagged in mask.
+
+    ``plane`` is (R.shape, R.tobytes()), None for an unrestricted fit,
+    and ``mask`` the bytes of a boolean array over theta.  The same
+    faces bind for many iterations and fits, so each distinct frame
+    costs one SVD per process; it is read-only, since they all share it.
+    """
+    flags = np.frombuffer(mask, dtype=bool)
+    eye = np.eye(flags.size)
+    normals = eye[flags]
+    if plane is not None:
+        shape, rows = plane
+        normals = np.vstack((np.frombuffer(rows).reshape(shape), normals))
+    dirs = null_space(normals) if normals.size else eye
+    dirs.flags.writeable = False
+    return dirs
+
+
 def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
     """Working-set Newton ascent inside the box from th0, on R theta = r.
 
@@ -338,10 +385,14 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
     converged to; the run stops at its first accepted iterate within
     ``_JOIN_TOL`` of one of them in max_i |theta_i - theta*_i| /
     (1 + |theta*_i|).  Run on, it would end at that optimum, where it
-    could only tie, and a tie keeps the earlier start (``_beats``).  So
-    a full step that lands within reach is evaluated at order 0, not 2:
-    accepted, it ends the run; rejected, the backtracks compare values
-    alone.  The number of evaluations is that of an order-2 trial.
+    could only tie, and a tie keeps the earlier start (``_beats``).
+
+    th0 is evaluated at order 2.  Every trial point, the full step and
+    each backtrack, is evaluated at order 0, since Armijo reads its value
+    alone; the trial it accepts is then raised to order 2 by ``_derive``
+    from the same filter pass, unless it joins an earlier optimum.  So
+    a run filters no point twice and pays for derivatives only where
+    the next step reads them.
 
     Steps live in theta, within one orthonormal frame per working set
     of binding box faces: the null space of the rows of R (None for an
@@ -357,24 +408,12 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
     lo_pin, hi_pin = lo + _BOX_SLACK, hi - _BOX_SLACK  # a point this close sits on the face
     lo_out, hi_out = lo - _BOX_SLACK, hi + _BOX_SLACK  # a point beyond these is outside the box
 
-    def at(th, order):
+    def at(th, order=0):
         if ((th < lo_out) | (th > hi_out)).any():
             return None
         return evaluate(model, y, th, order=order, criterion=opts.criterion)
 
-    # the same faces bind for many iterations: one SVD per working set
-    frames = {}
-    eye = np.eye(lo.size)
-
-    def frame(mask):
-        """Orthonormal directions in theta on the plane and tangent to the faces flagged in mask."""
-        key = mask.tobytes()
-        dirs = frames.get(key)
-        if dirs is None:
-            normals = eye[mask] if R is None else np.vstack((R, eye[mask]))
-            dirs = frames[key] = null_space(normals) if normals.size else eye
-        return dirs
-
+    plane = None if R is None else (R.shape, R.tobytes())
     # per-coordinate reach of each earlier optimum
     reach = None if optima is None else _JOIN_TOL * (1.0 + np.abs(optima))
 
@@ -393,7 +432,7 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
         level = _SCORE_TOL * (1.0 + abs(parts.loglik))
         score = parts.score
         working = ((th <= lo_pin) & (score < 0.0)) | ((th >= hi_pin) & (score > 0.0))
-        dirs = frame(working)
+        dirs = _frame(plane, working.tobytes())
         s_dirs = dirs.T @ score
         sp = float(np.abs(s_dirs).max(initial=0.0))
         if sp <= level and last_step <= _STEP_TOL:
@@ -414,7 +453,7 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
             if alpha_cap > 1e-14:
                 break
             working[blocker] = True
-            dirs = frame(working)
+            dirs = _frame(plane, working.tobytes())
             s_dirs = dirs.T @ score
         if dth is None or not dth.any():
             converged = sp <= level
@@ -423,15 +462,13 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
             # a step this small cannot raise the criterion past rounding
             converged = True
             break
-        # the full step is usually taken, so it is evaluated with the
-        # derivatives the next iteration needs, unless taking it joins an
-        # earlier optimum and ends the run; backtracks only compare values
+        # Armijo compares values alone: every trial is valued at order 0
         accepted = False
         alpha = alpha_cap
         while alpha >= 1e-14:
             step = alpha * dth
             trial = th + step
-            cand = at(trial, 2 if alpha == alpha_cap and not joins(trial) else 0)
+            cand = at(trial)
             if cand is not None and math.isfinite(cand.loglik):
                 gain = float(score @ step)
                 if cand.loglik >= trace[-1] + 1e-4 * max(gain, 0.0):
@@ -445,7 +482,7 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
         th = trial
         if joins(th):
             return None
-        parts = cand if cand.hess is not None else at(th, 2)
+        parts = _derive(cand)
         trace.append(parts.loglik)
     return th, parts, converged, iterations, trace
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import InvertibilityError
-from .base import FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _float_path, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _finish, _float_path, _floor_sigma2, lagged
 from .garch import _MEDIAN_SQUARE_FACTOR, _garch_candidates
 
 __all__ = ["ArmaGarch"]
@@ -84,69 +84,67 @@ class ArmaGarch(ModelSpec):
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma)
-        if order == 0:
-            return out
 
-        # residual derivatives: e_t = u_t - ma1 e_{t-1}; only the mean
-        # block of de is nonzero.  Every block here is column-major
-        de_drives = np.empty((n, m), order="F")
-        col = 0
-        if self.include_intercept:
-            de_drives[:, col] = -1.0
-            col += 1
-        de_drives[:, col] = -ylag
-        de_drives[:, col + 1] = -elag
-        de = _all_pole(ma_band, de_drives, overwrite=True)
-        dem = lagged(de, 1)
+        def derivatives(order):
+            # residual derivatives: e_t = u_t - ma1 e_{t-1}; only the mean
+            # block of de is nonzero.  Every block here is column-major
+            de_drives = np.empty((n, m), order="F")
+            col = 0
+            if self.include_intercept:
+                de_drives[:, col] = -1.0
+                col += 1
+            de_drives[:, col] = -ylag
+            de_drives[:, col + 1] = -elag
+            de = _all_pole(ma_band, de_drives, overwrite=True)
+            dem = lagged(de, 1)
 
-        # scale derivatives: direct part then beta feedback
-        ds_drives = np.empty((n, d), order="F")
-        ds_drives[:, :m] = 2.0 * alpha1 * elag[:, None] * dem
-        ds_drives[:, m] = 1.0
-        ds_drives[:, m + 1] = elag * elag
-        ds_drives[:, m + 2] = lagged(sigma2_raw, 1)
-        dsigma2 = _all_pole(gj_band, ds_drives, overwrite=True)
-        dmean = np.zeros((n, d), order="F")
-        np.negative(de, out=dmean[:, :m])
-        out.dmean = dmean
-        out.dsigma2 = dsigma2
-        if order == 1:
-            return out
+            # scale derivatives: direct part then beta feedback
+            ds_drives = np.empty((n, d), order="F")
+            ds_drives[:, :m] = 2.0 * alpha1 * elag[:, None] * dem
+            ds_drives[:, m] = 1.0
+            ds_drives[:, m + 1] = elag * elag
+            ds_drives[:, m + 2] = lagged(sigma2_raw, 1)
+            dsigma2 = _all_pole(gj_band, ds_drives, overwrite=True)
+            dmean = np.zeros((n, d), order="F")
+            np.negative(de, out=dmean[:, :m])
+            if order == 1:
+                return dmean, dsigma2, None
 
-        # second derivatives of e: only pairs involving ma1 survive, so
-        # block holds the ma1 row of the mean block, (ma1, ma1) included
-        i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
-        d2e_drives = -dem
-        d2e_drives[:, i_ma] *= 2.0
-        block = _all_pole(ma_band, d2e_drives, overwrite=True)
+            # second derivatives of e: only pairs involving ma1 survive, so
+            # block holds the ma1 row of the mean block, (ma1, ma1) included
+            i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
+            d2e_drives = -dem
+            d2e_drives[:, i_ma] *= 2.0
+            block = _all_pole(ma_band, d2e_drives, overwrite=True)
 
-        def curvature(wg, ws):
-            # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'
-            # + e d2e) at t-1 on the mean block, 2 e_{t-1} de_{t-1} on the
-            # (mean, alpha1) pairs and the lagged dsigma2 on the beta1 row
-            # and column.  One backward pass u = L^-T ws weighs them all.
-            u = _adjoint(gj_band, ws)
-            ue = u * elag
-            h = np.zeros((d, d))
-            q = dem.T @ (u[:, None] * dem)
-            h[:m, :m] = alpha1 * (q + q.T)  # symmetric to the last bit
-            # d2 g = -d2e, and d2e feeds sigma2 one step later
-            we = -wg
-            we[:-1] += 2.0 * alpha1 * ue[1:]
-            c = we @ block
-            c[i_ma] *= 0.5  # (ma1, ma1) lies on both the row and the column
-            h[i_ma, :m] += c
-            h[:m, i_ma] += c
-            a = 2.0 * (ue @ dem)
-            h[:m, i_a1] += a
-            h[i_a1, :m] += a
-            g = u[1:] @ dsigma2[:-1]
-            h[i_b1] += g
-            h[:, i_b1] += g
-            return h
+            def curvature(wg, ws):
+                # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'
+                # + e d2e) at t-1 on the mean block, 2 e_{t-1} de_{t-1} on the
+                # (mean, alpha1) pairs and the lagged dsigma2 on the beta1 row
+                # and column.  One backward pass u = L^-T ws weighs them all.
+                u = _adjoint(gj_band, ws)
+                ue = u * elag
+                h = np.zeros((d, d))
+                q = dem.T @ (u[:, None] * dem)
+                h[:m, :m] = alpha1 * (q + q.T)  # symmetric to the last bit
+                # d2 g = -d2e, and d2e feeds sigma2 one step later
+                we = -wg
+                we[:-1] += 2.0 * alpha1 * ue[1:]
+                c = we @ block
+                c[i_ma] *= 0.5  # (ma1, ma1) lies on both the row and the column
+                h[i_ma, :m] += c
+                h[:m, i_ma] += c
+                a = 2.0 * (ue @ dem)
+                h[:m, i_a1] += a
+                h[i_a1, :m] += a
+                g = u[1:] @ dsigma2[:-1]
+                h[i_b1] += g
+                h[:, i_b1] += g
+                return h
 
-        out.curvature = curvature
-        return out
+            return dmean, dsigma2, curvature
+
+        return _finish(out, derivatives, order)
 
     def path(self, theta, innovations) -> np.ndarray:
         th = self._check_theta(theta)

@@ -20,6 +20,12 @@ sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t), a (d, d) matrix, never the
 (n, d, d) blocks themselves.  Downstream code assembles these into
 analytic scores and Hessians.
 
+At order 0 a filter keeps the rest of its pass: ``FilterOutput.derive``
+fills in the order-2 fields from the level arrays that pass computed,
+by the same operations on the same arrays as an order-2 call.  A caller
+that values a point first and needs its derivatives only later so pays
+for one pass, not two (``estimation._newton`` values its trial steps so).
+
 A model declares ``param_table`` (one (name, lower, upper, template)
 row per parameter), ``filter`` and ``path``, and where needed
 ``presample``, ``_theta_free``, ``start_values`` and
@@ -48,8 +54,8 @@ import abc
 import math
 from collections.abc import Callable
 from contextvars import ContextVar
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -118,6 +124,13 @@ class FilterOutput:
     for models whose second derivatives vanish identically.  ``sigma2``
     is already floored at SCALE_FLOOR**2; derivatives refer to the
     unfloored recursion.
+
+    ``rest`` is set on an order-0 output only, by the filter through
+    ``_finish``: it runs the rest of that filter pass and returns
+    (dmean, dsigma2, curvature) at order 2.  ``derive`` consumes it,
+    once.  It holds the filter's level arrays but never this output, so
+    an output nobody reads is freed at once instead of waiting for the
+    cycle collector with every array of its pass.
     """
 
     mean: np.ndarray
@@ -126,6 +139,28 @@ class FilterOutput:
     dmean: np.ndarray | None = None
     dsigma2: np.ndarray | None = None
     curvature: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    rest: Callable[[], tuple] | None = field(default=None, repr=False)
+
+    def derive(self) -> FilterOutput:
+        """This order-0 output raised to order 2 in place by its ``rest``."""
+        rest, self.rest = self.rest, None
+        if rest is None:
+            raise ValueError("only an order-0 filter output can be derived, and only once")
+        self.dmean, self.dsigma2, self.curvature = rest()
+        return self
+
+
+def _finish(out: FilterOutput, derivatives: Callable[[int], tuple], order: int) -> FilterOutput:
+    """out with ``derivatives(order)``, (dmean, dsigma2, curvature), from order 1 on.
+
+    At order 0 they are left to ``out.derive``.  A filter defines
+    ``derivatives`` after its level arrays, and it must not refer to out.
+    """
+    if order == 0:
+        out.rest = partial(derivatives, 2)
+    else:
+        out.dmean, out.dsigma2, out.curvature = derivatives(order)
+    return out
 
 
 def _floor_sigma2(sigma2_raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

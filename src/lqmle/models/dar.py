@@ -9,7 +9,7 @@ import numpy as np
 
 from ..errors import BracketFailure
 from ..kernel import _find_root, scale_kernel
-from .base import FilterOutput, ModelSpec, _float_path, _floor_sigma2, lagged
+from .base import FilterOutput, ModelSpec, _finish, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Dar"]
 
@@ -101,9 +101,7 @@ class Dar(ModelSpec):
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=mean, sigma2=sigma2, sigma=sigma)
-        if order >= 1:
-            out.dmean, out.dsigma2 = dmean, dsigma2
-        return out
+        return _finish(out, lambda order: (dmean, dsigma2, None), order)
 
     def path(self, theta, innovations) -> np.ndarray:
         return _float_path(_dar_loop, self._check_theta(theta), innovations, self.p, self.q)

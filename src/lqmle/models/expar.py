@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kernel import logistic_logpdf, logistic_psi
-from .base import FilterOutput, ModelSpec, _float_path, lagged
+from .base import FilterOutput, ModelSpec, _finish, _float_path, lagged
 
 __all__ = ["Expar"]
 
@@ -67,13 +67,14 @@ class Expar(ModelSpec):
         ones = np.ones(n)
 
         out = FilterOutput(mean=mean, sigma2=ones, sigma=ones)
-        if order >= 1:
+
+        def derivatives(order):
             dmean = np.empty((n, d), order="F")
             dmean[:, :p] = ylags
             dmean[:, p : 2 * p] = env[:, None] * ylags
             dmean[:, 2 * p] = -y1sq * env * nl_sum
-            out.dmean = dmean
-        if order >= 2:
+            if order == 1:
+                return dmean, None, None
 
             def curvature(wg, ws):
                 # the nonzero second derivatives of g are d/d decay of the
@@ -84,8 +85,9 @@ class Expar(ModelSpec):
                 h[2 * p, p:] = c
                 return h
 
-            out.curvature = curvature
-        return out
+            return dmean, None, curvature
+
+        return _finish(out, derivatives, order)
 
     def path(self, theta, innovations) -> np.ndarray:
         return _float_path(_expar_loop, self._check_theta(theta), innovations, self.p)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import NonstationaryRegionWarning
-from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _float_path, _floor_sigma2, lagged
+from .base import _STRAYS, FilterOutput, ModelSpec, _adjoint, _all_pole, _band, _finish, _float_path, _floor_sigma2, lagged
 
 __all__ = ["Garch"]
 
@@ -104,15 +104,16 @@ class Garch(ModelSpec):
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
-        if order >= 1:
+
+        def derivatives(order):
             # the drives of dsigma2, column-major, with the lagged
             # variances in the beta columns; the mean is identically zero
             v = np.array(drives, order="F")
             for j in range(1, self.q + 1):
                 v[j:, self.p + j] = sigma2_raw[:-j]
             dsigma2 = _all_pole(band, v, overwrite=True)
-            out.dsigma2 = dsigma2
-        if order >= 2:
+            if order == 1:
+                return None, dsigma2, None
 
             def curvature(wg, ws):
                 # only pairs touching a beta lag feed the recursion: the
@@ -126,8 +127,9 @@ class Garch(ModelSpec):
                     h[:, self.p + j] += g
                 return h
 
-            out.curvature = curvature
-        return out
+            return None, dsigma2, curvature
+
+        return _finish(out, derivatives, order)
 
     def path(self, theta, innovations) -> np.ndarray:
         return _float_path(_garch_loop, self._check_theta(theta), innovations, self.p, self.q)

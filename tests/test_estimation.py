@@ -6,9 +6,11 @@ itself against closed-form least squares in the Gaussian constant-scale
 case where the two coincide.
 """
 
+import gc
 import math
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -200,6 +202,63 @@ def test_order2_keeps_the_score_rows_and_residuals_of_order1(name, kw, theta0):
         two, one = (evaluate(model, y, theta0, order=k, criterion=criterion) for k in (2, 1))
         assert np.array_equal(two.score_rows, one.score_rows)
         assert np.array_equal(two.residuals, one.residuals)
+
+
+@pytest.mark.parametrize("criterion", ["logistic", "gaussian"])
+@pytest.mark.parametrize(
+    "model,theta0",
+    [(make_model(name, **kw), theta0) for name, kw, theta0 in ASSEMBLY_CASES]
+    + [(_ConditionedGarch(), np.array([0.8, 0.15, 0.4]))],
+    ids=["dar", "garch", "expar", "arma_garch", "dar22", "garch12", "expar2", "arma_garch-no-intercept", "garch-presample2"],
+)
+def test_a_derived_order0_evaluation_is_the_order2_one_bit_for_bit(model, theta0, criterion):
+    # Newton values each trial at order 0 and derives the one it accepts
+    # from the same filter pass; the presample rows go through _conditioned
+    y = simulate(model, theta0, 300, student_t(4.0), seed=12)
+    theta = _random_admissible(model, theta0, np.random.default_rng(5))
+    for v in (y, model._bind(y)):
+        for th in (theta0, theta):
+            derived = estimation._derive(evaluate(model, v, th, criterion=criterion))
+            direct = evaluate(model, v, th, order=2, criterion=criterion)
+            assert derived.loglik == direct.loglik
+            for name in ("score", "hess", "score_rows", "residuals", "info_hessian", "info_opg"):
+                assert getattr(derived, name).tobytes() == getattr(direct, name).tobytes(), name
+
+
+@pytest.mark.parametrize("name,kw,theta0", CASES, ids=[c[0] for c in CASES])
+def test_an_order0_filter_output_dies_with_its_parts_and_derives_once(monkeypatch, name, kw, theta0):
+    # the continuation holds no reference to its output, so no cycle keeps
+    # a pass's arrays alive until the collector runs
+    model = make_model(name, **kw)
+    y = simulate(model, theta0, 300, logistic(), seed=5)
+    outs = []
+    real = type(model).filter
+
+    def recording(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        outs.append(weakref.ref(out))
+        return out
+
+    monkeypatch.setattr(type(model), "filter", recording)
+    gc.disable()
+    try:
+        parts = evaluate(model, y, theta0)
+        assert outs[-1]() is not None and outs[-1]().rest is not None
+        del parts
+        assert outs[-1]() is None
+        # a derived evaluation lets go of its filter output too
+        parts = estimation._derive(evaluate(model, y, theta0))
+        assert outs[-1]() is None and parts.pending is None
+    finally:
+        gc.enable()
+    for order in (1, 2):
+        assert model.filter(y, theta0, order=order).rest is None
+    out = model.filter(y, theta0)
+    out.derive()
+    with pytest.raises(ValueError, match="only once"):
+        out.derive()
+    with pytest.raises(ValueError, match="only once"):
+        estimation._derive(parts)
 
 
 def test_score_rows_sum_to_score():
@@ -463,21 +522,20 @@ def test_every_restricted_iterate_stays_on_the_plane(monkeypatch, name, kw, thet
     y = simulate(model, np.array(theta0), 400, logistic(), seed=seed, burn=100)
     theta_hat = fit(model, y).theta
     R, r = np.array([row], dtype=float), np.array([rhs])
-    iterates = []
+    points = []  # every evaluated point: starts, trial steps and so every iterate
     real = estimation.evaluate
 
     def recording(model, y, theta, order=0, criterion="logistic"):
-        if order == 2:
-            iterates.append(np.array(theta, dtype=float))
+        points.append(np.array(theta, dtype=float))
         return real(model, y, theta, order=order, criterion=criterion)
 
     monkeypatch.setattr(estimation, "evaluate", recording)
     fit_constrained(model, y, R, r, theta_hat=theta_hat)
-    iterates = np.array(iterates)
-    assert np.abs(iterates @ R.T - r).max() <= 1e-10 * (1.0 + np.abs(r).max())
+    points = np.array(points)
+    assert np.abs(points @ R.T - r).max() <= 1e-10 * (1.0 + np.abs(r).max())
     if name == "arma_garch":
         lo, _ = model.default_bounds()
-        assert (iterates[:, 4] <= lo[4] + estimation._BOX_SLACK).any()
+        assert (points[:, 4] <= lo[4] + estimation._BOX_SLACK).any()
 
 
 def test_constrained_fit_runs_only_the_given_start():
@@ -928,20 +986,22 @@ def test_newton_stops_unconverged_when_backtracking_runs_out(monkeypatch):
     model = make_model("dar", p=1, q=1)
     y = simulate(model, np.array([1.0, 0.5, 0.3, 0.5]), 200, logistic(), seed=0, burn=50)
     y[100] = 1e154
-    orders = []
-    real = estimation.evaluate
+    events = []  # the order of each evaluation, and "derive" for each accepted step
+    real, real_derive = estimation.evaluate, estimation._derive
 
     def counted(model, y, theta, order=0, criterion="logistic"):
-        orders.append(order)
+        events.append(order)
         return real(model, y, theta, order=order, criterion=criterion)
 
     monkeypatch.setattr(estimation, "evaluate", counted)
+    monkeypatch.setattr(estimation, "_derive", lambda parts: events.append("derive") or real_derive(parts))
     res = fit(model, y, FitOptions(start=(0.0, 0.0, 1.0, 0.1)))
     assert not res.converged
     assert res.iterations < FitOptions().max_iter
-    # the last step is cut from alpha = 1 to below 1e-14, one value per halving
-    tail = len(orders) - 1 - orders[::-1].index(2)
-    assert orders[tail + 1 :] == [0] * 46
+    # after the last accepted iterate (or the start, at order 2) the step is
+    # cut from alpha = 1 to below 1e-14, one order-0 trial per halving
+    tail = max(i for i, event in enumerate(events) if event in (2, "derive"))
+    assert events[tail + 1 :] == [0] * 47
     assert len(res.trace) == res.iterations
 
 
@@ -1004,11 +1064,11 @@ def test_a_start_that_joins_an_earlier_optimum_stops_and_cannot_win(monkeypatch)
     want = next(s for s in singles if not estimation._beats(top, s.loglik))
     assert got.theta.array.tobytes() == want.theta.array.tobytes()
     assert (got.loglik, got.iterations, got.trace) == (want.loglik, want.iterations, want.trace)
-    # the step that joins needs no derivatives: it ends the run, and
-    # evaluating it at order 0 keeps the 37 evaluations of order 2
+    # every trial is valued at order 0, and the step that joins is not
+    # derived, since it ends the run: 32 evaluations in all
     assert all(orders[i][-1] == 0 for i in joined)
     joining = sum(map(len, orders))
-    assert joining == 37
+    assert joining == 32
     # every start run to its end gives the same fit for more evaluations
     orders.clear()
     monkeypatch.setattr(estimation, "_JOIN_TOL", 0.0)
@@ -1019,11 +1079,33 @@ def test_a_start_that_joins_an_earlier_optimum_stops_and_cannot_win(monkeypatch)
     assert full.cov.tobytes() == got.cov.tobytes()
 
 
+def test_restricted_fits_share_one_svd_per_distinct_frame(monkeypatch):
+    # frames are cached per process, keyed on R and the binding faces
+    model = make_model("dar", p=1, q=1)
+    R, r = np.array([[1.0, 1.0, 1.0, 1.0]]), np.array([2.3])
+    made = []  # (the normals, their frame) per null_space call
+    real = estimation.null_space
+
+    def counted(normals):
+        made.append((normals.tobytes(), real(normals)))
+        return made[-1][1]
+
+    monkeypatch.setattr(estimation, "null_space", counted)
+    estimation._frame.cache_clear()
+    for seed in (1000, 1001):
+        y = simulate(model, 1.5 * np.array(_DAR[2]), 400, logistic(), seed=seed, burn=100)
+        fit_constrained(model, y, R, r, theta_hat=fit(model, y).theta)
+    keys = [key for key, _ in made]
+    assert R.tobytes() in keys and len(set(keys)) == len(keys)
+    assert all(not frame.flags.writeable for _, frame in made)
+    assert not estimation._frame(None, np.zeros(4, dtype=bool).tobytes()).flags.writeable
+
+
 # evaluate calls pinned per model, as upper bounds, on a small fixed corpus:
 # each fit-zoo model under logistic and t2 innovations on seeds 0-4, and the
 # restricted DAR fits of the R = [1, 1, 1, 1], r = 2.3 cell at 1.5 theta0
 # on seeds 1000-1004.  A change that lowers a total lowers its pin with it.
-EVALUATION_PINS = {"dar": 177, "garch": 394, "arma_garch": 486, "expar": 521, "dar_restricted": 52}
+EVALUATION_PINS = {"dar": 168, "garch": 358, "arma_garch": 422, "expar": 455, "dar_restricted": 52}
 
 
 def test_evaluations_per_model_stay_within_their_pins(monkeypatch):
