@@ -26,20 +26,9 @@ and, for a multistart fit, one point of each group of its
 model can have; the point with the highest criterion value in its group
 runs, found by one order-0 evaluation each.  The model proposes these
 points for a series the fit has accepted; the fit clips them into the
-box.  Every start runs, but a later one stops at its first accepted
-iterate within ``_JOIN_TOL`` of an optimum that an earlier start of the
-same fit converged to: run on, it would end there and only tie, and a
-tie keeps the earlier start, so stopping it changes no estimate.  A
-run evaluates its start with derivatives and every trial step, full or
-backtracked, at order 0, since Armijo compares values alone; the step
-it accepts is raised to order 2 from that same filter pass (``_derive``),
-unless it joins an earlier optimum and so ends the run.  A
-restricted fit starts next to its optimum: the unrestricted
-estimate theta_hat projected into the box on the plane runs first,
-ahead of the start values.  A model that sets ``interior_warm_start``
-runs theta_hat projected into the box shrunk off its faces alone, and
-the other starts only when that run dies, stops unconverged or ends on
-a box face.
+box.  A later start stops where it joins an earlier optimum, and a run
+filters each point once (``_newton``).  A restricted fit starts from
+the unrestricted estimate projected onto its plane (``fit_constrained``).
 
 A fit binds its series to the model once (``models.base``), so the
 arrays of the series that no theta changes are built once per fit, not
@@ -108,7 +97,7 @@ class CriterionParts:
     residuals: np.ndarray | None = None
     # ((dmean, its weight), (dsigma2, its weight)); a None block has a None weight
     terms: tuple | None = field(default=None, repr=False)
-    # order 0 only, until ``_derive`` takes it: (bound series, filter output, psi pair)
+    # order 0 only, until ``_derive`` takes it: (filter output, presample, psi pair)
     pending: tuple | None = field(default=None, repr=False)
 
     @property
@@ -133,33 +122,6 @@ _CRITERIA = {
     "logistic": (logistic_logpdf, logistic_psi),
     "gaussian": (lambda x: -0.5 * x * x, lambda x: (x, 1.0)),
 }
-
-
-def _conditioned(series: _BoundSeries, out: FilterOutput):
-    """The series' scored values and ``out`` without its first ``presample`` rows.
-
-    Those observations condition the criterion: they enter the filter as
-    lags but add no term.  The curvature weighs the dropped rows by zero.
-    """
-    k = series.model.presample
-    if k == 0:
-        return series.values, out
-    dg, ds2 = out.dmean, out.dsigma2
-    kept = FilterOutput(
-        out.mean[k:],
-        out.sigma2[k:],
-        out.sigma[k:],
-        None if dg is None else dg[k:],
-        None if ds2 is None else ds2[k:],
-    )
-    if out.curvature is not None:
-        full, pad = out.curvature, np.zeros(k)
-
-        def curvature(w_g, w_s):
-            return full(*(None if w is None else np.concatenate((pad, w)) for w in (w_g, w_s)))
-
-        kept.curvature = curvature
-    return series.scored, kept
 
 
 def evaluate(
@@ -189,8 +151,7 @@ def evaluate(
     subtracted as one ``curvature(a, b)`` and no (n, d, d) array is built.
     y may be a series bound to the model (``ModelSpec._bind``), as a fit
     passes it, so that its theta-free arrays are built once.  Order-0
-    parts keep the rest of their filter pass, so ``_derive`` can raise
-    them to order 2 later without a second pass.
+    parts keep their filter pass for ``_derive``.
     """
     try:
         logpdf, psi_pair = _CRITERIA[criterion]
@@ -199,7 +160,8 @@ def evaluate(
     th = as_array(theta)
     series = model._bind(y)
     full = model.filter(series, th, order=order)
-    yv, out = _conditioned(series, full)
+    out = full._drop(model.presample)
+    yv = series.scored
     sig2 = out.sigma2
     x = (yv - out.mean) / out.sigma
     n = yv.size
@@ -209,7 +171,7 @@ def evaluate(
         ll = -np.inf
     parts = CriterionParts(loglik=ll, nobs=n, clamped=_clamp_count(sig2), residuals=x)
     if order == 0:
-        parts.pending = (series, full, psi_pair)
+        parts.pending = (full, model.presample, psi_pair)
         return parts
     return _assemble(parts, out, psi_pair, order)
 
@@ -224,8 +186,8 @@ def _derive(parts: CriterionParts) -> CriterionParts:
     pending, parts.pending = parts.pending, None
     if pending is None:
         raise ValueError("only order-0 criterion parts can be derived, and only once")
-    series, full, psi_pair = pending
-    return _assemble(parts, _conditioned(series, full.derive())[1], psi_pair, 2)
+    full, presample, psi_pair = pending
+    return _assemble(parts, full.derive()._drop(presample), psi_pair, 2)
 
 
 def _assemble(parts: CriterionParts, out: FilterOutput, psi_pair, order: int) -> CriterionParts:
@@ -280,14 +242,11 @@ _INTERIOR_MARGIN = 0.01  # an interior warm start keeps this share of its scale 
 class FitOptions:
     """Optimizer controls; defaults suit series of a few hundred points.
 
-    ``multistart`` adds the best-scoring candidate of each group of the
-    model's start candidates to its start values in ``fit``; in
-    ``fit_constrained`` it adds the start values to the first start, the
-    projected unrestricted estimate, or for a model with
-    ``interior_warm_start`` lets them follow as a fallback.  Off, the
-    first start runs alone.  ``start`` replaces every start of either.
-    ``seed`` is accepted but read by neither, since no start is drawn at
-    random.
+    ``multistart`` off drops the start candidates from ``fit`` and every
+    start but the first from ``fit_constrained``.  ``start`` replaces
+    every start of either.  ``seed`` is accepted but read by neither,
+    since no start is drawn at random.  An unknown ``criterion``,
+    ``max_iter`` < 1 and a non-finite ``start`` raise ValueError.
     """
 
     criterion: str = "logistic"
@@ -295,6 +254,14 @@ class FitOptions:
     multistart: bool = True
     seed: int = 0
     start: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.criterion not in _CRITERIA:
+            raise ValueError(f"criterion must be one of {sorted(_CRITERIA)}, got {self.criterion!r}")
+        if self.max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
+        if self.start is not None and not np.all(np.isfinite(self.start)):
+            raise ValueError(f"start must be finite, got {list(self.start)}")
 
 
 @dataclass
@@ -385,7 +352,8 @@ def _newton(model, y, R, lo, hi, th0, opts: FitOptions, optima=None):
     converged to; the run stops at its first accepted iterate within
     ``_JOIN_TOL`` of one of them in max_i |theta_i - theta*_i| /
     (1 + |theta*_i|).  Run on, it would end at that optimum, where it
-    could only tie, and a tie keeps the earlier start (``_beats``).
+    could only tie, and a tie keeps the earlier start (``_beats``), so
+    stopping it changes no estimate.
 
     th0 is evaluated at order 2.  Every trial point, the full step and
     each backtrack, is evaluated at order 0, since Armijo reads its value
@@ -529,13 +497,12 @@ def _fit(
     The checked series is bound to the model once (``ModelSpec._bind``)
     and every start and evaluation of the fit reads it.  Each start is
     clipped into the box, and one that lies off the plane is projected
-    onto it once.  A start stops as soon as it joins an optimum that an
-    earlier start converged to (``_newton``); it counts in ``n_starts``
-    and cannot win.  ``fallback(series)`` gives further starts, run only
-    when every run of ``starts`` died, or the best one stopped
-    unconverged or on a box face.  With a restriction the result
-    carries the multiplier estimate; without one, the sandwich
-    covariance.
+    onto it once.  A start that joins an earlier optimum (``_newton``)
+    counts in ``n_starts`` and cannot win.  ``fallback(series)`` gives
+    further starts, run only when every run of ``starts`` died, or the
+    best one stopped unconverged or on a box face.  With a restriction
+    the result carries the multiplier estimate; without one, the
+    sandwich covariance.
     """
     if opts.start is not None and len(opts.start) != model.dim:
         raise ShapeMismatch(
@@ -636,10 +603,8 @@ def fit(model: ModelSpec, y, options: FitOptions | None = None) -> FitResult:
     ``model.start_values(y)`` and, unless ``options.multistart`` is off,
     from the best-scoring candidate of each group of
     ``model.start_candidates(y)``; ``options.start`` replaces them all.
-    Every start runs, in that order, but a later one stops at its first
-    accepted iterate within ``_JOIN_TOL`` of an optimum an earlier start
-    converged to: it would only tie there, and of tied starts the
-    earliest is kept.  The fit draws no random numbers.
+    The starts run in that order and the earliest of tied optima is
+    kept.  The fit draws no random numbers.
     """
     opts = options or FitOptions()
     return _fit(model, y, opts, lambda series: _build_starts(model, series, opts))
@@ -773,6 +738,8 @@ def _positive_definite(mat: np.ndarray, what: str) -> np.ndarray:
 
 def sandwich_cov(info_hessian: np.ndarray, info_opg: np.ndarray, nobs: int) -> np.ndarray:
     """Asymptotic covariance A^{-1} B A^{-1} / n from the information pair."""
+    if nobs < 1:
+        raise ShapeMismatch(f"nobs must be at least 1, got {nobs}")
     a = _positive_definite(info_hessian, "information matrix")
     ainv_b = np.linalg.solve(a, info_opg)
     cov = np.linalg.solve(a, ainv_b.T).T / nobs
@@ -797,6 +764,15 @@ class KernelMoments:
         """m2 / (1 + 2 mf)^2, the scalar in the pure-scale covariance."""
         return self.m2 / (1.0 + 2.0 * self.mf) ** 2
 
+    def information(self, scale, mean):
+        """The product-form pair A = (1 + 2 mf) S + 2 ef G, B = m2 S + t2 G.
+
+        S is the scale Gram E[dsigma2 dsigma2' / (4 sigma^4)] and G the
+        mean Gram E[dmean dmean' / sigma^2], each 0.0 where its block
+        vanishes.
+        """
+        return (1.0 + 2.0 * self.mf) * scale + 2.0 * self.ef * mean, self.m2 * scale + self.t2 * mean
+
 
 def _kernel_sums(x: np.ndarray) -> np.ndarray:
     """The sums over x whose means are the KernelMoments (m2, mf, ef, t2)."""
@@ -807,12 +783,15 @@ def _kernel_sums(x: np.ndarray) -> np.ndarray:
 
 def kernel_moments(eta) -> KernelMoments:
     x = np.asarray(eta, dtype=float).ravel()
+    if x.size == 0:
+        raise ShapeMismatch("eta must hold at least one draw")
     return KernelMoments(*(float(s) / x.size for s in _kernel_sums(x)))
 
 
 def _scale_only_pieces(model: ModelSpec, y, theta):
     series = model._bind(y)
-    yv, out = _conditioned(series, model.filter(series, theta, order=1))
+    out = model.filter(series, theta, order=1)._drop(model.presample)
+    yv = series.scored
     if out.dmean is not None:
         raise NotScaleOnly(f"model {model.name!r} has a conditional mean part")
     w = out.dsigma2 / out.sigma2[:, None]
@@ -832,9 +811,7 @@ def scale_only_information(model: ModelSpec, y, theta) -> tuple[np.ndarray, np.n
     residual weights and the Gram terms, which vanishes in the limit.
     """
     omega, mom, _ = _scale_only_pieces(model, y, theta)
-    a_hat = (1.0 + 2.0 * mom.mf) * omega / 4.0
-    b_hat = mom.m2 * omega / 4.0
-    return a_hat, b_hat
+    return mom.information(omega / 4.0, 0.0)
 
 
 def scale_only_cov(model: ModelSpec, y, theta) -> np.ndarray:

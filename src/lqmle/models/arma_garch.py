@@ -85,7 +85,7 @@ class ArmaGarch(ModelSpec):
 
         out = FilterOutput(mean=y - e, sigma2=sigma2, sigma=sigma)
 
-        def derivatives(order):
+        def derivatives():
             # residual derivatives: e_t = u_t - ma1 e_{t-1}; only the mean
             # block of de is nonzero.  Every block here is column-major
             de_drives = np.empty((n, m), order="F")
@@ -107,17 +107,15 @@ class ArmaGarch(ModelSpec):
             dsigma2 = _all_pole(gj_band, ds_drives, overwrite=True)
             dmean = np.zeros((n, d), order="F")
             np.negative(de, out=dmean[:, :m])
-            if order == 1:
-                return dmean, dsigma2, None
-
-            # second derivatives of e: only pairs involving ma1 survive, so
-            # block holds the ma1 row of the mean block, (ma1, ma1) included
-            i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
-            d2e_drives = -dem
-            d2e_drives[:, i_ma] *= 2.0
-            block = _all_pole(ma_band, d2e_drives, overwrite=True)
 
             def curvature(wg, ws):
+                # second derivatives of e: only pairs involving ma1 survive, so
+                # block holds the ma1 row of the mean block, (ma1, ma1) included
+                i_ma, i_a1, i_b1 = m - 1, m + 1, m + 2
+                d2e_drives = -dem
+                d2e_drives[:, i_ma] *= 2.0
+                block = _all_pole(ma_band, d2e_drives, overwrite=True)
+
                 # d2 sigma2 is the beta1 filter of its drives: 2 alpha1 (de de'
                 # + e d2e) at t-1 on the mean block, 2 e_{t-1} de_{t-1} on the
                 # (mean, alpha1) pairs and the lagged dsigma2 on the beta1 row

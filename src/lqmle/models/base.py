@@ -9,22 +9,26 @@ a row for every observation; the criterion conditions on the first
 term of their own (DAR conditions on its first max(p, q) observations,
 the other models on none).  A caller who knows the pre-sample values,
 such as the zeros before a ``simulate`` path with no burn-in, prepends
-them to the series.  Filters optionally
-return the first derivatives of g_t and sigma_t^2 with respect to theta
-as column-major (n, d) blocks, so that every weighted sum over t runs
-down contiguous columns, and None for a block that is identically zero
-(GARCH's mean, EXPAR's scale).  At order 2 they return their second
-derivatives already contracted with per-observation weights: the
-Hessian of a criterion summed over t needs only
-sum_t (w_g,t d2 g_t + w_s,t d2 sigma2_t), a (d, d) matrix, never the
-(n, d, d) blocks themselves.  Downstream code assembles these into
-analytic scores and Hessians.
+them to the series.  The first derivatives of g_t and sigma_t^2 with
+respect to theta are column-major (n, d) blocks, so that every weighted
+sum over t runs down contiguous columns, and None for a block that is
+identically zero (GARCH's mean, EXPAR's scale).  The second derivatives
+come already contracted with per-observation weights: the Hessian of a
+criterion summed over t needs only sum_t (w_g,t d2 g_t + w_s,t d2
+sigma2_t), a (d, d) matrix, never the (n, d, d) blocks themselves.
+Downstream code assembles these into analytic scores and Hessians.
 
-At order 0 a filter keeps the rest of its pass: ``FilterOutput.derive``
-fills in the order-2 fields from the level arrays that pass computed,
-by the same operations on the same arrays as an order-2 call.  A caller
-that values a point first and needs its derivatives only later so pays
-for one pass, not two (``estimation._newton`` values its trial steps so).
+This module alone shapes a filter pass.  A model's ``filter`` computes
+its level arrays, then defines one ``derivatives()`` that runs the rest
+of the pass from them and returns (dmean, dsigma2, curvature), where
+``curvature`` does all the second-order work when it is called.
+``_finish`` alone maps the requested order to a depth: order 0 keeps
+``derivatives`` for ``FilterOutput.derive``, order 1 calls it and drops
+the curvature, order 2 calls it.  A derived order-0 pass therefore has
+the bits of an order-2 one, and a caller that values a point first and
+needs its derivatives later pays for one pass (``estimation._newton``).
+``FilterOutput._drop`` alone takes leading rows off a pass: the
+presample rows of a criterion, the burn-in of a population block.
 
 A model declares ``param_table`` (one (name, lower, upper, template)
 row per parameter), ``filter`` and ``path``, and where needed
@@ -55,7 +59,7 @@ import math
 from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dtbtrs
@@ -111,7 +115,7 @@ def _adjoint(band: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FilterOutput:
-    """Filtered conditional moments and their parameter derivatives.
+    """One filter pass: conditional moments and their parameter derivatives.
 
     ``mean`` and ``sigma2`` have shape (n,); the derivative blocks
     ``dmean`` and ``dsigma2`` are column-major (Fortran-ordered) (n, d)
@@ -125,12 +129,11 @@ class FilterOutput:
     is already floored at SCALE_FLOOR**2; derivatives refer to the
     unfloored recursion.
 
-    ``rest`` is set on an order-0 output only, by the filter through
-    ``_finish``: it runs the rest of that filter pass and returns
-    (dmean, dsigma2, curvature) at order 2.  ``derive`` consumes it,
-    once.  It holds the filter's level arrays but never this output, so
-    an output nobody reads is freed at once instead of waiting for the
-    cycle collector with every array of its pass.
+    ``rest`` is set on an order-0 output only: the filter's
+    ``derivatives``, which ``derive`` consumes once.  It holds the
+    filter's level arrays but never this output, so an output nobody
+    reads is freed at once instead of waiting for the cycle collector
+    with every array of its pass.
     """
 
     mean: np.ndarray
@@ -149,17 +152,41 @@ class FilterOutput:
         self.dmean, self.dsigma2, self.curvature = rest()
         return self
 
+    def _drop(self, k: int) -> FilterOutput:
+        """This pass without its first k rows, itself for k = 0.
 
-def _finish(out: FilterOutput, derivatives: Callable[[int], tuple], order: int) -> FilterOutput:
-    """out with ``derivatives(order)``, (dmean, dsigma2, curvature), from order 1 on.
+        The rows are views of this pass's arrays, and the curvature
+        weighs the dropped rows by zero.  An order-0 pass is derived
+        before it is dropped: the result has no ``rest``.
+        """
+        if k == 0:
+            return self
+        rows = (None if a is None else a[k:] for a in (self.mean, self.sigma2, self.sigma, self.dmean, self.dsigma2))
+        kept = FilterOutput(*rows)
+        if self.curvature is not None:
+            full, pad = self.curvature, np.zeros(k)
 
-    At order 0 they are left to ``out.derive``.  A filter defines
-    ``derivatives`` after its level arrays, and it must not refer to out.
+            def curvature(w_g, w_s):
+                return full(*(None if w is None else np.concatenate((pad, w)) for w in (w_g, w_s)))
+
+            kept.curvature = curvature
+        return kept
+
+
+def _finish(out: FilterOutput, derivatives: Callable[[], tuple], order: int) -> FilterOutput:
+    """out taken to derivative depth ``order`` by ``derivatives()``, (dmean, dsigma2, curvature).
+
+    Order 0 keeps ``derivatives`` for ``out.derive``, order 1 calls it
+    and drops the curvature, whose closure would keep arrays of the
+    pass alive, and order 2 calls it.  A filter defines ``derivatives``
+    after its level arrays, and it must not refer to out.
     """
     if order == 0:
-        out.rest = partial(derivatives, 2)
+        out.rest = derivatives
     else:
-        out.dmean, out.dsigma2, out.curvature = derivatives(order)
+        out.dmean, out.dsigma2, out.curvature = derivatives()
+        if order == 1:
+            out.curvature = None
     return out
 
 
@@ -246,9 +273,8 @@ class ModelSpec(abc.ABC):
     name: str = "model"
     #: Leading observations the criterion conditions on instead of summing.
     presample: int = 0
-    #: True when a restricted fit runs theta_hat projected off the box
-    #: faces alone, with its other starts only as a fallback
-    #: (``estimation.fit_constrained``); False runs them all.
+    #: Whether a restricted fit runs its interior warm start alone first
+    #: (``estimation.fit_constrained``).
     interior_warm_start: bool = False
 
     # -- parameter block ------------------------------------------------
@@ -333,7 +359,7 @@ class ModelSpec(abc.ABC):
 
     @abc.abstractmethod
     def filter(self, y, theta, order: int = 0) -> FilterOutput:
-        """Run the observation filter on y, raw or bound; order 0/1/2 controls derivative depth."""
+        """Run the observation filter on y, raw or bound, to derivative depth 0/1/2 through ``_finish``."""
 
     @abc.abstractmethod
     def path(self, theta, innovations) -> np.ndarray:

@@ -101,7 +101,7 @@ class Dar(ModelSpec):
         sigma2, sigma = _floor_sigma2(sigma2_raw)
 
         out = FilterOutput(mean=mean, sigma2=sigma2, sigma=sigma)
-        return _finish(out, lambda order: (dmean, dsigma2, None), order)
+        return _finish(out, lambda: (dmean, dsigma2, None), order)
 
     def path(self, theta, innovations) -> np.ndarray:
         return _float_path(_dar_loop, self._check_theta(theta), innovations, self.p, self.q)

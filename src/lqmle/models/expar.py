@@ -68,13 +68,11 @@ class Expar(ModelSpec):
 
         out = FilterOutput(mean=mean, sigma2=ones, sigma=ones)
 
-        def derivatives(order):
+        def derivatives():
             dmean = np.empty((n, d), order="F")
             dmean[:, :p] = ylags
             dmean[:, p : 2 * p] = env[:, None] * ylags
             dmean[:, 2 * p] = -y1sq * env * nl_sum
-            if order == 1:
-                return dmean, None, None
 
             def curvature(wg, ws):
                 # the nonzero second derivatives of g are d/d decay of the

@@ -105,15 +105,13 @@ class Garch(ModelSpec):
 
         out = FilterOutput(mean=np.zeros(n), sigma2=sigma2, sigma=sigma)
 
-        def derivatives(order):
+        def derivatives():
             # the drives of dsigma2, column-major, with the lagged
             # variances in the beta columns; the mean is identically zero
             v = np.array(drives, order="F")
             for j in range(1, self.q + 1):
                 v[j:, self.p + j] = sigma2_raw[:-j]
             dsigma2 = _all_pole(band, v, overwrite=True)
-            if order == 1:
-                return None, dsigma2, None
 
             def curvature(wg, ws):
                 # only pairs touching a beta lag feed the recursion: the

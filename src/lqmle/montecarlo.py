@@ -214,8 +214,13 @@ def run_scenario(
     Raises ExcessiveFailures when more than ``max_failure_fraction`` of
     the replications fail to produce a usable fit; its message counts
     the failures by reason, in sorted order, and names an exception by
-    its type.
+    its type.  workers < 1 and a max_failure_fraction outside [0, 1]
+    raise ValueError.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
+    if not 0.0 <= max_failure_fraction <= 1.0:
+        raise ValueError(f"max_failure_fraction must lie in [0, 1], got {max_failure_fraction}")
     start = time.perf_counter()
     tasks = [(scenario, i) for i in range(scenario.reps)]
     if workers > 1:
@@ -334,15 +339,15 @@ def population_information(
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(burn, nobs + burn, _BLOCK):
             stop = min(start + _BLOCK, nobs + burn)
-            out = model.filter(y[start - burn : stop], th, order=1)
+            out = model.filter(y[start - burn : stop], th, order=1)._drop(burn)
             # the derivative blocks can be the series' read-only design, so
             # the quotients are new arrays; a None block is identically zero
             w, dg = out.dsigma2, out.dmean
             if w is not None:
-                w = w[burn:] / out.sigma2[burn:][:, None]
+                w = w / out.sigma2[:, None]
                 ms = ms + w.T @ w
             if dg is not None:
-                dg = dg[burn:] / out.sigma[burn:][:, None]
+                dg = dg / out.sigma[:, None]
                 mg = mg + dg.T @ dg
             if not (np.all(np.isfinite(ms)) and np.all(np.isfinite(mg))):
                 rows = np.column_stack([q * q for q in (w, dg) if q is not None])
@@ -350,7 +355,4 @@ def population_information(
             sums = sums + _kernel_sums(eta[start:stop])
     ms = ms / (4.0 * nobs)
     mg = mg / nobs
-    mom = KernelMoments(*(float(s) / nobs for s in sums))
-    a0 = (1.0 + 2.0 * mom.mf) * ms + 2.0 * mom.ef * mg
-    b0 = mom.m2 * ms + mom.t2 * mg
-    return a0, b0
+    return KernelMoments(*(float(s) / nobs for s in sums)).information(ms, mg)

@@ -118,6 +118,29 @@ def test_analytic_hessian_matches_finite_differences(model, theta0):
         assert np.max(np.abs(parts.hess[:, j] - fd) / scale) < 1e-4
 
 
+@pytest.mark.parametrize(
+    "model,theta0",
+    [(make_model("dar", p=2, q=2), np.array([0.1, 0.3, -0.2, 0.3, 0.2, 0.1])), (_ConditionedGarch(), np.array([0.8, 0.15, 0.4]))],
+    ids=["dar22", "garch-presample2"],
+)
+def test_a_dropped_pass_keeps_its_rows_and_weighs_the_dropped_ones_by_zero(model, theta0):
+    y = simulate(model, theta0, 200, logistic(), seed=6)
+    out = model.filter(y, theta0, order=2)
+    assert out._drop(0) is out
+    k = model.presample
+    kept = out._drop(k)
+    for name in ("mean", "sigma2", "sigma", "dmean", "dsigma2"):
+        full, part = getattr(out, name), getattr(kept, name)
+        assert part is None if full is None else part.tobytes() == full[k:].tobytes(), name
+    if out.curvature is None:
+        assert kept.curvature is None
+    else:
+        # GARCH's mean block is None, and so is its weight
+        ws = np.random.default_rng(7).standard_normal(y.size - k)
+        want = out.curvature(None, np.r_[np.zeros(k), ws])
+        assert kept.curvature(None, ws).tobytes() == want.tobytes()
+
+
 def _assembly_with_dense_blocks(model, y, theta, criterion):
     # evaluate's order-2 assembly as first written for row-major blocks:
     # every weight computed, the score summed from its rows, the
@@ -213,7 +236,7 @@ def test_order2_keeps_the_score_rows_and_residuals_of_order1(name, kw, theta0):
 )
 def test_a_derived_order0_evaluation_is_the_order2_one_bit_for_bit(model, theta0, criterion):
     # Newton values each trial at order 0 and derives the one it accepts
-    # from the same filter pass; the presample rows go through _conditioned
+    # from the same filter pass; the presample rows are dropped from it
     y = simulate(model, theta0, 300, student_t(4.0), seed=12)
     theta = _random_admissible(model, theta0, np.random.default_rng(5))
     for v in (y, model._bind(y)):
@@ -445,6 +468,13 @@ def test_sandwich_rejects_non_finite_information(bad):
         sandwich_cov(a, np.eye(2), 100)
 
 
+@pytest.mark.parametrize("nobs", [0, -2])
+def test_sandwich_refuses_a_nonpositive_nobs(nobs):
+    # nobs=0 once warned and returned an inf/nan covariance
+    with pytest.raises(ShapeMismatch, match=f"nobs must be at least 1, got {nobs}"):
+        sandwich_cov(np.eye(2), np.eye(2), nobs)
+
+
 def test_sandwich_shape_and_symmetry():
     rng = np.random.default_rng(5)
     m = rng.standard_normal((3, 3))
@@ -482,6 +512,13 @@ def test_kernel_moments_hand_values():
     assert mom.mf == pytest.approx((0.0 + 4 * f2) / 2, abs=1e-14)
     assert mom.ef == pytest.approx((0.25 + f2) / 2, abs=1e-14)
     assert mom.t2 == pytest.approx((0.0 + t2**2) / 2, abs=1e-14)
+
+
+@pytest.mark.parametrize("eta", [[], np.empty((3, 0))], ids=["list", "array"])
+def test_kernel_moments_refuses_an_empty_sample(eta):
+    # this once raised ZeroDivisionError
+    with pytest.raises(ShapeMismatch, match="eta must hold at least one draw"):
+        kernel_moments(eta)
 
 
 def test_kernel_moments_information_equality_at_logistic():
@@ -941,6 +978,24 @@ def test_wrong_length_start_fails_before_any_evaluation(monkeypatch):
         fit_constrained(
             model, y, np.array([[0.0, 1.0, 0.0, 0.0]]), np.array([0.5]), opts, theta_hat=(1.0, 0.5, 0.3, 0.5)
         )
+
+
+@pytest.mark.parametrize(
+    "controls,message",
+    [
+        (dict(max_iter=0), "max_iter must be at least 1, got 0"),
+        (dict(max_iter=-3), "max_iter must be at least 1, got -3"),
+        (dict(criterion="laplace"), "criterion must be one of .*, got 'laplace'"),
+        (dict(start=(1.0, np.nan, 0.3, 0.5)), "start must be finite"),
+        (dict(start=(1.0, 0.5, np.inf, 0.5)), "start must be finite"),
+    ],
+    ids=["max_iter0", "max_iter-3", "criterion", "start-nan", "start-inf"],
+)
+def test_fit_options_refuse_bad_controls(controls, message):
+    # these once ran no Newton step, failed at the first evaluation after
+    # the start candidates, or ended with every start non-finite
+    with pytest.raises(ValueError, match=message):
+        FitOptions(**controls)
 
 
 def test_fit_passes_other_warnings_through(monkeypatch):

@@ -212,12 +212,20 @@ ZERO_BLOCK_CASES = [
 ]
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("name,kw,theta", LAYOUT_CASES, ids=LAYOUT_IDS)
 def test_derivative_blocks_are_column_major(name, kw, theta, order):
+    # every depth runs one pass: order 0 derived later gives order 2's
+    # bits, and order 1 gives its first-order bits without curvature
     m = make_model(name, **kw)
     y = np.random.default_rng(8).standard_normal(50)
     out = m.filter(y, np.array(theta), order=order)
+    if order == 0:
+        assert out.dmean is out.dsigma2 is out.curvature is None
+        out = out.derive()
+    two = m.filter(y, np.array(theta), order=2)
+    for field in ("mean", "sigma2", "sigma"):
+        assert getattr(out, field).tobytes() == getattr(two, field).tobytes(), field
     for field in ("dmean", "dsigma2"):
         block = getattr(out, field)
         if ZERO_BLOCKS.get(name) == field:
@@ -225,6 +233,12 @@ def test_derivative_blocks_are_column_major(name, kw, theta, order):
         else:
             assert block.shape == (y.size, m.dim), field
             assert block.flags.f_contiguous, field
+            assert block.tobytes() == getattr(two, field).tobytes(), field
+    if order == 1 or two.curvature is None:
+        assert out.curvature is None
+    else:
+        w = np.random.default_rng(9).standard_normal((2, y.size))
+        assert out.curvature(*w).tobytes() == two.curvature(*w).tobytes()
 
 
 @pytest.mark.parametrize("name,kw,theta", ZERO_BLOCK_CASES)
@@ -753,6 +767,32 @@ def test_expar_path_matches_oracle_where_float_squares_overflow():
     th = np.array([0.3, -0.2, 0.4, 0.1, 1.0])
     got, want = m.path(th, eta), _expar_oracle(m, th, eta)
     assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_only_models_base_decides_derivative_depth():
+    # each filter defines one parameterless derivatives() and hands its
+    # order to models.base._finish, which alone maps it to a depth
+    root = Path(lqmle.__file__).parent / "models"
+    faults = []
+    for stem in ("dar", "garch", "arma_garch", "expar"):
+        nodes = list(ast.walk(ast.parse((root / f"{stem}.py").read_text())))
+        passed = [
+            arg
+            for node in nodes
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_finish"
+            for arg in node.args
+        ]
+        assert passed, stem
+        reads = [n for n in nodes if isinstance(n, ast.Name) and n.id == "order" and isinstance(n.ctx, ast.Load)]
+        faults += [f"{stem}.py:{n.lineno} reads order" for n in reads if not any(n is arg for arg in passed)]
+        defs = [n for n in nodes if isinstance(n, ast.FunctionDef) and n.name == "derivatives"]
+        defs += [arg for arg in passed if isinstance(arg, ast.Lambda)]
+        faults += [
+            f"{stem}.py:{f.lineno} derivatives takes a parameter"
+            for f in defs
+            if f.args.posonlyargs or f.args.args or f.args.vararg or f.args.kwonlyargs or f.args.kwarg
+        ]
+    assert not faults, faults
 
 
 def test_only_models_base_calls_a_model_path():

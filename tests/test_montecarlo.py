@@ -441,6 +441,25 @@ def test_population_information_refuses_empty_or_negative_sizes(nobs, burn):
         population_information(model, np.array([1.0, 0.15, 0.4]), logistic(), nobs=nobs, burn=burn)
 
 
+@pytest.mark.parametrize(
+    "controls,message",
+    [
+        (dict(workers=0), "workers must be at least 1, got 0"),
+        (dict(workers=-2), "workers must be at least 1, got -2"),
+        (dict(max_failure_fraction=-1.0), r"max_failure_fraction must lie in \[0, 1\], got -1.0"),
+        (dict(max_failure_fraction=1.5), r"max_failure_fraction must lie in \[0, 1\], got 1.5"),
+        (dict(max_failure_fraction=float("nan")), r"max_failure_fraction must lie in \[0, 1\], got nan"),
+    ],
+    ids=["workers0", "workers-2", "fraction-1", "fraction1.5", "fraction-nan"],
+)
+def test_run_scenario_refuses_bad_controls(monkeypatch, controls, message):
+    # workers=0 once ran serially, and max_failure_fraction=-1 raised
+    # ExcessiveFailures with no failed replication
+    monkeypatch.setattr(montecarlo, "_replicate", lambda *a: pytest.fail("replications ran"))
+    with pytest.raises(ValueError, match=message):
+        run_scenario(_dar_scenario(), **controls)
+
+
 def test_normality_sample_refuses_zero_info_nobs(monkeypatch):
     # the long path's sizes are checked before any replication runs
     monkeypatch.setattr(montecarlo, "run_scenario", lambda *a, **k: pytest.fail("replications ran"))
