@@ -37,10 +37,10 @@ from .errors import (
     ShapeMismatch,
     SingularInformation,
 )
-from .estimation import FitOptions, _check_restriction, _project_into_box, evaluate, fit, fit_constrained
+from .estimation import _CRITERION, FitOptions, _check_restriction, _project_into_box, evaluate, fit, fit_constrained
 from .inference import deviance, lm_test, t_test, wald_test
 from .models import MODEL_REGISTRY, ModelSpec, make_model, simulate
-from .montecarlo import _CRITERION, Scenario, run_scenario
+from .montecarlo import Scenario, run_scenario
 from .reports import dump_json, render_document, sha256_file
 
 __all__ = ["main"]

@@ -1,18 +1,18 @@
-"""Innovation distributions for simulation and scale calibration.
+"""Innovation distributions: how to validate a law and draw from it.
 
 Every distribution here is symmetric about zero and is represented as a
 base law times a positive scale multiplier.  For the uniform family the
-multiplier is the half-width, i.e. ``uniform(a)`` is U(-a, a).
+multiplier is the half-width, i.e. ``uniform(a)`` is U(-a, a).  The
+base-law facts that the scale normalization integrates (closed-form
+density, E|X|, support end) belong to ``lqmle.kernel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import log, pi, sqrt
+from math import pi
 
 import numpy as np
-from scipy.special import beta
 
 from .errors import NonIntegrableError
 
@@ -28,17 +28,6 @@ __all__ = [
 ]
 
 _FAMILIES = ("logistic", "normal", "uniform", "student_t", "stable", "empirical")
-
-
-@lru_cache(maxsize=64)
-def _student_t_constants(nu: float) -> tuple[float, float]:
-    """Density constant and E|X| of Student t with ``nu`` degrees of freedom.
-
-    Both go through B(nu/2, 1/2), which stays finite and accurate where
-    the gamma functions of the textbook form overflow (nu above ~340).
-    """
-    b = float(beta(0.5 * nu, 0.5))
-    return 1.0 / (sqrt(nu) * b), 2.0 * sqrt(nu) / ((nu - 1.0) * b)
 
 
 def sample_symmetric_stable(rng: np.random.Generator, index: float, size: int) -> np.ndarray:
@@ -110,8 +99,6 @@ class InnovationDist:
             if not np.all(np.isfinite(arr)):
                 raise ValueError("empirical sample values must be finite")
 
-    # -- sampling ------------------------------------------------------
-
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` i.i.d. values using the supplied generator."""
         fam = self.family
@@ -128,42 +115,6 @@ class InnovationDist:
         else:
             base = rng.choice(np.asarray(self.data, dtype=float), size, replace=True)
         return self.scale * base
-
-    # -- base-law facts used by the scale functional -------------------
-
-    def base_pdf(self, x: np.ndarray | float) -> np.ndarray | float:
-        """Density of the unscaled base law."""
-        x = np.asarray(x, dtype=float)
-        fam = self.family
-        if fam == "logistic":
-            q = np.exp(-np.abs(x))
-            return q / (1.0 + q) ** 2
-        if fam == "normal":
-            return np.exp(-0.5 * x * x) / sqrt(2.0 * pi)
-        if fam == "uniform":
-            return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
-        if fam == "student_t":
-            nu = self.shape
-            c, _ = _student_t_constants(nu)
-            return c * (1.0 + x * x / nu) ** (-(nu + 1.0) / 2.0)
-        raise NotImplementedError(f"no closed-form density for {fam}")
-
-    def base_mean_abs(self) -> float:
-        """E|X| for the unscaled base law, in closed form."""
-        fam = self.family
-        if fam == "logistic":
-            return 2.0 * log(2.0)
-        if fam == "normal":
-            return sqrt(2.0 / pi)
-        if fam == "uniform":
-            return 0.5
-        if fam == "student_t":
-            return _student_t_constants(self.shape)[1]
-        raise NotImplementedError(f"no closed-form mean for {fam}")
-
-    def base_support_end(self) -> float:
-        """Upper endpoint of the base-law support (inf when unbounded)."""
-        return 1.0 if self.family == "uniform" else np.inf
 
 
 def logistic() -> InnovationDist:

@@ -122,6 +122,7 @@ _CRITERIA = {
     "logistic": (logistic_logpdf, logistic_psi),
     "gaussian": (lambda x: -0.5 * x * x, lambda x: (x, 1.0)),
 }
+_CRITERION = {"lqmle": "logistic", "gqmle": "gaussian"}  # estimator name -> its key in _CRITERIA
 
 
 def evaluate(

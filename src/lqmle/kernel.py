@@ -6,19 +6,22 @@ provides the logistic density pieces in overflow-safe form, the even
 kernel x (2 F(x) - 1) whose unit expectation pins down the scale, the
 expectation functional itself, and the brentq root finder that locates
 the scale multiplier (or stable tail index) at which it equals one.
-Every expectation is a deterministic quadrature: over the density for
-the closed-form families, over the characteristic function for the
-symmetric stable law, whose density has no closed form.
+Every expectation is a deterministic quadrature: over the closed-form
+density for the logistic, normal, uniform and Student t laws, whose
+density, E|X| and support end live here; over the characteristic
+function for the symmetric stable law, whose density has no closed
+form.  ``lqmle.distributions`` only validates a law and draws from it.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
-from scipy.special import expit
+from scipy.special import beta, expit
 
 from .distributions import InnovationDist
 from .errors import BracketFailure, NonIntegrableError, QuadratureFailure
@@ -36,7 +39,7 @@ __all__ = [
 ]
 
 _QUAD_TOL = 1e-10  # absolute accuracy asked of the kernel-expectation quadrature
-_LOGISTIC = InnovationDist("logistic")  # its base_pdf is the one logistic density formula
+_MEAN_ABS = {"logistic": 2.0 * math.log(2.0), "normal": math.sqrt(2.0 / math.pi), "uniform": 0.5}  # E|X|, unit scale
 
 
 def logistic_cdf(x):
@@ -47,7 +50,9 @@ def logistic_cdf(x):
 
 def logistic_pdf(x):
     """Standard logistic density exp(-x) / (1 + exp(-x))^2; even in x."""
-    out = _LOGISTIC.base_pdf(x)
+    x = np.asarray(x, dtype=float)
+    q = np.exp(-np.abs(x))
+    out = q / (1.0 + q) ** 2
     return out if out.ndim else float(out)
 
 
@@ -90,14 +95,28 @@ def _integral(f, a: float, b: float, what: str) -> float:
     return val
 
 
-def _expectation_by_quadrature(dist: InnovationDist) -> float:
-    # E[k(cX)] = c E|X| - 4c * int_0^U x F(-cx) p(x) dx, using
-    # k(y) = |y| - 2|y| (1 - F(|y|)) and symmetry of p.  The correction
-    # integrand decays like exp(-cx) so a finite upper limit suffices.
-    c = dist.scale
-    upper = min(dist.base_support_end(), 800.0 / c)
-    val = _integral(lambda x: x * logistic_cdf(-c * x) * dist.base_pdf(x), 0.0, upper, "scale functional")
-    return c * dist.base_mean_abs() - 4.0 * c * val
+@lru_cache(maxsize=64)
+def _student_t_constants(nu: float) -> tuple[float, float]:
+    """Density constant and E|X| of Student t with ``nu`` degrees of freedom.
+
+    Both go through B(nu/2, 1/2), which stays finite and accurate where
+    the gamma functions of the textbook form overflow (nu above ~340).
+    """
+    b = float(beta(0.5 * nu, 0.5))
+    return 1.0 / (math.sqrt(nu) * b), 2.0 * math.sqrt(nu) / ((nu - 1.0) * b)
+
+
+def _base_pdf(dist: InnovationDist, x: float) -> np.ndarray | float:
+    """Density at x of the unscaled logistic, normal, uniform or Student t law of ``dist``."""
+    x = np.asarray(x, dtype=float)
+    if dist.family == "logistic":
+        return logistic_pdf(x)
+    if dist.family == "normal":
+        return np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
+    if dist.family == "uniform":
+        return np.where(np.abs(x) <= 1.0, 0.5, 0.0)
+    nu = dist.shape
+    return _student_t_constants(nu)[0] * (1.0 + x * x / nu) ** (-(nu + 1.0) / 2.0)
 
 
 def _kernel_correction_transform(t: float) -> float:
@@ -142,12 +161,20 @@ def kernel_expectation(dist: InnovationDist) -> float:
     characteristic function; an empirical law averages the kernel over
     its sample values.
     """
-    if dist.family == "empirical":
-        vals = scale_kernel(dist.scale * np.asarray(dist.data, dtype=float))
+    c, fam = dist.scale, dist.family
+    if fam == "empirical":
+        vals = scale_kernel(c * np.asarray(dist.data, dtype=float))
         return float(np.mean(vals))
-    if dist.family == "stable":
-        return stable_kernel_expectation(dist.shape, dist.scale)
-    return _expectation_by_quadrature(dist)
+    if fam == "stable":
+        return stable_kernel_expectation(dist.shape, c)
+    # E[k(cX)] = c E|X| - 4c * int_0^U x F(-cx) p(x) dx, using
+    # k(y) = |y| - 2|y| (1 - F(|y|)) and symmetry of p.  The correction
+    # integrand decays like exp(-cx) so a finite upper limit suffices;
+    # the uniform law's support ends at 1.
+    mean_abs = _student_t_constants(dist.shape)[1] if fam == "student_t" else _MEAN_ABS[fam]
+    upper = min(1.0 if fam == "uniform" else math.inf, 800.0 / c)
+    val = _integral(lambda x: x * logistic_cdf(-c * x) * _base_pdf(dist, x), 0.0, upper, "scale functional")
+    return c * mean_abs - 4.0 * c * val
 
 
 def _find_root(objective, lo: float, hi: float, xtol: float, grow: bool = False) -> float:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .distributions import InnovationDist
 from .errors import ExcessiveFailures, LqmleError
-from .estimation import FitOptions, KernelMoments, _check_restriction, _kernel_sums, _project_into_box, fit, fit_constrained, sandwich_cov
+from .estimation import _CRITERION, FitOptions, KernelMoments, _check_restriction, _kernel_sums, _project_into_box, fit, fit_constrained, sandwich_cov
 from .inference import lm_test, wald_test
 from .models.base import ModelSpec, _require_finite, _seeded_path, simulate
 from .reports import fields_dict
@@ -33,7 +33,6 @@ __all__ = [
     "population_information",
 ]
 
-_CRITERION = {"lqmle": "logistic", "gqmle": "gaussian"}
 # kept rows per filter call in population_information; sets its peak memory
 _BLOCK = 1 << 16
 
@@ -140,24 +139,21 @@ def _replicate(args: tuple[Scenario, int]) -> RepRecord:
         res = fit(scenario.model, y, opts)
         rec.theta_hat = tuple(float(v) for v in res.theta.values)
         rec.converged = res.converged
-        # an estimate pinned at the search box face is unusable for
-        # sampling-distribution summaries, so it counts as a failure
-        ok = res.converged and not any(res.boundary)
-        if res.converged and any(res.boundary):
+        if not res.converged:
+            rec.error = "fit did not converge"
+        elif any(res.boundary):
+            # an estimate pinned at the search box face is unusable for
+            # sampling-distribution summaries, so it counts as a failure
             rec.error = "estimate on parameter boundary"
-        if scenario.constraint is not None and ok:
-            R = np.asarray(scenario.constraint[0], dtype=float)
-            r = np.asarray(scenario.constraint[1], dtype=float)
+        elif scenario.constraint is not None:
+            R, r = (np.asarray(part, dtype=float) for part in scenario.constraint)
             rec.wald_p = wald_test(res, R, r).p_value
             cfit = fit_constrained(scenario.model, y, R, r, opts, theta_hat=res.theta)
             if cfit.converged:
                 rec.lm_p = lm_test(cfit, R, r).p_value
             else:
-                ok = False
                 rec.error = "constrained fit did not converge"
-        rec.ok = ok
-        if not res.converged:
-            rec.error = rec.error or "fit did not converge"
+        rec.ok = not rec.error
     except (LqmleError, np.linalg.LinAlgError) as exc:
         rec.error = f"{type(exc).__name__}: {exc}"
     return rec

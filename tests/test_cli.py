@@ -988,6 +988,16 @@ SCENARIO = (
             3,
             "scenario 0: missing required key(s) 'dist', 'theta0', 'nobs'\n",
         ),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "{name: ar}") + "    dist: logistic\n",
+            3,
+            "scenario 0: model name 'ar' is not one of ['arma_garch', 'dar', 'expar', 'garch']",
+        ),
+        (
+            SCENARIO.replace("{name: dar, order: [1, 1]}", "arch") + "    dist: logistic\n",
+            3,
+            "scenario 0: model name 'arch' is not one of ['arma_garch', 'dar', 'expar', 'garch']",
+        ),
     ],
     ids=["dist-name", "entry-not-mapping", "no-scenario-list", "t-without-nu",
          "unknown-family", "empirical-without-data", "negative-burn", "intercept-on-dar",
@@ -998,7 +1008,7 @@ SCENARIO = (
          "nan-restriction-value", "restriction-outside-box", "nu-on-normal", "data-on-logistic", "unknown-model-key", "order-as-model-keys", "model-list",
          "dist-list", "arma_garch-order-2-1", "dar-order-1", "no-scenarios", "negative-seed",
          "fractional-reps", "boolean-nobs", "fractional-burn", "fractional-seed", "integral-float-reps",
-         "missing-dist", "missing-three-keys"],
+         "missing-dist", "missing-three-keys", "unknown-model", "unknown-model-name"],
 )
 def test_mc_config_parses_or_exits_3(tmp_path, capsys, config, rc, message):
     cfg = tmp_path / "mc.yaml"

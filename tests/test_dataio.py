@@ -119,3 +119,20 @@ def test_bad_value_after_a_header_keeps_its_line_number(tmp_path):
     p.write_text("value\n1.0\n\n2.0,x\nbad\n")
     with pytest.raises(DataFormatError, match=r"h\.csv:5: non-numeric value 'bad'"):
         read_series(p, header=True)
+
+
+@pytest.mark.parametrize(
+    "text,kwargs,message",
+    [
+        ("", dict(header=True), r"r\.csv: empty file"),
+        ("1.5\n", dict(diff=True), r"r\.csv: need at least two rows to difference"),
+        ("1,2\n3\n4,5\n", dict(column=1), r"r\.csv:2: row has only 1 columns"),
+        ("a,b\n1,2\n\n3\n", dict(column="b", header=True), r"r\.csv:4: row has only 1 columns"),
+    ],
+    ids=["header-of-empty-file", "diff-of-one-row", "short-row", "short-row-after-header"],
+)
+def test_read_series_refuses_a_file_it_cannot_read(tmp_path, text, kwargs, message):
+    p = tmp_path / "r.csv"
+    p.write_text(text)
+    with pytest.raises(DataFormatError, match=message):
+        read_series(p, **kwargs)

@@ -1,5 +1,7 @@
 """Tail index, information criterion, and residual summary checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +74,27 @@ def test_hill_degenerate_inputs():
         hill_estimator(np.zeros(100), k=10)
 
 
+@pytest.mark.parametrize("n", [3, 100, 5000])
+def test_hill_estimator_defaults_k_to_the_tail_fraction(n):
+    x = np.random.default_rng(n).pareto(2.0, n) + 1.0
+    assert hill_estimator(x) == hill_estimator(x, default_tail_fraction(n))
+
+
+@pytest.mark.parametrize("ties", [20, 40])
+def test_hill_sweep_gives_none_at_a_degenerate_k(ties):
+    # the k largest values tie whenever k < ties, and that k has no estimate
+    data = np.r_[np.linspace(0.1, 1.0, 200), np.full(ties, 5.0)]
+    sweep = hill_sweep(data)
+    assert [s["index"] is None for s in sweep] == [s["k"] < ties for s in sweep]
+    assert any(s["index"] is None for s in sweep) and any(s["index"] is not None for s in sweep)
+
+
+@pytest.mark.parametrize("residuals", [[], np.empty(0), np.empty((0, 3))], ids=["list", "array", "2d"])
+def test_summarize_residuals_refuses_no_residuals(residuals):
+    with pytest.raises(ValueError, match="no residuals supplied"):
+        summarize_residuals(residuals)
+
+
 def test_default_tail_fraction_grows_sublinearly():
     assert default_tail_fraction(10) >= 2
     assert default_tail_fraction(1000) == int(1000**0.6)
@@ -137,6 +160,19 @@ def test_report_assembles_all_blocks(dar_report):
     assert rep.residual_summary.nobs == 499  # DAR(1,1) conditions on y_0
     d = rep.as_dict()
     assert set(d) >= {"loglik", "aic", "hill", "hill_k", "lyapunov", "residual_summary"}
+
+
+@pytest.mark.parametrize("ties", [60, 100])
+def test_report_hill_none_on_a_degenerate_tail(ties):
+    # more residuals tie at the top than the default k takes: no tail index
+    model = make_model("dar", p=1, q=1)
+    y = simulate(model, np.array([0.5, 0.4, 1.0, 0.3]), 500, logistic(), seed=61)
+    res = fit(model, y)
+    resid = np.r_[np.linspace(-1.0, 1.0, res.nobs - ties), np.full(ties, 3.0)]
+    rep = residual_diagnostics(model, dataclasses.replace(res, residuals=resid))
+    assert rep.hill is None
+    assert rep.hill_k == default_tail_fraction(res.nobs) < ties
+    assert rep.lyapunov is not None
 
 
 def test_report_lyapunov_none_when_unavailable():

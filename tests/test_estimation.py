@@ -41,6 +41,7 @@ from lqmle.estimation import (
 from lqmle.kernel import logistic_logpdf, scale_kernel
 from lqmle.models import make_model, simulate
 from lqmle.models.garch import Garch
+from lqmle.params import ParamVector
 
 CASES = [
     ("dar", dict(p=1, q=1), np.array([0.4, 0.3, 1.0, 0.3])),
@@ -1020,9 +1021,7 @@ def test_fit_passes_other_warnings_through(monkeypatch):
 
 def test_criterion_table_names_every_estimator_criterion():
     # --criterion and an mc estimator map onto these names; evaluate must know each
-    from lqmle.montecarlo import _CRITERION
-
-    assert sorted(_CRITERION.values()) == sorted(estimation._CRITERIA)
+    assert sorted(estimation._CRITERION.values()) == sorted(estimation._CRITERIA)
     with pytest.raises(ValueError, match="unknown criterion 'laplace'"):
         evaluate(make_model("garch", p=1, q=1), np.ones(40), [0.5, 0.1, 0.3], criterion="laplace")
 
@@ -1188,3 +1187,19 @@ def test_evaluations_per_model_stay_within_their_pins(monkeypatch):
         fit_constrained(model, y, [[1.0, 1.0, 1.0, 1.0]], [2.3], theta_hat=theta_hat)
         totals["dar_restricted"] += len(calls)
     assert {k: v for k, v in totals.items() if v > EVALUATION_PINS[k]} == {}
+
+
+@pytest.mark.parametrize(
+    "values,names,lower,upper,message",
+    [
+        ((0.5, 0.5), ("a",), (0.0, 0.0), (1.0, 1.0), "values, names and bounds must have equal length"),
+        ((0.5, 0.5), ("a", "b"), (0.0, 2.0), (1.0, 1.0), "lower bound exceeds upper bound"),
+        ((0.5, math.nan), ("a", "b"), (0.0, 0.0), (1.0, 1.0), "parameter values must not be NaN"),
+        ((0.5, 1.5), ("a", "b"), (0.0, 0.0), (1.0, 1.0), r"parameters outside box bounds: \['b'\]"),
+        ((-0.1, 1.5), ("a", "b"), (0.0, 0.0), (1.0, 1.0), r"parameters outside box bounds: \['a', 'b'\]"),
+    ],
+    ids=["short-names", "crossed-bounds", "nan-value", "above-box", "both-outside"],
+)
+def test_param_vector_refuses_a_malformed_point(values, names, lower, upper, message):
+    with pytest.raises(ValueError, match=message):
+        ParamVector(values, names, lower, upper)

@@ -1,5 +1,6 @@
 """Test statistics, tail probabilities, and restriction bookkeeping."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 import scipy.stats
 
 from lqmle.distributions import logistic
-from lqmle.errors import InfeasibleConstraint, RankDeficientConstraint
+from lqmle.errors import InfeasibleConstraint, RankDeficientConstraint, SingularInformation
 from lqmle.estimation import fit, fit_constrained
 from lqmle.inference import (
     chisq_sf,
@@ -189,6 +190,33 @@ def test_t_test_value_shifts_the_center(dar_fit):
     t = t_test(res, 1, null_value=th1)
     assert t.statistic == pytest.approx(0.0, abs=1e-12)
     assert t.p_value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "case,coef,error,message",
+    [
+        ("by-name", "alpha1", None, ""),
+        ("unknown-name", "gamma1", ValueError, "unknown coefficient 'gamma1'"),
+        ("index-above", 4, ValueError, "coefficient index 4 out of range"),
+        ("index-below", -1, ValueError, "coefficient index -1 out of range"),
+        ("restricted-fit", 1, SingularInformation, "fit carries no standard errors"),
+        ("zero-se", 1, SingularInformation, "zero standard error for coefficient 1"),
+    ],
+    ids=["by-name", "unknown-name", "index-above", "index-below", "restricted-fit", "zero-se"],
+)
+def test_t_test_names_a_coefficient_or_refuses(dar_fit, case, coef, error, message):
+    model, y, res = dar_fit
+    if case == "restricted-fit":
+        res = fit_constrained(model, y, np.ones((1, 4)), np.array([2.3]), theta_hat=res.theta)
+        assert res.se is None
+    elif case == "zero-se":
+        res = dataclasses.replace(res, se=np.zeros(res.theta.dim))
+    if error is None:
+        j = res.theta.names.index(coef)
+        assert t_test(res, coef, 0.1) == t_test(res, j, 0.1)
+    else:
+        with pytest.raises(error, match=message):
+            t_test(res, coef)
 
 
 def test_deviance_nonnegative_and_additive(dar_fit):

@@ -6,13 +6,16 @@ high-precision quadrature run and are pinned at 1e-6, the solver's own
 tolerance.
 """
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lqmle
 from lqmle import (
     calibrate_scale,
     kernel,
@@ -22,8 +25,8 @@ from lqmle import (
     logistic_pdf,
     scale_kernel,
 )
-from lqmle.distributions import logistic, normal, sample_symmetric_stable, student_t, uniform
-from lqmle.errors import NonIntegrableError
+from lqmle.distributions import InnovationDist, logistic, normal, sample_symmetric_stable, stable, student_t, uniform
+from lqmle.errors import BracketFailure, NonIntegrableError
 from lqmle.kernel import calibrate_stable_index, stable_kernel_expectation
 
 
@@ -219,3 +222,74 @@ def test_stable_calibration_needs_few_passes(monkeypatch):
     assert [c[0] for c in calls[:2]] == [1.05, 2.0]
     assert all(1.05 < c[0] < 2.0 for c in calls[2:])
     assert abs(got - tight) <= 0.5e-6
+
+
+@pytest.mark.parametrize(
+    "kwargs,error,message",
+    [
+        (dict(family="cauchy"), ValueError, "unknown family 'cauchy'"),
+        (dict(family="normal", scale=0.0), ValueError, "scale must be positive and finite"),
+        (dict(family="normal", scale=-1.0), ValueError, "scale must be positive and finite"),
+        (dict(family="normal", scale=math.nan), ValueError, "scale must be positive and finite"),
+        (dict(family="normal", scale=math.inf), ValueError, "scale must be positive and finite"),
+        (dict(family="stable"), NonIntegrableError, "stable index must lie in"),
+        (dict(family="stable", shape=1.0), NonIntegrableError, "stable index must lie in"),
+        (dict(family="stable", shape=2.5), NonIntegrableError, "stable index must lie in"),
+        (dict(family="empirical"), ValueError, "needs at least one sample value"),
+        (dict(family="empirical", data=(1.0, math.nan)), ValueError, "sample values must be finite"),
+    ],
+    ids=["unknown-family", "zero-scale", "negative-scale", "nan-scale", "inf-scale",
+         "stable-no-index", "stable-index-1", "stable-index-2.5", "empirical-empty", "empirical-nan"],
+)
+def test_innovation_dist_refuses_a_bad_law(kwargs, error, message):
+    with pytest.raises(error, match=message):
+        InnovationDist(**kwargs)
+
+
+@pytest.mark.parametrize("index,scale", [(1.3, 1.0), (1.6885, 0.8), (2.0, 1.0), (2.0, 2.5)])
+def test_kernel_expectation_of_a_stable_law_is_the_characteristic_function_route(index, scale):
+    dist = stable(index, scale)
+    assert (dist.family, dist.shape, dist.scale) == ("stable", index, scale)
+    assert kernel_expectation(dist) == stable_kernel_expectation(index, scale)
+
+
+@pytest.mark.parametrize(
+    "objective,lo,hi,grow,root",
+    [
+        (lambda x: x - 100.0, 0.25, 4.0, True, 100.0),  # the upper end widens 4 -> 256
+        (lambda x: x - 0.01, 0.25, 4.0, True, 0.01),  # the lower end narrows 0.25 -> 1/256
+        (lambda x: x - 10.0, 1.0, 2.0, False, None),  # no widening without grow
+        (lambda x: -1.0, 0.25, 4.0, True, None),  # no sign change anywhere
+    ],
+    ids=["widen-upper", "widen-lower", "fixed-bracket", "never-brackets"],
+)
+def test_find_root_widens_its_bracket_or_refuses(objective, lo, hi, grow, root):
+    if root is None:
+        with pytest.raises(BracketFailure, match="could not bracket the unit expectation"):
+            kernel._find_root(objective, lo, hi, 1e-12, grow=grow)
+    else:
+        assert kernel._find_root(objective, lo, hi, 1e-12, grow=grow) == pytest.approx(root, abs=1e-10)
+
+
+def test_distributions_only_draws_and_kernel_owns_the_closed_forms():
+    # distributions validates and draws; the base-law density, E|X| and
+    # support end that the scale functional integrates live in kernel
+    root = Path(lqmle.__file__).parent
+    dist_tree = ast.parse((root / "distributions.py").read_text())
+    imported = [a.name for n in ast.walk(dist_tree) if isinstance(n, ast.Import) for a in n.names]
+    imported += [n.module or "" for n in ast.walk(dist_tree) if isinstance(n, ast.ImportFrom)]
+    assert not [m for m in imported if m.split(".")[0] == "scipy"], imported
+    (cls,) = [n for n in dist_tree.body if isinstance(n, ast.ClassDef) and n.name == "InnovationDist"]
+    members = [n.name for n in cls.body if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    members += [t.id for n in cls.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)]
+    members += [n.target.id for n in cls.body if isinstance(n, ast.AnnAssign) and isinstance(n.target, ast.Name)]
+    assert "sample" in members and not [m for m in members if m.startswith("base_")], members
+    kernel_tree = ast.parse((root / "kernel.py").read_text())
+    top_level = [n for n in kernel_tree.body if not isinstance(n, (ast.FunctionDef, ast.ClassDef))]
+    built = [
+        node.lineno
+        for stmt in top_level
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "InnovationDist"
+    ]
+    assert not built, f"kernel.py builds an InnovationDist at module level, line(s) {built}"

@@ -17,7 +17,7 @@ from scipy.signal import lfilter
 import lqmle
 from lqmle import estimation
 from lqmle.distributions import empirical, logistic, normal, student_t
-from lqmle.errors import NonFiniteObjective, ShapeMismatch
+from lqmle.errors import InvertibilityError, NonFiniteObjective, NonstationaryRegionWarning, ShapeMismatch
 from lqmle.estimation import fit
 from lqmle.kernel import scale_kernel
 from lqmle.models import MODEL_REGISTRY, lagged, make_model, simulate
@@ -806,6 +806,23 @@ def test_only_models_base_calls_a_model_path():
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "path"
     ]
     assert callers and all(c.startswith("models/base.py:") for c in callers), callers
+
+
+@pytest.mark.parametrize("betas", [(0.5, 0.5), (0.6, 0.5), (0.9999, 0.9999)])
+def test_garch_filter_outside_a_fit_warns_on_a_nonstationary_beta(betas):
+    # outside a fit nobody collects the strays, so the filter warns itself
+    model = make_model("garch", p=1, q=2)
+    y = simulate(model, np.array([1.0, 0.15, 0.2, 0.2]), 200, logistic(), seed=3)
+    with pytest.warns(NonstationaryRegionWarning, match="beta coefficients sum to one or more"):
+        model.filter(y, np.array([0.2, 0.1, *betas]))
+
+
+@pytest.mark.parametrize("ma1", [1.0, -1.0, 1.5])
+def test_arma_garch_filter_refuses_a_non_invertible_ma1(ma1):
+    model = make_model("arma_garch")
+    y = simulate(model, np.array([0.1, 0.3, 0.2, 0.2, 0.1, 0.3]), 200, logistic(), seed=3)
+    with pytest.raises(InvertibilityError, match=f"\\|ma1\\| = {abs(ma1)} is not invertible"):
+        model.filter(y, np.array([0.1, 0.3, ma1, 0.2, 0.1, 0.3]))
 
 
 @pytest.mark.parametrize("n", [0, 1, 2])
